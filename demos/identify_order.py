@@ -3,10 +3,10 @@ Identifying the order from one measurement
 ==========================================
 
 The measured value d = u(x0, t1) pins down the order through the scalar
-equation F(alpha) = d.  When every mode contributes positively at x0, F is
-strictly monotone, so one measurement determines alpha uniquely.  The
-solver verifies that numerically (scan), brackets the root, and refines it
-with derivative-accelerated bisection.
+equation F(alpha) = d.  The paper's sign hypothesis asks every mode to
+contribute positively at x0; it does not by itself make F monotone, so the
+solver scans F to see whether it is, brackets each sign change, and refines
+the roots with derivative-accelerated bisection.
 """
 
 import math

@@ -3,8 +3,9 @@ the Caputo order from a single space-time measurement.
 
 The forward problem (subdiffusion on an interval, Dirichlet walls, finite
 sine-mode initial data) is evaluated through Mittag-Leffler time factors;
-the inverse problem reduces to the monotone scalar equation F(alpha) = d
-and is solved by bracketing with analytic-derivative Newton acceleration.
+the inverse problem reduces to the scalar equation F(alpha) = d, which the
+paper's sign hypothesis does not make monotone, and is solved by scanning
+and bracketing with analytic-derivative Newton acceleration.
 """
 
 from .errors import (AccuracyError, ConfigError, ConvergenceError, DomainError,

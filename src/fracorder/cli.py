@@ -52,30 +52,6 @@ class RunConfig:
     inverse: InverseConfig
     alpha: float | None
     output_path: str | None
-    output_format: str
-
-    def to_dict(self):
-        data = {
-            "problem": {
-                "diffusivity": self.problem.diffusivity,
-                "length": self.problem.length,
-                "modes": [[n, a] for n, a in self.problem.modes],
-                "time_horizon": self.problem.time_horizon,
-            },
-            "inverse": dataclasses.asdict(self.inverse),
-            "output": {"path": self.output_path, "format": self.output_format},
-        }
-        if self.alpha is not None:
-            data["alpha"] = self.alpha
-        if self.measurement is not None:
-            section = {"position": self.measurement.position,
-                       "time": self.measurement.time}
-            if self.measurement.value is not None:
-                section["value"] = self.measurement.value
-            if self.extra_measurements:
-                section["extra"] = [[t, v] for t, v in self.extra_measurements]
-            data["measurement"] = section
-        return data
 
 
 def _reject_unknown(section, mapping, allowed):
@@ -158,7 +134,6 @@ def parse_config(data):
     alpha = _number("(top level)", data, "alpha", required=False)
 
     output_path = None
-    output_format = "csv"
     if "output" in data:
         out = data["output"]
         _reject_unknown("output", out, _OUTPUT_KEYS)
@@ -166,12 +141,10 @@ def parse_config(data):
             if not isinstance(out["path"], str):
                 raise ConfigError(f"key 'path' in section 'output' must be a string")
             output_path = out["path"]
-        if "format" in out:
-            if out["format"] != "csv":
-                raise ConfigError(f"unsupported output format {out['format']!r} (only 'csv')")
-            output_format = out["format"]
+        if "format" in out and out["format"] != "csv":
+            raise ConfigError(f"unsupported output format {out['format']!r} (only 'csv')")
 
-    return RunConfig(problem, measurement, extra, inverse, alpha, output_path, output_format)
+    return RunConfig(problem, measurement, extra, inverse, alpha, output_path)
 
 
 def load_config(path):
@@ -282,8 +255,8 @@ def cmd_curve(config, scan_points=None, rel_tol=None):
     return "\n".join(lines) + "\n"
 
 
-def cmd_selfcheck(tolerance_scale=1.0):
-    lines, ok = run_selfcheck(tolerance_scale)
+def cmd_selfcheck():
+    lines, ok = run_selfcheck()
     return "\n".join(lines) + "\n", EXIT_OK if ok else EXIT_FAILURE
 
 
@@ -322,10 +295,7 @@ def build_parser():
     p_curve.add_argument("--config", required=True)
     p_curve.add_argument("--scan-points", type=int, default=None)
 
-    p_check = sub.add_parser("selfcheck", parents=[common],
-                             help="run the built-in verification suite")
-    p_check.add_argument("--tolerance-scale", type=float, default=1.0,
-                         help="testing hook: multiply every check tolerance")
+    sub.add_parser("selfcheck", parents=[common], help="run the built-in verification suite")
     return parser
 
 
@@ -334,7 +304,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "selfcheck":
-            text, code = cmd_selfcheck(args.tolerance_scale)
+            text, code = cmd_selfcheck()
             _emit(text, args.output, None)
             return code
         config = load_config(args.config)

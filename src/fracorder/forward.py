@@ -84,6 +84,14 @@ def eigenvalue(problem, n):
     return (n * math.pi / problem.length) ** 2
 
 
+def _mode_terms(problem, x):
+    """(a_n, sin(n*pi*x/length), D*lambda_n) for every mode at position x: the
+    terms read by the forward sum, F', the endpoints and the sign hypothesis."""
+    return [(amplitude, sinpi(n * (x / problem.length)),
+             problem.diffusivity * eigenvalue(problem, n))
+            for n, amplitude in problem.modes]
+
+
 def _check_point(problem, x, t):
     x = float(x)
     t = float(t)
@@ -108,12 +116,10 @@ def evaluate_solution(problem, alpha, x, t, rel_tol=1e-10):
     mode_tol = max(rel_tol / problem.n_modes, 1e-15)
     ta = t**alpha
     total = 0.0
-    for n, amplitude in problem.modes:
-        basis = sinpi(n * (x / problem.length))
+    for amplitude, basis, rate in _mode_terms(problem, x):
         if basis == 0.0:
             continue
-        decay = mittag_leffler(alpha, -problem.diffusivity * eigenvalue(problem, n) * ta,
-                               rel_tol=mode_tol)
+        decay = mittag_leffler(alpha, -rate * ta, rel_tol=mode_tol)
         total += amplitude * decay * basis
     return total
 

@@ -18,12 +18,11 @@ import numpy as np
 
 from .errors import (AccuracyError, ConvergenceError, DomainError,
                      MaxIterationsError, NoRootError)
-from .forward import eigenvalue, evaluate_solution
-from .special import ml_alpha_derivative, sinpi
+from .forward import _mode_terms, evaluate_solution
+from .special import ml_alpha_derivative
 
 MONOTONE_VERIFIED = "verified"
 MONOTONE_VIOLATED = "violated"
-MONOTONE_NOT_CHECKED = "not-checked"
 
 # |F'| below this counts as a vanishing derivative: the local-solvability
 # hypothesis fails and the sensitivity is reported as infinite.
@@ -102,6 +101,12 @@ class ScanResult:
 
 @dataclass(frozen=True)
 class InversionReport:
+    """Outcome of `invert_order`; `alpha_hat` is the first of `roots`.
+
+    `derivative_at_root` and `sensitivity` (|1/F'|) are nan when F'(alpha_hat)
+    cannot be certified (AccuracyError or ConvergenceError); the root stands.
+    """
+
     alpha_hat: float
     residual: float
     derivative_at_root: float
@@ -144,11 +149,9 @@ def residual_derivative(problem, measurement, alpha, rel_tol=1e-10):
     _check_measurement(problem, measurement, need_value=False)
     mode_tol = max(rel_tol / problem.n_modes, 1e-15)
     total = 0.0
-    for n, amplitude in problem.modes:
-        basis = sinpi(n * (measurement.position / problem.length))
+    for amplitude, basis, rate in _mode_terms(problem, measurement.position):
         if basis == 0.0:
             continue
-        rate = problem.diffusivity * eigenvalue(problem, n)
         total += amplitude * basis * ml_alpha_derivative(alpha, rate, measurement.time,
                                                          rel_tol=mode_tol)
     return total
@@ -157,14 +160,14 @@ def residual_derivative(problem, measurement, alpha, rel_tol=1e-10):
 def check_uniqueness_hypothesis(problem, measurement):
     """Strict positivity of every mode contribution at the measurement point.
 
-    True when amplitude * sin(n*pi*x0/length) > 0 for every mode, the
-    condition under which F is strictly monotone and one measurement pins
-    the order down uniquely.
+    True when amplitude * sin(n*pi*x0/length) > 0 for every mode: the
+    paper's sign hypothesis.  It does not make F monotone; at t1 = 1,
+    1/Gamma(1 + alpha) peaks near alpha = 0.46 and F can meet d twice.  The
+    scan's `monotone` verdict reports what was actually seen.
     """
     _check_measurement(problem, measurement, need_value=False)
-    terms = tuple(
-        ModeTerm(n, amplitude, sinpi(n * (measurement.position / problem.length)))
-        for n, amplitude in problem.modes)
+    terms = tuple(ModeTerm(n, amplitude, basis) for (n, amplitude), (_, basis, _)
+                  in zip(problem.modes, _mode_terms(problem, measurement.position)))
     return UniquenessReport(all(term.product > 0.0 for term in terms), terms)
 
 
@@ -178,9 +181,7 @@ def endpoint_values(problem, measurement):
     _check_measurement(problem, measurement, need_value=False)
     f0 = 0.0
     f1 = 0.0
-    for n, amplitude in problem.modes:
-        basis = sinpi(n * (measurement.position / problem.length))
-        rate = problem.diffusivity * eigenvalue(problem, n)
+    for amplitude, basis, rate in _mode_terms(problem, measurement.position):
         f0 += amplitude * basis / (1.0 + rate)
         f1 += amplitude * basis * math.exp(-rate * measurement.time)
     return f0, f1
@@ -292,7 +293,10 @@ def invert_order(problem, measurement, config=InverseConfig()):
 
     alpha_hat = roots[0]
     res = f(alpha_hat)
-    slope = fp(alpha_hat)
+    try:
+        slope = fp(alpha_hat)
+    except (AccuracyError, ConvergenceError):
+        slope = math.nan
     sensitivity = math.inf if abs(slope) < DERIVATIVE_FLOOR else 1.0 / abs(slope)
     return InversionReport(
         alpha_hat=alpha_hat,

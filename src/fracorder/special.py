@@ -301,7 +301,8 @@ def ml_alpha_derivative(alpha, c, t, rel_tol=1e-10):
 
     Raises `DomainError` for invalid arguments, `ConvergenceError` when the
     truncation rule is not met within the term budget, and `AccuracyError`
-    when cancellation leaves the certified error above target.
+    when a series term exceeds the double range or cancellation leaves the
+    certified error above target.
     """
     alpha = float(alpha)
     c = float(c)
@@ -332,12 +333,18 @@ def ml_alpha_derivative(alpha, c, t, rel_tol=1e-10):
         if g <= 170.0 and math.isfinite(xpow):
             w = j * xpow / float(_sc_gamma(g))
         else:
-            w = j * math.exp(j * log_x - float(_sc_gammaln(g)))
+            try:
+                w = j * math.exp(j * log_x - float(_sc_gammaln(g)))
+            except OverflowError:
+                w = math.inf
         if j & 1:
             w = -w
         psi_g = float(_sc_psi(g))
         term = w * (ln_t - psi_g)
         weight = abs(w) * (abs(ln_t) + abs(psi_g))
+        if not math.isfinite(weight):
+            raise AccuracyError(f"ml_alpha_derivative: series terms exceed the double range "
+                                f"at alpha={alpha:g}, c={c:g}, t={t:g}")
         y = term - comp
         tt = total + y
         comp = (tt - total) - y

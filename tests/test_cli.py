@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from fracorder import selfcheck
 from fracorder.cli import (EXIT_CONFIG, EXIT_FAILURE, EXIT_MULTI_ROOT, EXIT_NO_ROOT,
                            EXIT_OK, cmd_curve, cmd_forward, cmd_invert, load_config,
                            main, parse_config, parse_points)
@@ -12,6 +13,7 @@ from fracorder.errors import ConfigError
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SINGLE = CONFIG_DIR / "single_mode.json"
 TWO = CONFIG_DIR / "two_mode.json"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 MIXED_SIGN_CONFIG = {
     "problem": {"diffusivity": 0.1, "length": math.pi,
@@ -37,13 +39,6 @@ def test_bundled_configs_parse():
         config = load_config(path)
         assert config.problem.length == pytest.approx(math.pi)
         assert config.measurement.value is not None
-
-
-def test_config_round_trip():
-    for path in (SINGLE, TWO):
-        config = load_config(path)
-        again = parse_config(config.to_dict())
-        assert again == config
 
 
 def test_unknown_keys_rejected():
@@ -231,10 +226,13 @@ def test_main_selfcheck_ok(capsys):
     assert "FAIL" not in out
 
 
-def test_main_selfcheck_fault_hook(capsys):
-    assert main(["selfcheck", "--tolerance-scale", "0"]) == EXIT_FAILURE
+def test_main_selfcheck_fault_hook(monkeypatch, capsys):
+    failing = ("always_fails", lambda: (1.0, 0.0))
+    monkeypatch.setattr(selfcheck, "CHECKS", selfcheck.CHECKS + (failing,))
+    assert main(["selfcheck"]) == EXIT_FAILURE
     out = capsys.readouterr().out
-    assert "FAIL roundtrip_single_mode" in out
+    assert "FAIL always_fails" in out
+    assert "FAIL overall" in out
 
 
 def test_main_requires_subcommand():
@@ -267,3 +265,20 @@ def test_config_output_path_used(tmp_path):
     code = main(["curve", "--config", _write(tmp_path, data)])
     assert code == EXIT_OK
     assert target.exists()
+
+
+# ------------------------------------------------------- golden outputs
+
+@pytest.mark.parametrize("config", [SINGLE, TWO], ids=["single_mode", "two_mode"])
+@pytest.mark.parametrize("command, golden", [
+    (["invert"], "invert.txt"),
+    (["curve"], "curve.csv"),
+    (["forward", "--points", "0.785398163,2;0,1;1.5,3"], "forward.csv"),
+], ids=["invert", "curve", "forward"])
+def test_main_output_matches_golden(config, command, golden, capsys):
+    # golden files hold the bundled configs' output, so any change to a
+    # reported number, down to the last of 17 digits, shows here
+    argv = command[:1] + ["--config", str(config)] + command[1:]
+    assert main(argv) == EXIT_OK
+    expected = (GOLDEN_DIR / f"{config.stem}_{golden}").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected

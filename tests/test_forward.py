@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracorder import (DomainError, eigenvalue, evaluate_solution,
-                       evaluate_solution_grid, make_problem, sine_coefficient)
+                       evaluate_solution_grid, forward, make_problem, sine_coefficient)
 
 PI = math.pi
 
@@ -162,6 +162,31 @@ def test_grid_matches_pointwise_and_decays(single_mode):
     pointwise = [evaluate_solution(problem, 0.75, PI / 4, t) for t in ts]
     assert np.array_equal(grid[0], np.array(pointwise))
     assert grid[0, 0] > grid[0, 1] > grid[0, 2]
+
+
+SIX_MODES = [(1, 1.0), (2, -0.5), (3, 0.3), (4, 0.2), (5, -0.1), (6, 0.05)]
+
+
+def test_grid_equals_pointwise_with_walls_and_nodes():
+    problem = make_problem(0.01, PI, SIX_MODES, 4.0)
+    # both walls, a node of mode 4 only (pi/4) and of modes 2, 4, 6 (pi/2)
+    xs = [0.0, 0.3, PI / 4, PI / 2, 2.0, PI]
+    ts = [0.5, 1.0, 2.5, 4.0]
+    grid = evaluate_solution_grid(problem, 0.6, xs, ts)
+    pointwise = np.array([[evaluate_solution(problem, 0.6, x, t) for t in ts] for x in xs])
+    assert np.array_equal(grid, pointwise)
+    assert all(v == 0.0 for v in grid[0]) and all(v == 0.0 for v in grid[-1])
+
+
+def test_grid_on_walls_evaluates_no_factor(monkeypatch):
+    problem = make_problem(0.01, PI, SIX_MODES, 4.0)
+    calls = []
+    real = forward.mittag_leffler
+    monkeypatch.setattr(forward, "mittag_leffler",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    grid = evaluate_solution_grid(problem, 0.6, [0.0, PI], [1.0, 4.0])
+    assert calls == []
+    assert not grid.any()
 
 
 def test_grid_rejects_empty(single_mode):

@@ -209,6 +209,62 @@ def test_invert_reports_multiple_roots(mixed_sign):
         assert abs(residual(problem, measurement, root)) <= 1e-6
 
 
+def test_sign_hypothesis_does_not_imply_monotone():
+    # at t1 = 1 the curve follows 1/Gamma(1 + alpha), which peaks near
+    # alpha = 0.46: the sign condition holds and F still meets d twice
+    problem = make_problem(0.2, PI, [(1, 1.0)], 1.0)
+    d = evaluate_solution(problem, 0.8, PI / 2, 1.0)
+    report = invert_order(problem, Measurement(PI / 2, 1.0, d))
+    assert report.uniqueness_hypothesis
+    assert len(report.roots) == 2
+    assert report.monotone == "violated"
+    assert abs(report.roots[0] - 0.4177) <= 1e-4
+    assert abs(report.roots[1] - 0.8) <= 1e-9
+
+
+def test_root_kept_when_final_slope_refused():
+    # the order-derivative series overflows at the root, so the final slope
+    # is refused; the root found by refinement must still be reported
+    alpha = 0.4049633901505699
+    x0, t1 = 2.705805723398215, 15.504882985935527
+    problem = make_problem(0.121, PI, [(1, 0.255), (5, 0.2458)], 20)
+    d = evaluate_solution(problem, alpha, x0, t1)
+    report = invert_order(problem, Measurement(x0, t1, d))
+    assert len(report.roots) == 1
+    assert abs(report.alpha_hat - alpha) <= 1e-9
+    assert math.isnan(report.derivative_at_root)
+    assert math.isnan(report.sensitivity)
+
+
+# F, F' and the endpoint limits of a three-mode mixed-sign problem at
+# t1 = 6, for (x0, alpha): exact values that fix the order in which each
+# sum associates amplitude, basis and time factor
+THREE_MODE_SUMS = {
+    0.4: ([(0.3, 0.3066021702107186, -0.10327295745494919),
+          (0.55, 0.2817569989234107, -0.0941218786611514),
+          (0.8, 0.26046826814802804, -0.07363746967729903)],
+          (0.3381323806769159, 0.24861059178591233)),
+    1.1: ([(0.3, 0.6258465218494772, 0.08723720788021741),
+          (0.55, 0.6445501484162895, 0.05998834782503842),
+          (0.8, 0.6546368305008178, 0.018333255144735605)],
+          (0.597079401668591, 0.6541364860805041)),
+    2.3: ([(0.3, 1.4148650171257198, -0.7272140700418316),
+          (0.55, 1.216270061894775, -0.8619239713530129),
+          (0.8, 0.9836726169377662, -0.9994289552007478)],
+          (1.6091137138624885, 0.7725316084583124)),
+}
+
+
+def test_measurement_sums_frozen_to_the_bit():
+    problem = make_problem(0.07, PI, [(1, 1.3), (2, -0.7), (3, 0.45)], 10.0)
+    for x0, (rows, ends) in THREE_MODE_SUMS.items():
+        measurement = Measurement(x0, 6.0, 0.0)
+        for alpha, value, slope in rows:
+            assert evaluate_solution(problem, alpha, x0, 6.0) == value
+            assert residual_derivative(problem, measurement, alpha) == slope
+        assert endpoint_values(problem, measurement) == ends
+
+
 def test_invert_bisection_only_agrees(single_mode):
     problem, measurement = single_mode
     fast = invert_order(problem, measurement)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import erfcx
 
-from fracorder import (AccuracyError, DomainError, digamma, gamma_fn, gamma_ratio,
-                       mittag_leffler, ml_alpha_derivative, sinpi)
+from fracorder import (AccuracyError, ConvergenceError, DomainError, digamma, gamma_fn,
+                       gamma_ratio, mittag_leffler, ml_alpha_derivative, sinpi)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -290,3 +290,21 @@ def test_derivative_domain_errors():
         ml_alpha_derivative(0.5, 0.0, 2.0)
     with pytest.raises(DomainError):
         ml_alpha_derivative(0.5, 0.4, 0.0)
+
+
+def test_derivative_overflow_is_accuracy_error():
+    # the series terms pass the double range; the refusal names the inputs
+    with pytest.raises(AccuracyError) as exc_info:
+        ml_alpha_derivative(0.3, 20.0, 1.0)
+    message = str(exc_info.value)
+    assert "alpha=0.3" in message and "c=20" in message and "t=1" in message
+
+
+def test_derivative_sweep_refuses_only_by_documented_errors():
+    for alpha in np.linspace(0.1, 0.9, 9):
+        for c in np.logspace(-2, 3, 20):
+            try:
+                value = ml_alpha_derivative(float(alpha), float(c), 1.0)
+            except (AccuracyError, ConvergenceError):
+                continue
+            assert isinstance(value, float) and math.isfinite(value), (alpha, c, value)
