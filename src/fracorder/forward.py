@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .special import mittag_leffler, sinpi
+from .special import _mittag_leffler_lanes, mittag_leffler, sinpi
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,28 @@ def evaluate_solution(problem, alpha, x, t, rel_tol=1e-10):
             continue
         decay = mittag_leffler(alpha, -rate * ta, rel_tol=mode_tol)
         total += amplitude * decay * basis
+    return total
+
+
+def _solution_at_orders(problem, alphas, x, t, rel_tol=1e-10):
+    """u(x, t) for every order in `alphas`, equal to the `evaluate_solution`
+    calls to the bit, with all Mittag-Leffler factors in one batch."""
+    alphas = [float(alpha) for alpha in alphas]
+    for alpha in alphas:
+        if not (math.isfinite(alpha) and 0.0 < alpha <= 1.0):
+            raise DomainError(f"_solution_at_orders: need 0 < alpha <= 1, got {alpha!r}")
+    x, t = _check_point(problem, x, t)
+    mode_tol = max(rel_tol / problem.n_modes, 1e-15)
+    terms = [term for term in _mode_terms(problem, x) if term[1] != 0.0]
+    ta = np.array([t**alpha for alpha in alphas])
+    rates = np.array([rate for _, _, rate in terms])
+    # lanes run order-major, mode-minor: the pointwise calls' order
+    decays = _mittag_leffler_lanes(np.repeat(alphas, len(terms)),
+                                   np.multiply.outer(ta, -rates).ravel(),
+                                   mode_tol).reshape(len(alphas), len(terms))
+    total = np.zeros(len(alphas))
+    for m, (amplitude, basis, _) in enumerate(terms):
+        total += amplitude * decays[:, m] * basis
     return total
 
 

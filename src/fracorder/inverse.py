@@ -3,10 +3,11 @@
 With finite-mode initial data the measured value d = u(x0, t1) turns the
 identification into the scalar equation F(alpha) = d on (0, 1), where F is
 the forward solution at the measurement point as a function of the order.
-F is evaluated here together with its analytic derivative in alpha, a
-uniform scan establishes monotonicity and sign-change brackets, and a
-bisection iteration (optionally accelerated by safeguarded Newton steps)
-refines each bracket to a root.
+F is evaluated here together with its analytic derivative in alpha.  A
+uniform scan, evaluated as one batch over its orders, finds the sign-change
+brackets and reports whether the sampled curve is monotone (a verdict on the
+samples, not a proof); a bisection iteration (optionally accelerated by
+safeguarded Newton steps) refines each bracket to a root.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import (AccuracyError, ConvergenceError, DomainError,
                      MaxIterationsError, NoRootError)
-from .forward import _mode_terms, evaluate_solution
+from .forward import _mode_terms, _solution_at_orders, evaluate_solution
 from .special import ml_alpha_derivative
 
 MONOTONE_VERIFIED = "verified"
@@ -42,6 +43,10 @@ class Measurement:
     value: float | None = None
 
 
+def _not_int(value):
+    return isinstance(value, bool) or not isinstance(value, int)
+
+
 @dataclass(frozen=True)
 class InverseConfig:
     """Knobs of the order search; defaults match the documented contract."""
@@ -59,12 +64,12 @@ class InverseConfig:
             raise DomainError(
                 f"InverseConfig: need 0 < alpha_lo < alpha_hi < 1, got "
                 f"[{self.alpha_lo!r}, {self.alpha_hi!r}]")
-        if int(self.scan_points) != self.scan_points or self.scan_points < 9:
+        if _not_int(self.scan_points) or self.scan_points < 9:
             raise DomainError(f"InverseConfig: scan_points must be an integer >= 9, "
                               f"got {self.scan_points!r}")
         if not (self.root_tol > 0.0 and math.isfinite(self.root_tol)):
             raise DomainError(f"InverseConfig: root_tol must be positive, got {self.root_tol!r}")
-        if int(self.max_iters) != self.max_iters or self.max_iters < 1:
+        if _not_int(self.max_iters) or self.max_iters < 1:
             raise DomainError(f"InverseConfig: max_iters must be a positive integer, "
                               f"got {self.max_iters!r}")
         if not (1e-15 <= self.f_rel_tol <= 1e-3):
@@ -190,11 +195,15 @@ def endpoint_values(problem, measurement):
 def scan_bracket(problem, measurement, config=InverseConfig()):
     """Uniform residual scan: monotonicity verdict plus sign-change cells.
 
-    An empty bracket tuple is a legal outcome meaning no root in range.
+    The values equal `residual` at each scan order to the bit, refusals
+    included, but all orders are evaluated in one batch.  An empty bracket
+    tuple is a legal outcome meaning no root in range.
     """
+    _check_measurement(problem, measurement)
     alphas = np.linspace(config.alpha_lo, config.alpha_hi, config.scan_points)
-    values = np.array([residual(problem, measurement, float(a), rel_tol=config.f_rel_tol)
-                       for a in alphas])
+    values = (_solution_at_orders(problem, alphas, measurement.position, measurement.time,
+                                  rel_tol=config.f_rel_tol)
+              - float(measurement.value))
     diffs = np.diff(values)
     monotone = bool(np.all(diffs > 0.0) or np.all(diffs < 0.0))
     brackets = []

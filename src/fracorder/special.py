@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.special import gamma as _sc_gamma
 from scipy.special import gammaln as _sc_gammaln
 from scipy.special import psi as _sc_psi
@@ -188,6 +189,15 @@ def _ml_algebraic_tail(alpha, x, rel_tol):
     return total + comp, math.inf, False
 
 
+def _shape(alpha, x):
+    """x**(1/alpha) for x > 0, inf past the double range: the exponent that
+    sets the power-series cancellation and the tail-expansion accuracy."""
+    try:
+        return x ** (1.0 / alpha)
+    except OverflowError:
+        return math.inf
+
+
 def mittag_leffler(alpha, z, rel_tol=1e-12, z_max=Z_MAX_DEFAULT):
     """One-parameter Mittag-Leffler function E_alpha(z) on the real axis.
 
@@ -254,10 +264,7 @@ def mittag_leffler(alpha, z, rel_tol=1e-12, z_max=Z_MAX_DEFAULT):
         return value
 
     x = -z
-    try:
-        shape = x ** (1.0 / alpha)  # cancellation/decay exponent
-    except OverflowError:
-        shape = math.inf
+    shape = _shape(alpha, x)
 
     candidates = []
     if shape <= _S_ASYM_ONLY:
@@ -284,6 +291,80 @@ def mittag_leffler(alpha, z, rel_tol=1e-12, z_max=Z_MAX_DEFAULT):
             f"mittag_leffler: achievable relative accuracy ~{err / max(abs(value), 1e-300):.1e} "
             f"at alpha={alpha:g}, z={z:g} misses rel_tol={rel_tol:g}")
     return value
+
+
+def _mittag_leffler_lanes(alphas, zs, rel_tol):
+    """E_alpha(z) for every (alpha, z) lane of two 1-D arrays at one rel_tol.
+
+    Returns the same floats as `mittag_leffler` called lane by lane, and
+    raises the exception the first refusing lane raises there.  Lanes with
+    0 < alpha < 1, z < 0 and |z|**(1/alpha) below _S_TAYLOR_ONLY, where
+    `mittag_leffler` runs the power series alone, run it here together,
+    term by term, each with the scalar recurrence's operations in its order.
+    A lane leaves the batch for `mittag_leffler`, in lane order, when it is
+    outside that region, when a term passes Gamma's double range or makes
+    z**j non-finite, or when the series does not certify rel_tol.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    zs = np.asarray(zs, dtype=float)
+    rel_tol = float(rel_tol)
+    alpha_list = alphas.tolist()
+    z_list = zs.tolist()
+    values = np.empty(len(alpha_list))
+    done = np.zeros(len(alpha_list), dtype=bool)
+    if REL_TOL_MIN <= rel_tol <= REL_TOL_MAX:
+        lanes = np.array([k for k, (alpha, z) in enumerate(zip(alpha_list, z_list))
+                          if 0.0 < alpha < 1.0 and z < 0.0
+                          and _shape(alpha, -z) < _S_TAYLOR_ONLY], dtype=np.intp)
+    else:
+        lanes = np.empty(0, dtype=np.intp)
+
+    threshold = 0.125 * rel_tol
+    a = alphas[lanes]
+    z = zs[lanes]
+    total = np.ones(lanes.size)  # j = 0 term; Gamma(1) = 1
+    comp = np.zeros(lanes.size)
+    abs_sum = np.ones(lanes.size)
+    zpow = np.ones(lanes.size)
+    small_run = np.zeros(lanes.size, dtype=np.intp)
+    tail = np.zeros(lanes.size)
+    with np.errstate(over="ignore"):  # a non-finite z**j leaves the batch below
+        for j in range(1, TAYLOR_MAX_TERMS + 1):
+            if not lanes.size:
+                break
+            g = a * j + 1.0
+            zpow *= z
+            keep = (g <= 170.0) & np.isfinite(zpow)
+            if not keep.all():
+                lanes, a, z, g, total, comp, abs_sum, zpow, small_run, tail = (
+                    v[keep] for v in (lanes, a, z, g, total, comp, abs_sum, zpow,
+                                      small_run, tail))
+            term = zpow / _sc_gamma(g)
+            # Kahan step
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            magnitude = np.abs(term)
+            abs_sum += magnitude
+            small = magnitude <= threshold * np.maximum(np.abs(total), 1e-300)
+            small_run = np.where(small, small_run + 1, 0)
+            tail = np.where(small, np.maximum(tail, magnitude), 0.0)
+            stop = small_run == 3
+            if stop.any():
+                value = total[stop] + comp[stop]
+                err = 2.0 * tail[stop] + 6.0 * _EPS * abs_sum[stop]
+                certified = np.isfinite(value) & (err <= rel_tol * np.abs(value))
+                values[lanes[stop][certified]] = value[certified]
+                done[lanes[stop][certified]] = True
+                keep = ~stop
+                lanes, a, z, total, comp, abs_sum, zpow, small_run, tail = (
+                    v[keep] for v in (lanes, a, z, total, comp, abs_sum, zpow, small_run,
+                                      tail))
+
+    for k in np.flatnonzero(~done).tolist():
+        values[k] = mittag_leffler(alpha_list[k], z_list[k], rel_tol=rel_tol)
+    return values
 
 
 def ml_alpha_derivative(alpha, c, t, rel_tol=1e-10):

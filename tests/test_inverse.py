@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fracorder import (DomainError, InverseConfig, MaxIterationsError, Measurement,
+import fracorder.forward
+import fracorder.special
+from fracorder import (AccuracyError, DomainError, InverseConfig, MaxIterationsError, Measurement,
                        NoRootError, check_uniqueness_hypothesis, endpoint_values,
                        evaluate_solution, invert_order, make_problem, residual,
                        residual_derivative, scan_bracket, sensitivity_profile)
@@ -155,6 +157,64 @@ def test_scan_finds_two_brackets_for_mixed_signs(mixed_sign):
     scan = scan_bracket(problem, measurement)
     assert not scan.monotone
     assert len(scan.brackets) == 2
+
+
+def _pointwise_scan(problem, measurement, config):
+    alphas = np.linspace(config.alpha_lo, config.alpha_hi, config.scan_points)
+    return [residual(problem, measurement, float(a), rel_tol=config.f_rel_tol).hex()
+            for a in alphas]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("config", [InverseConfig(), InverseConfig(f_rel_tol=1e-8),
+                                    InverseConfig(f_rel_tol=1e-13, scan_points=9)])
+def test_scan_equals_pointwise_residuals(single_mode, two_mode, mixed_sign, config):
+    # single_mode and two_mode are the bundled configs' problems; at 1e-13
+    # the two-mode curve refuses, and the scan must refuse alike.  Amplitudes
+    # that are not powers of two catch a reassociated a*E*s.
+    uneven = (make_problem(0.02, PI, [(1, 0.3), (2, -0.7), (4, 1.1)], 12.0),
+              Measurement(1.3, 6.0, 0.1))
+    for problem, measurement in (single_mode, two_mode, mixed_sign, uneven):
+        scanned = _outcome(lambda: [v.hex() for v in
+                                    scan_bracket(problem, measurement, config).values.tolist()])
+        assert scanned == _outcome(_pointwise_scan, problem, measurement, config)
+
+
+def test_scan_refuses_as_pointwise():
+    # |z| near 1 at the scan's first order: no Mittag-Leffler strategy converges
+    problem = make_problem(1.0, PI, [(1, 1.0)], 20.0)
+    measurement = Measurement(PI / 2, 10.0, 0.1)
+    with pytest.raises(AccuracyError) as pointwise:
+        _pointwise_scan(problem, measurement, InverseConfig())
+    with pytest.raises(AccuracyError) as scanned:
+        scan_bracket(problem, measurement)
+    assert str(scanned.value) == str(pointwise.value)
+    assert "no strategy converged at alpha=0.001," in str(scanned.value)
+
+
+def test_scan_makes_no_scalar_mittag_leffler_calls(two_mode, monkeypatch):
+    calls = []
+    scalar = fracorder.special.mittag_leffler
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scalar(*args, **kwargs)
+
+    # the batch falls back to special's binding; the pointwise path calls forward's
+    monkeypatch.setattr(fracorder.special, "mittag_leffler", counted)
+    monkeypatch.setattr(fracorder.forward, "mittag_leffler", counted)
+    scan_bracket(*two_mode)
+    assert calls == []
+    # the counter sees the batch's fallback: here the first lane refuses
+    with pytest.raises(AccuracyError):
+        scan_bracket(make_problem(1.0, PI, [(1, 1.0)], 20.0), Measurement(PI / 2, 10.0, 0.1))
+    assert len(calls) == 1
 
 
 # --------------------------------------------------------- invert_order
@@ -365,3 +425,10 @@ def test_inverse_config_validation():
         InverseConfig(root_tol=0.0)
     with pytest.raises(DomainError):
         InverseConfig(f_rel_tol=1.0)
+
+
+@pytest.mark.parametrize("field", ["scan_points", "max_iters"])
+@pytest.mark.parametrize("value", [99.0, True, "99", np.float64(99.0)])
+def test_inverse_config_counts_must_be_int(field, value):
+    with pytest.raises(DomainError, match=field):
+        InverseConfig(**{field: value})

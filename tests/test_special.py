@@ -6,6 +6,7 @@ from scipy.special import erfcx
 
 from fracorder import (AccuracyError, ConvergenceError, DomainError, digamma, gamma_fn,
                        gamma_ratio, mittag_leffler, ml_alpha_derivative, sinpi)
+from fracorder.special import _mittag_leffler_lanes
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -242,6 +243,63 @@ def test_ml_accuracy_refusal_in_crossover():
 def test_ml_overflow_for_large_positive():
     with pytest.raises(OverflowError):
         mittag_leffler(0.2, 5.0)
+
+
+# ------------------------------------------------- _mittag_leffler_lanes
+
+def _outcome(fn, *args):
+    """Float bytes of a result (a list for an array), or (type, message)."""
+    try:
+        value = fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(value, np.ndarray):
+        return [v.hex() for v in value.tolist()]
+    return value.hex()
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
+def test_ml_lanes_match_scalar_on_map(rel_tol):
+    grid_alpha, grid_x = np.meshgrid(np.linspace(0.05, 0.95, 19), np.logspace(-3, 4, 200),
+                                     indexing="ij")
+    alphas = grid_alpha.ravel()
+    zs = -grid_x.ravel()
+    scalar = [_outcome(mittag_leffler, a, z, rel_tol) for a, z in zip(alphas, zs)]
+    refused = [k for k, out in enumerate(scalar) if isinstance(out, tuple)]
+    shapes = grid_x.ravel() ** (1.0 / alphas)
+    # the map reaches the series/tail hand-over band, where the scalar path refuses
+    assert any(10.0 <= shapes[k] <= 30.0 for k in refused)
+    # and refusals the batch must reach itself, below the tail's cutoff of 14
+    assert any(shapes[k] < 14.0 for k in refused)
+    certified = np.array([isinstance(out, str) for out in scalar])
+
+    assert _outcome(_mittag_leffler_lanes, alphas[certified], zs[certified], rel_tol) == \
+        [out for out in scalar if isinstance(out, str)]
+    for k in refused:
+        assert _outcome(_mittag_leffler_lanes, alphas[k:k + 1], zs[k:k + 1], rel_tol) == scalar[k]
+    # the whole map refuses as the lane-by-lane loop does: at its first refusal
+    assert _outcome(_mittag_leffler_lanes, alphas, zs, rel_tol) == scalar[refused[0]]
+
+
+def test_ml_lanes_off_the_series_region():
+    # alpha = 1, z = 0, z > 0 and the tail expansion, around two series lanes
+    alphas = np.array([1.0, 0.5, 0.99, 0.5, 0.9, 0.3, 0.7])
+    zs = np.array([-2.0, 0.0, -4.0, 1.5, 3.0, -1e3, -0.5])
+    assert _outcome(_mittag_leffler_lanes, alphas, zs, 1e-10) == \
+        [_outcome(mittag_leffler, a, z, 1e-10) for a, z in zip(alphas, zs)]
+    assert _outcome(_mittag_leffler_lanes, np.array([]), np.array([]), 1e-10) == []
+
+
+def test_ml_lanes_domain_errors_match_scalar():
+    bad = [([0.5, 1.5], [-1.0, -1.0], 1e-10),
+           ([0.5, 0.5], [-1.0, math.nan], 1e-10),
+           ([0.5, 0.5], [-1.0, 6.0], 1e-10),
+           ([0.5], [-1.0], 1e-2)]
+    for alphas, zs, rel_tol in bad:
+        first = next(out for out in (_outcome(mittag_leffler, a, z, rel_tol)
+                                     for a, z in zip(alphas, zs)) if isinstance(out, tuple))
+        assert first[0] is DomainError
+        assert _outcome(_mittag_leffler_lanes, np.array(alphas), np.array(zs), rel_tol) == first
 
 
 # --------------------------------------------------- ml_alpha_derivative
