@@ -49,7 +49,16 @@ def _not_int(value):
 
 @dataclass(frozen=True)
 class InverseConfig:
-    """Knobs of the order search; defaults match the documented contract."""
+    """Knobs of the order search; defaults match the documented contract.
+
+    `f_rel_tol` is the relative accuracy asked of F(alpha); each mode's
+    Mittag-Leffler factor is asked for `f_rel_tol / n_modes`.  A request
+    below the power series' round-off floor, `6*EPS*sum|term|` relative to
+    the factor, at any scanned or refined order raises `AccuracyError`.  The
+    floor grows with |z| = D lambda_n t1**alpha, so it is highest at
+    `alpha_hi`: the bundled two-mode config is refused at 2e-11 and accepted
+    at 3e-11.
+    """
 
     alpha_lo: float = 1e-3
     alpha_hi: float = 1.0 - 1e-3

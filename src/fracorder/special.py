@@ -8,10 +8,18 @@ and the algebraic tail expansion are combined, switching on the size of
 |z|**(1/a), which controls both the power-series cancellation (grows like
 exp(|z|**(1/a))) and the tail-expansion accuracy (shrinks like the same
 exponential).
+
+Both series read Gamma(alpha*j + 1), and the derivative also psi(alpha*j + 1),
+from per-order blocks of 32 terms, each built by one vectorised scipy call
+and kept in a small bounded cache: all modes at one order, F and F' at one
+refinement iterate and every cell of a fixed-order grid share them.  The
+values are the bits of the scalar scipy calls.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -39,16 +47,18 @@ DERIV_MAX_TERMS = 1000
 _S_TAYLOR_ONLY = 14.0
 _S_ASYM_ONLY = 30.0
 
-
-def _require(cond, message):
-    if not cond:
-        raise DomainError(message)
+# Series coefficients Gamma(alpha*j + 1) and psi(alpha*j + 1) come in
+# per-order blocks of _BLOCK terms; each cache keeps the _BLOCKS_KEPT most
+# recently used, so its memory stays fixed however many orders are evaluated.
+_BLOCK = 32
+_BLOCKS_KEPT = 128
 
 
 def sinpi(u):
     """sin(pi*u), exact 0.0 at integer u and exactly +-1 at half-integers."""
     u = float(u)
-    _require(math.isfinite(u), f"sinpi: argument must be finite, got {u!r}")
+    if not math.isfinite(u):
+        raise DomainError(f"sinpi: argument must be finite, got {u!r}")
     n = math.floor(u)
     r = u - n  # exact, in [0, 1)
     if r == 0.0:
@@ -65,7 +75,8 @@ def sinpi(u):
 def gamma_fn(x):
     """Gamma(x) for real x > 0."""
     x = float(x)
-    _require(math.isfinite(x) and x > 0.0, f"gamma_fn: need x > 0, got {x!r}")
+    if not (math.isfinite(x) and x > 0.0):
+        raise DomainError(f"gamma_fn: need x > 0, got {x!r}")
     value = float(_sc_gamma(x))
     if math.isinf(value):
         raise OverflowError(f"gamma_fn: Gamma({x}) exceeds the double range")
@@ -75,7 +86,8 @@ def gamma_fn(x):
 def digamma(x):
     """psi(x) = Gamma'(x)/Gamma(x) for real x > 0."""
     x = float(x)
-    _require(math.isfinite(x) and x > 0.0, f"digamma: need x > 0, got {x!r}")
+    if not (math.isfinite(x) and x > 0.0):
+        raise DomainError(f"digamma: need x > 0, got {x!r}")
     return float(_sc_psi(x))
 
 
@@ -87,18 +99,33 @@ def gamma_ratio(alpha, j):
     """
     alpha = float(alpha)
     j = int(j)
-    _require(j >= 1, f"gamma_ratio: need a positive integer index, got {j!r}")
-    _require(math.isfinite(alpha) and alpha * j > 0.0,
-             f"gamma_ratio: need alpha*j > 0, got alpha={alpha!r}, j={j}")
+    if j < 1:
+        raise DomainError(f"gamma_ratio: need a positive integer index, got {j!r}")
+    if not (math.isfinite(alpha) and alpha * j > 0.0):
+        raise DomainError(f"gamma_ratio: need alpha*j > 0, got alpha={alpha!r}, j={j}")
     return math.exp(float(_sc_gammaln(alpha * j)) - float(_sc_gammaln(alpha * j + alpha)))
 
 
-def _reciprocal_gamma_log(s):
-    """(sign, log magnitude) of 1/Gamma(1 - s) for s > 0, by reflection."""
-    sp = sinpi(s)
-    if sp == 0.0:
-        return 0.0, -math.inf
-    return math.copysign(1.0, sp), float(_sc_gammaln(s)) + math.log(abs(sp)) - _LOG_PI
+@functools.lru_cache(maxsize=_BLOCKS_KEPT)
+def _gamma_block(alpha, start):
+    """Gamma(alpha*j + 1) for j = start .. start + _BLOCK - 1, in one ufunc call."""
+    return tuple(_sc_gamma(alpha * np.arange(start, start + _BLOCK, dtype=float) + 1.0).tolist())
+
+
+@functools.lru_cache(maxsize=_BLOCKS_KEPT)
+def _psi_block(alpha, start):
+    """psi(alpha*j + 1) for j = start .. start + _BLOCK - 1, in one ufunc call."""
+    return tuple(_sc_psi(alpha * np.arange(start, start + _BLOCK, dtype=float) + 1.0).tolist())
+
+
+def _coefficients(block, alpha):
+    """block's values at j = 1, 2, ... for one order, a cached block at a time.
+
+    The ufunc on `alpha * j + 1.0` returns the bits of the scalar call on the
+    same float, so a series reading these equals one calling scipy per term.
+    """
+    for start in itertools.count(1, _BLOCK):
+        yield from block(alpha, start)
 
 
 def _ml_power_series(alpha, z, rel_tol):
@@ -118,11 +145,12 @@ def _ml_power_series(alpha, z, rel_tol):
     small_run = 0
     tail = 0.0
     log_abs_z = math.log(abs(z))
-    for j in range(1, TAYLOR_MAX_TERMS + 1):
+    gammas = _coefficients(_gamma_block, alpha)
+    for j, gamma_g in zip(range(1, TAYLOR_MAX_TERMS + 1), gammas):
         g = alpha * j + 1.0
         zpow *= z
         if g <= 170.0 and math.isfinite(zpow):
-            term = zpow / float(_sc_gamma(g))
+            term = zpow / gamma_g
         else:
             magnitude = math.exp(j * log_abs_z - float(_sc_gammaln(g)))
             term = -magnitude if (z < 0.0 and j & 1) else magnitude
@@ -131,10 +159,13 @@ def _ml_power_series(alpha, z, rel_tol):
         t = total + y
         comp = (t - total) - y
         total = t
-        abs_sum += abs(term)
-        if abs(term) <= threshold * max(abs(total), 1e-300):
+        abs_term = abs(term)
+        abs_sum += abs_term
+        scale = abs(total)
+        # max(scale, 1e-300) inlined; a NaN scale stays NaN, as max keeps it
+        if abs_term <= threshold * (1e-300 if 1e-300 > scale else scale):
             small_run += 1
-            tail = max(tail, abs(term))
+            tail = max(tail, abs_term)
             if small_run == 3:
                 err = 2.0 * tail + 6.0 * _EPS * abs_sum
                 return total + comp, err, True
@@ -163,14 +194,20 @@ def _ml_algebraic_tail(alpha, x, rel_tol):
     n_used = 0
     for k in range(1, ASYM_MAX_TERMS + 1):
         s = alpha * k
-        sign, log_mag = _reciprocal_gamma_log(s)
-        log_env = float(_sc_gammaln(s)) - k * log_x - _LOG_PI  # >= log |term|
+        log_gamma_s = float(_sc_gammaln(s))
+        log_env = log_gamma_s - k * log_x - _LOG_PI  # >= log |term|
         if log_env >= env_min:
             # envelope passed its minimum: optimal truncation reached
             err = 2.0 * math.exp(env_min) + 6.0 * _EPS * abs_sum
             return total + comp, err, n_used > 0
         env_min = log_env
-        term = 0.0 if sign == 0.0 else math.copysign(math.exp(log_mag - k * log_x), sign)
+        # 1/Gamma(1 - s) = sin(pi s) Gamma(s) / pi, by reflection
+        sp = sinpi(s)
+        if sp == 0.0:
+            term = 0.0
+        else:
+            log_mag = log_gamma_s + math.log(abs(sp)) - _LOG_PI
+            term = math.copysign(math.exp(log_mag - k * log_x), sp)
         if k & 1 == 0:
             term = -term
         y = term - comp
@@ -179,7 +216,8 @@ def _ml_algebraic_tail(alpha, x, rel_tol):
         total = t
         abs_sum += abs(term)
         n_used = k
-        if math.exp(log_env) <= threshold * max(abs(total), 1e-300):
+        scale = abs(total)
+        if math.exp(log_env) <= threshold * (1e-300 if 1e-300 > scale else scale):
             small_run += 1
             if small_run == 3:
                 err = 2.0 * math.exp(log_env) + 6.0 * _EPS * abs_sum
@@ -236,12 +274,15 @@ def mittag_leffler(alpha, z, rel_tol=1e-12, z_max=Z_MAX_DEFAULT):
     alpha = float(alpha)
     z = float(z)
     rel_tol = float(rel_tol)
-    _require(math.isfinite(alpha) and 0.0 < alpha <= 1.0,
-             f"mittag_leffler: need 0 < alpha <= 1, got {alpha!r}")
-    _require(math.isfinite(z), f"mittag_leffler: need finite z, got {z!r}")
-    _require(REL_TOL_MIN <= rel_tol <= REL_TOL_MAX,
-             f"mittag_leffler: rel_tol must lie in [{REL_TOL_MIN}, {REL_TOL_MAX}], got {rel_tol!r}")
-    _require(z <= z_max, f"mittag_leffler: z={z!r} exceeds the positive cutoff z_max={z_max!r}")
+    if not (math.isfinite(alpha) and 0.0 < alpha <= 1.0):
+        raise DomainError(f"mittag_leffler: need 0 < alpha <= 1, got {alpha!r}")
+    if not math.isfinite(z):
+        raise DomainError(f"mittag_leffler: need finite z, got {z!r}")
+    if not REL_TOL_MIN <= rel_tol <= REL_TOL_MAX:
+        raise DomainError(f"mittag_leffler: rel_tol must lie in [{REL_TOL_MIN}, {REL_TOL_MAX}], "
+                          f"got {rel_tol!r}")
+    if not z <= z_max:
+        raise DomainError(f"mittag_leffler: z={z!r} exceeds the positive cutoff z_max={z_max!r}")
 
     if alpha == 1.0:
         return math.exp(z)
@@ -389,13 +430,15 @@ def ml_alpha_derivative(alpha, c, t, rel_tol=1e-10):
     c = float(c)
     t = float(t)
     rel_tol = float(rel_tol)
-    _require(math.isfinite(alpha) and 0.0 < alpha < 1.0,
-             f"ml_alpha_derivative: need 0 < alpha < 1, got {alpha!r}")
-    _require(math.isfinite(c) and c > 0.0, f"ml_alpha_derivative: need c > 0, got {c!r}")
-    _require(math.isfinite(t) and t > 0.0, f"ml_alpha_derivative: need t > 0, got {t!r}")
-    _require(REL_TOL_MIN <= rel_tol <= REL_TOL_MAX,
-             f"ml_alpha_derivative: rel_tol must lie in [{REL_TOL_MIN}, {REL_TOL_MAX}], "
-             f"got {rel_tol!r}")
+    if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
+        raise DomainError(f"ml_alpha_derivative: need 0 < alpha < 1, got {alpha!r}")
+    if not (math.isfinite(c) and c > 0.0):
+        raise DomainError(f"ml_alpha_derivative: need c > 0, got {c!r}")
+    if not (math.isfinite(t) and t > 0.0):
+        raise DomainError(f"ml_alpha_derivative: need t > 0, got {t!r}")
+    if not REL_TOL_MIN <= rel_tol <= REL_TOL_MAX:
+        raise DomainError(f"ml_alpha_derivative: rel_tol must lie in "
+                          f"[{REL_TOL_MIN}, {REL_TOL_MAX}], got {rel_tol!r}")
 
     x = c * t**alpha
     log_x = math.log(x)
@@ -408,11 +451,13 @@ def ml_alpha_derivative(alpha, c, t, rel_tol=1e-10):
     xpow = 1.0
     small_run = 0
     tail = 0.0
-    for j in range(1, DERIV_MAX_TERMS + 1):
+    gammas = _coefficients(_gamma_block, alpha)
+    psis = _coefficients(_psi_block, alpha)
+    for j, gamma_g, psi_g in zip(range(1, DERIV_MAX_TERMS + 1), gammas, psis):
         g = alpha * j + 1.0
         xpow *= x
         if g <= 170.0 and math.isfinite(xpow):
-            w = j * xpow / float(_sc_gamma(g))
+            w = j * xpow / gamma_g
         else:
             try:
                 w = j * math.exp(j * log_x - float(_sc_gammaln(g)))
@@ -420,7 +465,6 @@ def ml_alpha_derivative(alpha, c, t, rel_tol=1e-10):
                 w = math.inf
         if j & 1:
             w = -w
-        psi_g = float(_sc_psi(g))
         term = w * (ln_t - psi_g)
         weight = abs(w) * (abs(ln_t) + abs(psi_g))
         if not math.isfinite(weight):
@@ -431,7 +475,8 @@ def ml_alpha_derivative(alpha, c, t, rel_tol=1e-10):
         comp = (tt - total) - y
         total = tt
         abs_sum += weight
-        if weight <= threshold * max(abs(total), 1e-300):
+        scale = abs(total)
+        if weight <= threshold * (1e-300 if 1e-300 > scale else scale):
             small_run += 1
             tail = max(tail, weight)
             if small_run == 3:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fracorder import (DomainError, eigenvalue, evaluate_solution,
+import fracorder.special
+from fracorder import (AccuracyError, DomainError, eigenvalue, evaluate_solution,
                        evaluate_solution_grid, forward, make_problem, sine_coefficient)
 
 PI = math.pi
@@ -187,6 +188,45 @@ def test_grid_on_walls_evaluates_no_factor(monkeypatch):
     grid = evaluate_solution_grid(problem, 0.6, [0.0, PI], [1.0, 4.0])
     assert calls == []
     assert not grid.any()
+
+
+def _clear_coefficient_caches():
+    fracorder.special._gamma_block.cache_clear()
+    fracorder.special._psi_block.cache_clear()
+
+
+def _value_or_refusal(*args):
+    try:
+        return evaluate_solution(*args).hex()
+    except AccuracyError as exc:
+        return str(exc)
+
+
+def test_evaluate_solution_same_in_every_cache_state():
+    problem = make_problem(0.01, PI, SIX_MODES, 4.0)
+    # many small modes: the 1e-10 / 6 asked of each is missed at (1, 5)
+    refusing = make_problem(0.05, PI, [(n, 1.0 / n) for n in range(1, 7)], 5.0)
+    calls = [(problem, alpha, x, t) for alpha in (0.3, 0.6) for x in (0.3, 2.0)
+             for t in (0.5, 2.5)] + [(refusing, 0.5, 1.0, 5.0)]
+    cold = []
+    for args in calls:
+        _clear_coefficient_caches()
+        cold.append(_value_or_refusal(*args))
+    assert "misses rel_tol=1.66667e-11" in cold[-1]
+    assert [_value_or_refusal(*args) for args in calls] == cold
+    # neighbouring calls at different orders
+    interleaved = {k: _value_or_refusal(*calls[k]) for k in (0, 4, 1, 5, 2, 6, 3, 7, 8)}
+    assert [interleaved[k] for k in range(len(calls))] == cold
+
+
+def test_grid_builds_each_coefficient_block_once(scipy_calls):
+    # |z| up to 2.8: the longest power series read two blocks
+    problem = make_problem(0.05, PI, [(1, 1.0), (2, -0.4), (3, 0.2)], 10.0)
+    evaluate_solution_grid(problem, 0.8, np.linspace(0.0, PI, 9), np.linspace(0.5, 10.0, 8))
+    # only whole blocks, each once: no per-term scalar call, no psi
+    assert all(np.ndim(g) == 1 for g in scipy_calls["_sc_gamma"])
+    assert [g[0] for g in scipy_calls["_sc_gamma"]] == [0.8 * 1 + 1.0, 0.8 * 33 + 1.0]
+    assert scipy_calls["_sc_psi"] == []
 
 
 def test_grid_rejects_empty(single_mode):

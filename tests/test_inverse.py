@@ -427,6 +427,19 @@ def test_inverse_config_validation():
         InverseConfig(f_rel_tol=1.0)
 
 
+@pytest.mark.parametrize("f_rel_tol,message", [
+    (1e-13, "~5.5e-14 at alpha=0.459265, z=-1.29562 misses rel_tol=5e-14"),
+    (2e-11, "~1.1e-11 at alpha=0.999, z=-4.48965 misses rel_tol=1e-11"),
+])
+def test_f_rel_tol_below_round_off_floor_refused(two_mode, f_rel_tol, message):
+    # each of the two modes is asked for f_rel_tol / 2, below the power
+    # series' round-off floor 6*EPS*sum|term| / |E| at some scanned order
+    with pytest.raises(AccuracyError) as exc_info:
+        invert_order(*two_mode, InverseConfig(f_rel_tol=f_rel_tol))
+    assert str(exc_info.value) == "mittag_leffler: achievable relative accuracy " + message
+    assert abs(invert_order(*two_mode, InverseConfig(f_rel_tol=3e-11)).alpha_hat - 0.5) <= 1e-4
+
+
 @pytest.mark.parametrize("field", ["scan_points", "max_iters"])
 @pytest.mark.parametrize("value", [99.0, True, "99", np.float64(99.0)])
 def test_inverse_config_counts_must_be_int(field, value):

@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.special import erfcx
 
+import fracorder.special
 from fracorder import (AccuracyError, ConvergenceError, DomainError, digamma, gamma_fn,
                        gamma_ratio, mittag_leffler, ml_alpha_derivative, sinpi)
 from fracorder.special import _mittag_leffler_lanes
@@ -258,13 +261,36 @@ def _outcome(fn, *args):
     return value.hex()
 
 
+def _clear_coefficient_caches():
+    fracorder.special._gamma_block.cache_clear()
+    fracorder.special._psi_block.cache_clear()
+
+
+def _outcomes_in_every_cache_state(fn, args, interleaved):
+    """`_outcome(fn, *a)` for each `a` in `args`, asserting that the cached
+    coefficient blocks change no bit and no refusal: cold (caches cleared
+    before each call), warm in order, and warm in the order `interleaved`,
+    in which neighbouring calls have different orders."""
+    cold = []
+    for a in args:
+        _clear_coefficient_caches()
+        cold.append(_outcome(fn, *a))
+    assert [_outcome(fn, *a) for a in args] == cold
+    mixed = {k: _outcome(fn, *args[k]) for k in interleaved}
+    assert [mixed[k] for k in range(len(args))] == cold
+    return cold
+
+
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
 def test_ml_lanes_match_scalar_on_map(rel_tol):
     grid_alpha, grid_x = np.meshgrid(np.linspace(0.05, 0.95, 19), np.logspace(-3, 4, 200),
                                      indexing="ij")
     alphas = grid_alpha.ravel()
     zs = -grid_x.ravel()
-    scalar = [_outcome(mittag_leffler, a, z, rel_tol) for a, z in zip(alphas, zs)]
+    # the series, the hand-over band and the tail, whatever the caches hold
+    z_major = np.arange(alphas.size).reshape(grid_x.shape).T.ravel().tolist()
+    scalar = _outcomes_in_every_cache_state(
+        mittag_leffler, [(a, z, rel_tol) for a, z in zip(alphas, zs)], z_major)
     refused = [k for k, out in enumerate(scalar) if isinstance(out, tuple)]
     shapes = grid_x.ravel() ** (1.0 / alphas)
     # the map reaches the series/tail hand-over band, where the scalar path refuses
@@ -359,10 +385,68 @@ def test_derivative_overflow_is_accuracy_error():
 
 
 def test_derivative_sweep_refuses_only_by_documented_errors():
-    for alpha in np.linspace(0.1, 0.9, 9):
-        for c in np.logspace(-2, 3, 20):
-            try:
-                value = ml_alpha_derivative(float(alpha), float(c), 1.0)
-            except (AccuracyError, ConvergenceError):
-                continue
-            assert isinstance(value, float) and math.isfinite(value), (alpha, c, value)
+    args = [(alpha, c, t) for t in (1.0, 3.0) for alpha in np.linspace(0.1, 0.9, 9).tolist()
+            for c in np.logspace(-2, 3, 20).tolist()]
+    c_major = np.arange(len(args)).reshape(2 * 9, 20).T.ravel().tolist()
+    outcomes = _outcomes_in_every_cache_state(ml_alpha_derivative, args, c_major)
+    for a, out in zip(args, outcomes):
+        if isinstance(out, tuple):
+            assert out[0] in (AccuracyError, ConvergenceError), (a, out)
+        else:
+            assert math.isfinite(float.fromhex(out)), (a, out)
+
+
+# ------------------------------------------------ coefficient blocks
+
+def test_series_read_gamma_and_psi_blocks_once(scipy_calls):
+    value = ml_alpha_derivative(0.3, 1.0, 3.0)  # 65-96 terms: three blocks of each
+    for name, args in scipy_calls.items():
+        assert all(np.ndim(x) == 1 for x in args), name  # no per-term scalar call
+        starts = [x[0] for x in args]
+        assert len(starts) == len(set(starts)) == 3, name
+        args.clear()
+    # warm: the same order reads its blocks again, and E_alpha never pays for psi
+    assert ml_alpha_derivative(0.3, 1.0, 3.0) == value
+    mittag_leffler(0.3, -3.0 ** 0.3)
+    assert scipy_calls == {"_sc_gamma": [], "_sc_psi": []}
+    _clear_coefficient_caches()
+    mittag_leffler(0.3, -3.0 ** 0.3)
+    assert [x[0] for x in scipy_calls["_sc_gamma"]] == [0.3 * j + 1.0 for j in (1, 33, 65)]
+    assert scipy_calls["_sc_psi"] == []
+
+
+def test_concurrent_orders_reproduce_serial_bits():
+    # each thread sweeps its own 40 orders: more blocks than a cache keeps, so
+    # builds, hits and evictions of both caches interleave across threads
+    orders = np.linspace(0.05, 0.95, 4 * 40).reshape(4, 40).tolist()
+
+    def sweep(alphas):
+        return [(_outcome(mittag_leffler, a, -0.5), _outcome(mittag_leffler, a, -3.0),
+                 _outcome(ml_alpha_derivative, a, 0.4, 2.0)) for a in alphas]
+
+    _clear_coefficient_caches()
+    serial = [sweep(alphas) for alphas in orders]
+    _clear_coefficient_caches()
+    results = [None] * len(orders)
+    barrier = threading.Barrier(len(orders))
+
+    def work(k):
+        barrier.wait(timeout=60)
+        results[k] = [sweep(orders[k]) for _ in range(3)]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(orders))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[rows] * 3 for rows in serial]
+    # the caches stay bounded whatever the number of orders
+    for block in (fracorder.special._gamma_block, fracorder.special._psi_block):
+        info = block.cache_info()
+        assert info.maxsize is not None and info.currsize == info.maxsize
