@@ -16,8 +16,7 @@ from .inverse import (InverseConfig, InversionReport, Measurement, ModeTerm,
                       ScanResult, UniquenessReport, check_uniqueness_hypothesis,
                       endpoint_values, invert_order, residual, residual_derivative,
                       scan_bracket, sensitivity_profile)
-from .special import (digamma, gamma_fn, gamma_ratio, mittag_leffler,
-                      ml_alpha_derivative, sinpi)
+from .special import mittag_leffler, ml_alpha_derivative, sinpi
 
 __version__ = "0.1.0"
 
@@ -30,7 +29,6 @@ __all__ = [
     "UniquenessReport", "residual", "residual_derivative",
     "check_uniqueness_hypothesis", "scan_bracket", "invert_order",
     "sensitivity_profile", "endpoint_values",
-    "gamma_fn", "digamma", "gamma_ratio", "mittag_leffler",
-    "ml_alpha_derivative", "sinpi",
+    "mittag_leffler", "ml_alpha_derivative", "sinpi",
     "__version__",
 ]

