@@ -13,6 +13,7 @@ from scipy.special import erfcx
 from fracorder import (Measurement, endpoint_values, evaluate_solution, invert_order,
                        make_problem, mittag_leffler, residual, residual_derivative)
 from fracorder.cli import cmd_curve, load_config
+from fracorder.special import _BLOCK, _gamma_block
 
 PI = math.pi
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -113,6 +114,24 @@ def test_criterion_07_derivative_consistency(setups):
             checks += 1
     _report(7, "analytic derivative vs central differences", worst <= 1e-5 and checks == 18,
             f"{checks} checks, worst rel = {worst:.2e} <= 1e-5")
+
+
+def test_criterion_08_gamma_ratio_asymptotics():
+    # Gamma(alpha j + 1) / Gamma(alpha (j + 1) + 1), from the blocks the power
+    # series reads, over every j whose Gamma values are finite
+    ok = True
+    details = []
+    for alpha in (0.25, 0.5, 0.75):
+        last = math.floor(169.0 / alpha) - 1
+        gammas = [_gamma_block(alpha, start)[k]
+                  for start in range(1, last + 2, _BLOCK) for k in range(_BLOCK)]
+        values = [a / b for a, b in zip(gammas[9:last], gammas[10:last + 1])]  # j = 10 .. last
+        decreasing = all(b < a for a, b in zip(values, values[1:]))
+        asym = (alpha * (last + 1)) ** -alpha
+        rel = abs(values[-1] - asym) / asym
+        ok = ok and decreasing and rel <= 0.05
+        details.append(f"alpha={alpha}: decreasing={decreasing}, rel@{last}={rel:.2e}")
+    _report(8, "Gamma-ratio decay and power law", ok, "; ".join(details))
 
 
 def test_criterion_09_curve_monotone_with_single_crossing():

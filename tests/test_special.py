@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -10,10 +11,13 @@ from scipy.special import erfcx
 import fracorder.special
 from fracorder import (AccuracyError, ConvergenceError, DomainError, mittag_leffler,
                        ml_alpha_derivative, sinpi)
-from fracorder.special import _mittag_leffler_lanes
+from fracorder.special import _BLOCK, _gamma_block, _mittag_leffler_lanes, _psi_block
 
-# Frozen references computed independently with 120-digit arithmetic
-# (direct series).
+EULER_GAMMA = 0.5772156649015329
+
+# Frozen references computed independently in high-precision arithmetic
+# (a 120-digit direct series for the Mittag-Leffler values, mpmath digamma
+# and Gamma for the rest).
 ML_REFERENCE = {
     (0.5, -1.0): 0.4275835761558070044108,
     (0.75, -0.6727171322029716): 0.5163592440765259439716,
@@ -27,6 +31,141 @@ ML_REFERENCE = {
     (0.9, -3.5740076294668047): 0.06152305718218722093549,
     (0.999, -4.489690430557375): 0.01155660100175074636994,
 }
+DIGAMMA_10_5 = 2.3030010342976863753
+GAMMA_RATIO_075_200 = 0.02322933498174656160199  # Gamma(151) / Gamma(151.75)
+
+
+# ------------------------------------------------ series coefficients
+#
+# Both power series read Gamma(alpha*j + 1) and psi(alpha*j + 1), j >= 1,
+# from the cached blocks that start at j = 1, 33, 65, ...; these tests check
+# the classical identities on exactly those values.
+
+def _coefficient(alpha, j, block=_gamma_block):
+    """Gamma(alpha*j + 1), or psi with block=_psi_block, as the series reads it."""
+    start = 1 + (j - 1) // _BLOCK * _BLOCK
+    return block(alpha, start)[j - start]
+
+
+def _coefficient_ratio(alpha, j):
+    """Gamma(alpha*j + 1) / Gamma(alpha*(j + 1) + 1): the factor by which the
+    coefficient of z**j shrinks from one term to the next."""
+    return _coefficient(alpha, j) / _coefficient(alpha, j + 1)
+
+
+def _last_finite_ratio(alpha):
+    """Largest j whose ratio needs no Gamma above 170 (the blocks' range)."""
+    return math.floor(169.0 / alpha) - 1
+
+
+# ---------------------------------------------------------------- gamma
+
+def test_gamma_classical_values():
+    assert _coefficient(1.0, 1) == 1.0  # Gamma(2)
+    expected = math.sqrt(math.pi) / 2.0  # Gamma(1.5)
+    assert abs(_coefficient(0.5, 1) - expected) <= 1e-13 * expected
+    assert abs(_coefficient(1.0, 4) - 24.0) <= 1e-13 * 24.0  # Gamma(5)
+
+
+def test_gamma_functional_equation():
+    # Gamma(x + 1) = x Gamma(x) with x = alpha*j + 1, for x from 1.25 to 99
+    for alpha in (0.25, 0.5):
+        step = round(1.0 / alpha)
+        for j in range(1, round(98.0 / alpha) + 1):
+            x = alpha * j + 1.0
+            lhs = _coefficient(alpha, j + step)
+            assert abs(lhs - x * _coefficient(alpha, j)) <= 1e-12 * lhs, (alpha, j)
+
+
+def test_gamma_domain_and_overflow():
+    # the coefficients are formed only for 0 < alpha, where alpha*j + 1 >= 1
+    with pytest.raises(DomainError):
+        mittag_leffler(0.0, -1.0)
+    with pytest.raises(DomainError):
+        mittag_leffler(-2.5, -1.0)
+    # Gamma(201) overflows its block; the series takes that term in log space
+    assert _coefficient(1.0, 200) == math.inf
+    term, size = next(itertools.islice(fracorder.special._ml_power_terms(1.0, 2.0), 199, None))
+    expected = math.exp(200 * math.log(2.0) - math.lgamma(201.0))  # 2**200 / 200!
+    assert term == size
+    assert abs(term - expected) <= 1e-11 * expected
+
+
+# -------------------------------------------------------------- digamma
+
+def test_digamma_classical_values():
+    psi_1_5 = 2.0 - EULER_GAMMA - 2.0 * math.log(2.0)
+    assert abs(_coefficient(0.5, 1, _psi_block) - psi_1_5) <= 1e-12
+    assert abs(_coefficient(0.5, 2, _psi_block) - (1.0 - EULER_GAMMA)) <= 1e-12
+
+
+def _digamma_series(x, terms=1_000_000):
+    # literal slowly-converging series with an integral tail correction
+    n = np.arange(1, terms + 1, dtype=float)
+    partial = np.sum(1.0 / n - 1.0 / (n + x))
+    tail = math.log1p(x / (terms + 0.5))
+    return -EULER_GAMMA - 1.0 / x + partial + tail
+
+
+@pytest.mark.parametrize("x", [3.25, 10.5, 42.0])
+def test_digamma_matches_literal_series(x):
+    psi = _coefficient(0.25, round((x - 1.0) / 0.25), _psi_block)  # x = 0.25*j + 1
+    assert abs(psi - _digamma_series(x)) <= 1e-11 * max(1.0, abs(psi))
+
+
+def test_digamma_frozen_value():
+    psi = _coefficient(0.5, 19, _psi_block)  # psi(10.5)
+    assert abs(psi - DIGAMMA_10_5) <= 1e-13 * DIGAMMA_10_5
+
+
+def test_digamma_domain():
+    # the derivative forms psi(alpha*j + 1) only for 0 < alpha < 1
+    with pytest.raises(DomainError):
+        ml_alpha_derivative(0.0, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        ml_alpha_derivative(-1.0, 1.0, 1.0)
+
+
+# ---------------------------------------------------------- gamma_ratio
+
+def test_gamma_ratio_closed_form():
+    # Gamma(2)/Gamma(2.5) = 4/(3 sqrt(pi))
+    expected = 4.0 / (3.0 * math.sqrt(math.pi))
+    assert abs(_coefficient_ratio(0.5, 2) - expected) <= 1e-13 * expected
+
+
+def test_gamma_ratio_alpha_one_boundary():
+    # at alpha -> 1 the ratio is Gamma(j+1)/Gamma(j+2) = 1/(j+1)
+    for j in (2, 5, 17):
+        assert abs(_coefficient_ratio(1.0 - 1e-12, j) - 1.0 / (j + 1)) <= 1e-9 / (j + 1)
+
+
+def test_gamma_ratio_frozen_value():
+    ratio = _coefficient_ratio(0.75, 200)
+    assert abs(ratio - GAMMA_RATIO_075_200) <= 5e-12 * GAMMA_RATIO_075_200
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_gamma_ratio_decay(alpha):
+    last = _last_finite_ratio(alpha)
+    values = [_coefficient_ratio(alpha, j) for j in range(10, last + 1)]
+    assert all(b < a for a, b in zip(values, values[1:]))
+    # within 5% of the limiting power law at the last j
+    asym = (alpha * (last + 1)) ** -alpha
+    assert abs(values[-1] - asym) <= 0.05 * asym
+    # Wendel's bounds with y = alpha*j + 1:
+    # y**-alpha <= Gamma(y)/Gamma(y + alpha) <= y**-alpha * (1 + alpha/y)**(1 - alpha)
+    for j, ratio in zip(range(10, last + 1), values):
+        y = alpha * j + 1.0
+        assert y ** -alpha <= ratio <= y ** -alpha * (1.0 + alpha / y) ** (1.0 - alpha), j
+
+
+def test_gamma_ratio_domain():
+    # the ratios decay, and the series converges, only for 0 < alpha
+    with pytest.raises(DomainError):
+        mittag_leffler(-0.5, 3.0)
+    with pytest.raises(DomainError):
+        ml_alpha_derivative(-0.5, 3.0, 1.0)
 
 
 # -------------------------------------------------------------- sinpi
