@@ -10,7 +10,8 @@ Config files are JSON with sections `problem`, `measurement`, `inverse`,
 forward runs).  Unknown keys are rejected by name.  CSV output uses 17
 significant digits so round trips are lossless.
 
-Exit codes: 0 success, 1 selfcheck/runtime failure, 2 config error,
+Exit codes: 0 success, 1 selfcheck/runtime failure, 2 config or input
+error (also an unreadable points file or an unwritable output path),
 3 no root in range, 4 non-unique root.
 """
 
@@ -25,15 +26,14 @@ from pathlib import Path
 
 from .errors import (AccuracyError, ConfigError, ConvergenceError, DomainError,
                      MaxIterationsError, NoRootError)
-from .forward import ForwardProblem, evaluate_solution, make_problem
+from .forward import ForwardProblem, _not_real, evaluate_solution, make_problem
 from .inverse import (InverseConfig, Measurement, endpoint_values, invert_order,
                       scan_bracket)
 from .selfcheck import run_selfcheck
 
 _PROBLEM_KEYS = {"diffusivity", "length", "modes", "time_horizon"}
 _MEASUREMENT_KEYS = {"position", "time", "value", "extra"}
-_INVERSE_KEYS = {"alpha_lo", "alpha_hi", "root_tol", "scan_points", "max_iters",
-                 "use_newton", "f_rel_tol"}
+_INVERSE_KEYS = {field.name for field in dataclasses.fields(InverseConfig)}
 _OUTPUT_KEYS = {"path", "format"}
 _TOP_KEYS = {"alpha", "problem", "measurement", "inverse", "output"}
 
@@ -68,7 +68,7 @@ def _number(section, mapping, key, required=True):
             raise ConfigError(f"missing key '{key}' in section '{section}'")
         return None
     value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if _not_real(value):
         raise ConfigError(f"key '{key}' in section '{section}' must be a number, got {value!r}")
     return float(value)
 
@@ -104,30 +104,15 @@ def parse_config(data):
                 raise ConfigError("key 'extra' in section 'measurement' must be a list of [time, value] pairs")
             rows = []
             for entry in meas["extra"]:
-                if (not isinstance(entry, list) or len(entry) != 2
-                        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry)):
+                if not isinstance(entry, list) or len(entry) != 2 or any(map(_not_real, entry)):
                     raise ConfigError(f"bad entry {entry!r} under 'extra': expected [time, value]")
                 rows.append((float(entry[0]), float(entry[1])))
             extra = tuple(rows)
 
     inverse_section = data.get("inverse", {})
     _reject_unknown("inverse", inverse_section, _INVERSE_KEYS)
-    kwargs = {}
-    for key in _INVERSE_KEYS:
-        if key in inverse_section:
-            value = inverse_section[key]
-            if key == "use_newton":
-                if not isinstance(value, bool):
-                    raise ConfigError(f"key 'use_newton' must be true or false, got {value!r}")
-                kwargs[key] = value
-            elif key in ("scan_points", "max_iters"):
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(f"key '{key}' must be an integer, got {value!r}")
-                kwargs[key] = value
-            else:
-                kwargs[key] = _number("inverse", inverse_section, key)
     try:
-        inverse = InverseConfig(**kwargs)
+        inverse = InverseConfig(**inverse_section)
     except DomainError as exc:
         raise ConfigError(f"invalid 'inverse' section: {exc}") from exc
 
@@ -150,7 +135,7 @@ def parse_config(data):
 def load_config(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -167,10 +152,11 @@ def _fmt(value):
 
 def parse_points(source):
     """Points from a file path or an inline 'x,t[;x,t...]' string."""
-    if Path(source).exists():
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.replace(";", "\n")
+    try:
+        text = (Path(source).read_text(encoding="utf-8") if Path(source).exists()
+                else source.replace(";", "\n"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read points {source!r}: {exc}") from exc
     points = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -264,8 +250,11 @@ def _emit(text, cli_output, config):
     path = cli_output if cli_output is not None else (config.output_path if config else None)
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
 
 
 def build_parser():

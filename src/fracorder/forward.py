@@ -9,12 +9,13 @@ so evaluation at a point is a short weighted sum of special-function calls.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .special import _mittag_leffler_lanes, mittag_leffler, sinpi
+from .special import REL_TOL_MIN, _mittag_leffler_lanes, mittag_leffler, sinpi
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,8 @@ def make_problem(diffusivity, length, modes, time_horizon):
 
     Zero-amplitude modes are stripped; the rest are sorted by index.
     Raises DomainError for nonpositive diffusivity/length/horizon, a
-    repeated mode index, a nonpositive or non-integer index, or an empty
-    mode list after stripping zeros.
+    repeated mode index, an index that is not a positive integer, an
+    amplitude that is not a finite real, or no nonzero mode.
     """
     diffusivity = float(diffusivity)
     length = float(length)
@@ -60,13 +61,12 @@ def make_problem(diffusivity, length, modes, time_horizon):
             n, amplitude = entry
         except (TypeError, ValueError):
             raise DomainError(f"make_problem: mode entries must be (index, amplitude) pairs, got {entry!r}")
-        if int(n) != n or int(n) < 1:
-            raise DomainError(f"make_problem: mode index must be a positive integer, got {n!r}")
+        n = _mode_index(n, f"make_problem: mode entry {entry!r}")
+        if _not_real(amplitude) or not math.isfinite(amplitude):
+            raise DomainError(f"make_problem: mode entry {entry!r} needs a finite real amplitude")
         amplitude = float(amplitude)
-        if not math.isfinite(amplitude):
-            raise DomainError(f"make_problem: mode amplitude must be finite, got {amplitude!r}")
         if amplitude != 0.0:
-            cleaned.append((int(n), amplitude))
+            cleaned.append((n, amplitude))
 
     if not cleaned:
         raise DomainError("make_problem: no nonzero modes remain")
@@ -77,10 +77,24 @@ def make_problem(diffusivity, length, modes, time_horizon):
     return ForwardProblem(diffusivity, length, tuple(cleaned), time_horizon)
 
 
+def _not_real(value):
+    return isinstance(value, bool) or not isinstance(value, numbers.Real)
+
+
+def _mode_index(n, where):
+    """`n` as an int; DomainError naming `where` unless `n` is a positive
+    integer (2.0 and numpy integers are; a bool, nan or inf is not)."""
+    try:
+        if not isinstance(n, bool) and n >= 1 and n == int(n):
+            return int(n)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{where}: need a positive integer index, got {n!r}")
+
+
 def eigenvalue(problem, n):
     """n-th Dirichlet eigenvalue of -d2/dx2 on (0, length): (n*pi/length)**2."""
-    if int(n) != n or int(n) < 1:
-        raise DomainError(f"eigenvalue: need a positive integer index, got {n!r}")
+    _mode_index(n, "eigenvalue")
     return (n * math.pi / problem.length) ** 2
 
 
@@ -113,7 +127,7 @@ def evaluate_solution(problem, alpha, x, t, rel_tol=1e-10):
     if not (math.isfinite(alpha) and 0.0 < alpha <= 1.0):
         raise DomainError(f"evaluate_solution: need 0 < alpha <= 1, got {alpha!r}")
     x, t = _check_point(problem, x, t)
-    mode_tol = max(rel_tol / problem.n_modes, 1e-15)
+    mode_tol = max(rel_tol / problem.n_modes, REL_TOL_MIN)
     ta = t**alpha
     total = 0.0
     for amplitude, basis, rate in _mode_terms(problem, x):
@@ -126,13 +140,11 @@ def evaluate_solution(problem, alpha, x, t, rel_tol=1e-10):
 
 def _solution_at_orders(problem, alphas, x, t, rel_tol=1e-10):
     """u(x, t) for every order in `alphas`, equal to the `evaluate_solution`
-    calls to the bit, with all Mittag-Leffler factors in one batch."""
+    calls to the bit, with all Mittag-Leffler factors in one batch; the
+    orders come unchecked from a validated `InverseConfig`."""
     alphas = [float(alpha) for alpha in alphas]
-    for alpha in alphas:
-        if not (math.isfinite(alpha) and 0.0 < alpha <= 1.0):
-            raise DomainError(f"_solution_at_orders: need 0 < alpha <= 1, got {alpha!r}")
     x, t = _check_point(problem, x, t)
-    mode_tol = max(rel_tol / problem.n_modes, 1e-15)
+    mode_tol = max(rel_tol / problem.n_modes, REL_TOL_MIN)
     terms = [term for term in _mode_terms(problem, x) if term[1] != 0.0]
     ta = np.array([t**alpha for alpha in alphas])
     rates = np.array([rate for _, _, rate in terms])
@@ -175,8 +187,7 @@ def sine_coefficient(xs, fs, n):
         raise DomainError("sine_coefficient: xs and fs must be 1-D arrays of equal length")
     if xs.size < 64:
         raise DomainError(f"sine_coefficient: need at least 64 samples, got {xs.size}")
-    if int(n) != n or int(n) < 1:
-        raise DomainError(f"sine_coefficient: need a positive integer index, got {n!r}")
+    _mode_index(n, "sine_coefficient")
     length = float(xs[-1])
     if not (xs[0] == 0.0 and length > 0.0):
         raise DomainError("sine_coefficient: grid must start at 0 and end at the interval length")

@@ -6,8 +6,8 @@ the forward solution at the measurement point as a function of the order.
 F is evaluated here together with its analytic derivative in alpha.  A
 uniform scan, evaluated as one batch over its orders, finds the sign-change
 brackets and reports whether the sampled curve is monotone (a verdict on the
-samples, not a proof); a bisection iteration (optionally accelerated by
-safeguarded Newton steps) refines each bracket to a root.
+samples, not a proof); bisection with safeguarded Newton acceleration
+refines each bracket to a root.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import (AccuracyError, ConvergenceError, DomainError,
                      MaxIterationsError, NoRootError)
-from .forward import _mode_terms, _solution_at_orders, evaluate_solution
-from .special import ml_alpha_derivative
+from .forward import _mode_terms, _not_real, _solution_at_orders, evaluate_solution
+from .special import REL_TOL_MAX, REL_TOL_MIN, ml_alpha_derivative
 
 MONOTONE_VERIFIED = "verified"
 MONOTONE_VIOLATED = "violated"
@@ -65,10 +65,13 @@ class InverseConfig:
     root_tol: float = 1e-10
     scan_points: int = 99
     max_iters: int = 200
-    use_newton: bool = True
     f_rel_tol: float = 1e-10
 
     def __post_init__(self):
+        for name in ("alpha_lo", "alpha_hi", "root_tol", "f_rel_tol"):
+            value = getattr(self, name)
+            if _not_real(value):
+                raise DomainError(f"InverseConfig: {name} must be a real number, got {value!r}")
         if not (0.0 < self.alpha_lo < self.alpha_hi < 1.0):
             raise DomainError(
                 f"InverseConfig: need 0 < alpha_lo < alpha_hi < 1, got "
@@ -76,14 +79,14 @@ class InverseConfig:
         if _not_int(self.scan_points) or self.scan_points < 9:
             raise DomainError(f"InverseConfig: scan_points must be an integer >= 9, "
                               f"got {self.scan_points!r}")
-        if not (self.root_tol > 0.0 and math.isfinite(self.root_tol)):
+        if not 0.0 < self.root_tol < math.inf:
             raise DomainError(f"InverseConfig: root_tol must be positive, got {self.root_tol!r}")
         if _not_int(self.max_iters) or self.max_iters < 1:
             raise DomainError(f"InverseConfig: max_iters must be a positive integer, "
                               f"got {self.max_iters!r}")
-        if not (1e-15 <= self.f_rel_tol <= 1e-3):
-            raise DomainError(f"InverseConfig: f_rel_tol must lie in [1e-15, 1e-3], "
-                              f"got {self.f_rel_tol!r}")
+        if not REL_TOL_MIN <= self.f_rel_tol <= REL_TOL_MAX:
+            raise DomainError(f"InverseConfig: f_rel_tol must lie in "
+                              f"[{REL_TOL_MIN}, {REL_TOL_MAX}], got {self.f_rel_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,8 @@ def _check_measurement(problem, measurement, need_value=True):
         raise DomainError(f"measurement time {t1!r} not inside (0, {problem.time_horizon}]")
     if need_value and measurement.value is None:
         raise DomainError("measurement carries no value; required for inverse operations")
+    if need_value and not math.isfinite(float(measurement.value)):
+        raise DomainError(f"measurement value {measurement.value!r} is not finite")
 
 
 def residual(problem, measurement, alpha, rel_tol=1e-10):
@@ -161,7 +166,7 @@ def residual_derivative(problem, measurement, alpha, rel_tol=1e-10):
     if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
         raise DomainError(f"residual_derivative: need 0 < alpha < 1, got {alpha!r}")
     _check_measurement(problem, measurement, need_value=False)
-    mode_tol = max(rel_tol / problem.n_modes, 1e-15)
+    mode_tol = max(rel_tol / problem.n_modes, REL_TOL_MIN)
     total = 0.0
     for amplitude, basis, rate in _mode_terms(problem, measurement.position):
         if basis == 0.0:
@@ -226,8 +231,8 @@ def scan_bracket(problem, measurement, config=InverseConfig()):
     return ScanResult(alphas, values, monotone, tuple(brackets))
 
 
-def _refine_root(f, fprime, lo, hi, f_lo, root_tol, max_iters, use_newton):
-    """Bisection with optional safeguarded Newton steps on a sign bracket.
+def _refine_root(f, fprime, lo, hi, f_lo, root_tol, max_iters):
+    """Bisection with safeguarded Newton steps on a sign bracket.
 
     Newton candidates are taken only strictly inside the current bracket,
     only while the step keeps shrinking, and at most twice in a row before
@@ -262,7 +267,7 @@ def _refine_root(f, fprime, lo, hi, f_lo, root_tol, max_iters, use_newton):
             break
         nxt = 0.5 * (a + b)
         took_newton = False
-        if use_newton and newton_streak < 2:
+        if newton_streak < 2:
             slope = 0.0
             try:
                 slope = fprime(x)
@@ -308,18 +313,9 @@ def invert_order(problem, measurement, config=InverseConfig()):
     def fp(a):
         return residual_derivative(problem, measurement, a, rel_tol=config.f_rel_tol)
 
-    roots = []
-    first_trace = None
-    iterations = 0
-    for lo, hi in scan.brackets:
-        root, trace, used = _refine_root(f, fp, lo, hi, f(lo), config.root_tol,
-                                         config.max_iters, config.use_newton)
-        roots.append(root)
-        iterations += used
-        if first_trace is None:
-            first_trace = trace
-
-    alpha_hat = roots[0]
+    refined = [_refine_root(f, fp, lo, hi, f(lo), config.root_tol, config.max_iters)
+               for lo, hi in scan.brackets]
+    alpha_hat = refined[0][0]
     res = f(alpha_hat)
     slope, sensitivity = _slope_and_sensitivity(problem, measurement, alpha_hat,
                                                 config.f_rel_tol)
@@ -330,9 +326,9 @@ def invert_order(problem, measurement, config=InverseConfig()):
         monotone=MONOTONE_VERIFIED if scan.monotone else MONOTONE_VIOLATED,
         uniqueness_hypothesis=check_uniqueness_hypothesis(problem, measurement).holds,
         sensitivity=sensitivity,
-        trace=first_trace if first_trace is not None else (),
-        roots=tuple(roots),
-        iterations=iterations,
+        trace=refined[0][1],
+        roots=tuple(root for root, _, _ in refined),
+        iterations=sum(used for _, _, used in refined),
     )
 
 

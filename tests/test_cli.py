@@ -219,6 +219,49 @@ def test_main_bad_points_exits_2(capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("problem", "modes", [[None, 0.5]], "mode entry [None, 0.5]"),
+    ("problem", "modes", [[math.nan, 0.5]], "mode entry [nan, 0.5]"),
+    ("problem", "modes", [[math.inf, 0.5]], "mode entry [inf, 0.5]"),
+    ("problem", "modes", [[2, "x"]], "needs a finite real amplitude"),
+    ("measurement", "value", math.nan, "measurement value nan is not finite"),
+    ("inverse", "use_newton", False, "unknown key 'use_newton' in section 'inverse'"),
+    ("inverse", "root_tol", True, "root_tol must be a real number, got True"),
+    ("inverse", "alpha_lo", "0.1", "alpha_lo must be a real number, got '0.1'"),
+    ("inverse", "scan_points", 99.0, "scan_points must be an integer >= 9, got 99.0"),
+], ids=["index-null", "index-nan", "index-inf", "amplitude-string", "value-nan",
+        "use_newton", "root_tol-bool", "alpha_lo-string", "scan_points-float"])
+def test_main_malformed_input_exits_2(tmp_path, capsys, section, key, value, message):
+    data = _load_dict(SINGLE)
+    data.setdefault(section, {})[key] = value
+    assert main(["invert", "--config", _write(tmp_path, data)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_main_unreadable_points_exits_2(tmp_path, capsys):
+    binary = tmp_path / "points.bin"
+    binary.write_bytes(b"\xff\xfe0.5,1")
+    for source in (CONFIG_DIR, binary):
+        code = main(["forward", "--config", str(SINGLE), "--points", str(source)])
+        assert code == EXIT_CONFIG
+        assert "cannot read points" in capsys.readouterr().err
+
+
+def test_main_undecodable_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["invert", "--config", str(path)]) == EXIT_CONFIG
+    assert "cannot read config" in capsys.readouterr().err
+
+
+def test_main_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    code = main(["invert", "--config", str(SINGLE), "--output", str(target)])
+    assert code == EXIT_CONFIG
+    assert "cannot write output" in capsys.readouterr().err
+    assert not target.parent.exists()
+
+
 def test_main_selfcheck_ok(capsys):
     assert main(["selfcheck"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -11,10 +11,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # run from an empty directory: residual_curve.py writes its CSVs there
+    # run from an empty directory: residual_curve.py writes its CSVs there;
+    # -W carries pytest's RuntimeWarning-as-error filter into the subprocess
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                            cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

@@ -48,6 +48,16 @@ def test_make_problem_rejects_bad_indices():
         make_problem(1.0, PI, [(0, 1.0)], 1.0)
     with pytest.raises(DomainError):
         make_problem(1.0, PI, [(1.5, 1.0)], 1.0)
+    # malformed entries are refused by name, not with a raw Python error
+    for entry in [(math.nan, 1.0), (math.inf, 1.0), (None, 1.0), (True, 1.0), ("2", 1.0),
+                  (1, "x"), (1, math.nan), (1, -math.inf), (1, None), (1, True)]:
+        with pytest.raises(DomainError, match=r"mode entry \(") as exc_info:
+            make_problem(1.0, PI, [entry], 1.0)
+        assert repr(entry) in str(exc_info.value)
+    # an integral float and numpy integers and floats still pass
+    problem = make_problem(1.0, PI, [(2.0, 1.0), (np.int64(3), np.float64(0.5))], 1.0)
+    assert problem.modes == ((2, 1.0), (3, 0.5))
+    assert all(type(n) is int and type(a) is float for n, a in problem.modes)
 
 
 # ------------------------------------------------------------- eigenvalue
@@ -67,6 +77,10 @@ def test_eigenvalue_rejects_bad_index():
     problem = make_problem(1.0, PI, [(1, 1.0)], 1.0)
     with pytest.raises(DomainError):
         eigenvalue(problem, 0)
+    for n in (math.nan, math.inf, None, True, 2.5, "2"):
+        with pytest.raises(DomainError, match="eigenvalue"):
+            eigenvalue(problem, n)
+    assert eigenvalue(problem, 2.0) == eigenvalue(problem, np.int64(2)) == eigenvalue(problem, 2)
 
 
 # ------------------------------------------------------ evaluate_solution
@@ -265,3 +279,7 @@ def test_sine_coefficient_rejects_bad_grids():
     xs = np.concatenate([np.linspace(0.0, 1.0, 60), np.linspace(1.1, PI, 60)])
     with pytest.raises(DomainError):
         sine_coefficient(xs, np.sin(xs), 1)
+    xs = np.linspace(0.0, PI, 64)
+    for n in (0, math.nan, math.inf, True):
+        with pytest.raises(DomainError, match="sine_coefficient"):
+            sine_coefficient(xs, np.sin(xs), n)

@@ -42,6 +42,16 @@ def test_measurement_domain_validation(single_mode):
         residual(problem, Measurement(1.0, 5.0, 0.1), 0.5)  # beyond horizon
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_measured_value_refused(single_mode, value):
+    # refused as input, not reported as "no sign change"
+    problem, measurement = single_mode
+    bad = Measurement(measurement.position, measurement.time, value)
+    for call in (invert_order, scan_bracket):
+        with pytest.raises(DomainError, match="measurement value .* is not finite"):
+            call(problem, bad)
+
+
 # ------------------------------------------------------ endpoint_values
 
 def test_endpoint_closed_forms_single_mode(single_mode):
@@ -255,7 +265,7 @@ def test_invert_no_root_raises(single_mode):
 def test_invert_iteration_cap(single_mode):
     problem, measurement = single_mode
     with pytest.raises(MaxIterationsError):
-        invert_order(problem, measurement, InverseConfig(max_iters=2, use_newton=False))
+        invert_order(problem, measurement, InverseConfig(max_iters=2))
 
 
 def test_invert_reports_multiple_roots(mixed_sign):
@@ -323,27 +333,6 @@ def test_measurement_sums_frozen_to_the_bit():
             assert evaluate_solution(problem, alpha, x0, 6.0) == value
             assert residual_derivative(problem, measurement, alpha) == slope
         assert endpoint_values(problem, measurement) == ends
-
-
-def test_invert_bisection_only_agrees(single_mode):
-    problem, measurement = single_mode
-    fast = invert_order(problem, measurement)
-    slow = invert_order(problem, measurement, InverseConfig(use_newton=False))
-    assert abs(fast.alpha_hat - slow.alpha_hat) <= 2e-10
-    assert slow.iterations > fast.iterations
-
-
-def test_bisection_trace_halves_and_stays_in_bracket(single_mode):
-    problem, measurement = single_mode
-    config = InverseConfig(use_newton=False)
-    scan = scan_bracket(problem, measurement, config)
-    lo, hi = scan.brackets[0]
-    report = invert_order(problem, measurement, config)
-    iterates = [alpha for _, alpha, _ in report.trace]
-    assert all(lo <= a <= hi for a in iterates)
-    steps = [abs(b - a) for a, b in zip(iterates, iterates[1:])]
-    for before, after in zip(steps, steps[1:]):
-        assert after == pytest.approx(0.5 * before, rel=1e-6)
 
 
 def test_newton_trace_stays_in_bracket(single_mode):
@@ -466,3 +455,12 @@ def test_f_rel_tol_below_round_off_floor_refused(two_mode, f_rel_tol, message):
 def test_inverse_config_counts_must_be_int(field, value):
     with pytest.raises(DomainError, match=field):
         InverseConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["alpha_lo", "alpha_hi", "root_tol", "f_rel_tol"])
+def test_inverse_config_reals_must_be_real(field):
+    for value in (True, False, "0.5", None, [0.5]):
+        with pytest.raises(DomainError, match=f"InverseConfig: {field} must be a real number"):
+            InverseConfig(**{field: value})
+    default = getattr(InverseConfig(), field)
+    assert getattr(InverseConfig(**{field: np.float64(default)}), field) == default
