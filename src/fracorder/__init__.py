@@ -8,10 +8,9 @@ paper's sign hypothesis does not make monotone, and is solved by scanning
 and bracketing with analytic-derivative Newton acceleration.
 """
 
-from .errors import (AccuracyError, ConfigError, ConvergenceError, DomainError,
-                     MaxIterationsError, NoRootError)
-from .forward import (ForwardProblem, eigenvalue, evaluate_solution,
-                      evaluate_solution_grid, make_problem, sine_coefficient)
+from .errors import AccuracyError, ConfigError, DomainError, NoRootError
+from .forward import (ForwardProblem, evaluate_solution, evaluate_solution_grid,
+                      make_problem, sine_coefficient)
 from .inverse import (InverseConfig, InversionReport, Measurement, ModeTerm,
                       ScanResult, UniquenessReport, check_uniqueness_hypothesis,
                       endpoint_values, invert_order, residual, residual_derivative,
@@ -21,9 +20,8 @@ from .special import mittag_leffler, ml_alpha_derivative, sinpi
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyError", "ConfigError", "ConvergenceError", "DomainError",
-    "MaxIterationsError", "NoRootError",
-    "ForwardProblem", "make_problem", "eigenvalue", "evaluate_solution",
+    "AccuracyError", "ConfigError", "DomainError", "NoRootError",
+    "ForwardProblem", "make_problem", "evaluate_solution",
     "evaluate_solution_grid", "sine_coefficient",
     "Measurement", "InverseConfig", "InversionReport", "ModeTerm", "ScanResult",
     "UniquenessReport", "residual", "residual_derivative",

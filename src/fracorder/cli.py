@@ -24,8 +24,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import (AccuracyError, ConfigError, ConvergenceError, DomainError,
-                     MaxIterationsError, NoRootError)
+from .errors import AccuracyError, ConfigError, DomainError, NoRootError
 from .forward import ForwardProblem, _not_real, evaluate_solution, make_problem
 from .inverse import (InverseConfig, Measurement, endpoint_values, invert_order,
                       scan_bracket)
@@ -70,7 +69,10 @@ def _number(section, mapping, key, required=True):
     value = mapping[key]
     if _not_real(value):
         raise ConfigError(f"key '{key}' in section '{section}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"key '{key}' in section '{section}' lies past the double range") from None
 
 
 def parse_config(data):
@@ -106,7 +108,10 @@ def parse_config(data):
             for entry in meas["extra"]:
                 if not isinstance(entry, list) or len(entry) != 2 or any(map(_not_real, entry)):
                     raise ConfigError(f"bad entry {entry!r} under 'extra': expected [time, value]")
-                rows.append((float(entry[0]), float(entry[1])))
+                try:
+                    rows.append((float(entry[0]), float(entry[1])))
+                except OverflowError:
+                    raise ConfigError("an entry under 'extra' lies past the double range") from None
             extra = tuple(rows)
 
     inverse_section = data.get("inverse", {})
@@ -310,7 +315,7 @@ def main(argv=None):
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (AccuracyError, ConvergenceError, MaxIterationsError, OverflowError) as exc:
+    except (AccuracyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

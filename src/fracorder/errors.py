@@ -9,16 +9,8 @@ class AccuracyError(ArithmeticError):
     """The requested relative accuracy cannot be certified in double precision."""
 
 
-class ConvergenceError(ArithmeticError):
-    """A series did not meet its truncation criterion within the term budget."""
-
-
 class NoRootError(RuntimeError):
     """The scanned interval contains no sign change of the target function."""
-
-
-class MaxIterationsError(RuntimeError):
-    """The root iteration exceeded its iteration cap."""
 
 
 class ConfigError(ValueError):

@@ -41,19 +41,23 @@ def make_problem(diffusivity, length, modes, time_horizon):
     """Build a ForwardProblem from raw inputs.
 
     Zero-amplitude modes are stripped; the rest are sorted by index.
-    Raises DomainError for nonpositive diffusivity/length/horizon, a
-    repeated mode index, an index that is not a positive integer, an
-    amplitude that is not a finite real, or no nonzero mode.
+    Raises DomainError for a diffusivity, length or horizon that is not a
+    positive real, `modes` that is not a list or tuple, a repeated mode
+    index, an index that is not a positive integer, an amplitude that is not
+    a finite real, or no nonzero mode.
     """
-    diffusivity = float(diffusivity)
-    length = float(length)
-    time_horizon = float(time_horizon)
-    if not (math.isfinite(diffusivity) and diffusivity > 0.0):
-        raise DomainError(f"make_problem: diffusivity must be positive, got {diffusivity!r}")
-    if not (math.isfinite(length) and length > 0.0):
-        raise DomainError(f"make_problem: length must be positive, got {length!r}")
-    if not (math.isfinite(time_horizon) and time_horizon > 0.0):
-        raise DomainError(f"make_problem: time_horizon must be positive, got {time_horizon!r}")
+    scalars = []
+    for name, value in (("diffusivity", diffusivity), ("length", length),
+                        ("time_horizon", time_horizon)):
+        number = _finite_float(value)
+        if number is None or number <= 0.0:
+            raise DomainError(f"make_problem: {name} must be a positive real number, "
+                              f"got {value!r}")
+        scalars.append(number)
+    diffusivity, length, time_horizon = scalars
+    if not isinstance(modes, (list, tuple)):
+        raise DomainError(f"make_problem: modes must be a list or tuple of "
+                          f"(index, amplitude) pairs, got {modes!r}")
 
     cleaned = []
     for entry in modes:
@@ -62,9 +66,9 @@ def make_problem(diffusivity, length, modes, time_horizon):
         except (TypeError, ValueError):
             raise DomainError(f"make_problem: mode entries must be (index, amplitude) pairs, got {entry!r}")
         n = _mode_index(n, f"make_problem: mode entry {entry!r}")
-        if _not_real(amplitude) or not math.isfinite(amplitude):
+        amplitude = _finite_float(amplitude)
+        if amplitude is None:
             raise DomainError(f"make_problem: mode entry {entry!r} needs a finite real amplitude")
-        amplitude = float(amplitude)
         if amplitude != 0.0:
             cleaned.append((n, amplitude))
 
@@ -81,6 +85,19 @@ def _not_real(value):
     return isinstance(value, bool) or not isinstance(value, numbers.Real)
 
 
+def _finite_float(value):
+    """`value` as a float, or None for a bool, a non-real, a number past the
+    double range, nan or inf."""
+    if type(value) is not float:  # a plain float skips the slow abstract-class check
+        if _not_real(value):
+            return None
+        try:
+            value = float(value)
+        except OverflowError:
+            return None
+    return value if math.isfinite(value) else None
+
+
 def _mode_index(n, where):
     """`n` as an int; DomainError naming `where` unless `n` is a positive
     integer (2.0 and numpy integers are; a bool, nan or inf is not)."""
@@ -92,17 +109,12 @@ def _mode_index(n, where):
     raise DomainError(f"{where}: need a positive integer index, got {n!r}")
 
 
-def eigenvalue(problem, n):
-    """n-th Dirichlet eigenvalue of -d2/dx2 on (0, length): (n*pi/length)**2."""
-    _mode_index(n, "eigenvalue")
-    return (n * math.pi / problem.length) ** 2
-
-
 def _mode_terms(problem, x):
-    """(a_n, sin(n*pi*x/length), D*lambda_n) for every mode at position x: the
-    terms read by the forward sum, F', the endpoints and the sign hypothesis."""
+    """(a_n, sin(n*pi*x/length), D*lambda_n) for every mode at position x, with
+    the Dirichlet eigenvalue lambda_n = (n*pi/length)**2: the terms read by
+    the forward sum, F', the endpoints and the sign hypothesis."""
     return [(amplitude, sinpi(n * (x / problem.length)),
-             problem.diffusivity * eigenvalue(problem, n))
+             problem.diffusivity * (n * math.pi / problem.length) ** 2)
             for n, amplitude in problem.modes]
 
 

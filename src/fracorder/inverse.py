@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AccuracyError, ConvergenceError, DomainError,
-                     MaxIterationsError, NoRootError)
-from .forward import _mode_terms, _not_real, _solution_at_orders, evaluate_solution
+from .errors import AccuracyError, DomainError, NoRootError
+from .forward import (_finite_float, _mode_terms, _not_real, _solution_at_orders,
+                      evaluate_solution)
 from .special import REL_TOL_MAX, REL_TOL_MIN, ml_alpha_derivative
 
 MONOTONE_VERIFIED = "verified"
@@ -28,6 +28,10 @@ MONOTONE_VIOLATED = "violated"
 # |F'| below this counts as a vanishing derivative: the local-solvability
 # hypothesis fails and the sensitivity is reported as infinite.
 DERIVATIVE_FLOOR = 1e-14
+
+# Neighbouring doubles in (0, 1) lie at most 2**-53 apart, so a bracket wider
+# than this holds at least 9 of them and its midpoint lies strictly inside.
+ROOT_TOL_MIN = 1e-15
 
 
 @dataclass(frozen=True)
@@ -43,10 +47,6 @@ class Measurement:
     value: float | None = None
 
 
-def _not_int(value):
-    return isinstance(value, bool) or not isinstance(value, int)
-
-
 @dataclass(frozen=True)
 class InverseConfig:
     """Knobs of the order search; defaults match the documented contract.
@@ -57,14 +57,14 @@ class InverseConfig:
     the factor, at any scanned or refined order raises `AccuracyError`.  The
     floor grows with |z| = D lambda_n t1**alpha, so it is highest at
     `alpha_hi`: the bundled two-mode config is refused at 2e-11 and accepted
-    at 3e-11.
+    at 3e-11.  `root_tol`, the bracket width at which refinement stops, may
+    not go below ROOT_TOL_MIN = 1e-15.
     """
 
     alpha_lo: float = 1e-3
     alpha_hi: float = 1.0 - 1e-3
     root_tol: float = 1e-10
     scan_points: int = 99
-    max_iters: int = 200
     f_rel_tol: float = 1e-10
 
     def __post_init__(self):
@@ -76,14 +76,13 @@ class InverseConfig:
             raise DomainError(
                 f"InverseConfig: need 0 < alpha_lo < alpha_hi < 1, got "
                 f"[{self.alpha_lo!r}, {self.alpha_hi!r}]")
-        if _not_int(self.scan_points) or self.scan_points < 9:
+        if (isinstance(self.scan_points, bool) or not isinstance(self.scan_points, int)
+                or self.scan_points < 9):
             raise DomainError(f"InverseConfig: scan_points must be an integer >= 9, "
                               f"got {self.scan_points!r}")
-        if not 0.0 < self.root_tol < math.inf:
-            raise DomainError(f"InverseConfig: root_tol must be positive, got {self.root_tol!r}")
-        if _not_int(self.max_iters) or self.max_iters < 1:
-            raise DomainError(f"InverseConfig: max_iters must be a positive integer, "
-                              f"got {self.max_iters!r}")
+        if not ROOT_TOL_MIN <= self.root_tol < math.inf:
+            raise DomainError(f"InverseConfig: root_tol must be finite and at least "
+                              f"{ROOT_TOL_MIN}, got {self.root_tol!r}")
         if not REL_TOL_MIN <= self.f_rel_tol <= REL_TOL_MAX:
             raise DomainError(f"InverseConfig: f_rel_tol must lie in "
                               f"[{REL_TOL_MIN}, {REL_TOL_MAX}], got {self.f_rel_tol!r}")
@@ -121,7 +120,7 @@ class InversionReport:
     """Outcome of `invert_order`; `alpha_hat` is the first of `roots`.
 
     `derivative_at_root` and `sensitivity` (|1/F'|) are nan when F'(alpha_hat)
-    cannot be certified (AccuracyError or ConvergenceError); the root stands.
+    cannot be certified (AccuracyError); the root stands.
     """
 
     alpha_hat: float
@@ -139,17 +138,27 @@ class InversionReport:
         return len(self.roots) == 1
 
 
+def _field_error(name, raw, reason):
+    """DomainError for measurement field `name`: a type refusal for a bool or
+    non-real `raw`, else `reason`."""
+    if _not_real(raw):
+        return DomainError(f"measurement {name} must be a real number, got {raw!r}")
+    return DomainError(f"measurement {name} {raw!r} {reason}")
+
+
 def _check_measurement(problem, measurement, need_value=True):
-    x0 = float(measurement.position)
-    t1 = float(measurement.time)
-    if not (math.isfinite(x0) and 0.0 < x0 < problem.length):
-        raise DomainError(f"measurement position {x0!r} not inside (0, {problem.length})")
-    if not (math.isfinite(t1) and 0.0 < t1 <= problem.time_horizon):
-        raise DomainError(f"measurement time {t1!r} not inside (0, {problem.time_horizon}]")
-    if need_value and measurement.value is None:
-        raise DomainError("measurement carries no value; required for inverse operations")
-    if need_value and not math.isfinite(float(measurement.value)):
-        raise DomainError(f"measurement value {measurement.value!r} is not finite")
+    x0 = _finite_float(measurement.position)
+    if x0 is None or not 0.0 < x0 < problem.length:
+        raise _field_error("position", measurement.position, f"not inside (0, {problem.length})")
+    t1 = _finite_float(measurement.time)
+    if t1 is None or not 0.0 < t1 <= problem.time_horizon:
+        raise _field_error("time", measurement.time, f"not inside (0, {problem.time_horizon}]")
+    value = measurement.value
+    if value is None:
+        if need_value:
+            raise DomainError("measurement carries no value; required for inverse operations")
+    elif _finite_float(value) is None and (need_value or _not_real(value)):
+        raise _field_error("value", value, "is not finite")
 
 
 def residual(problem, measurement, alpha, rel_tol=1e-10):
@@ -231,13 +240,16 @@ def scan_bracket(problem, measurement, config=InverseConfig()):
     return ScanResult(alphas, values, monotone, tuple(brackets))
 
 
-def _refine_root(f, fprime, lo, hi, f_lo, root_tol, max_iters):
+def _refine_root(f, fprime, lo, hi, f_lo, root_tol):
     """Bisection with safeguarded Newton steps on a sign bracket.
 
     Newton candidates are taken only strictly inside the current bracket,
     only while the step keeps shrinking, and at most twice in a row before
-    a bisection is forced, so the bracket width decays geometrically and
-    convergence to width root_tol is unconditional.
+    a bisection is forced.  The width therefore at least halves every three
+    iterations, and refining [lo, hi] to width root_tol takes at most
+    3*ceil(log2((hi - lo) / root_tol)) iterations; rounded midpoints can add
+    one.  `InverseConfig` keeps root_tol >= ROOT_TOL_MIN, where a midpoint
+    still lies strictly inside the bracket, so the loop always ends.
     Returns (root, trace, iterations).
     """
     if lo == hi:
@@ -250,10 +262,6 @@ def _refine_root(f, fprime, lo, hi, f_lo, root_tol, max_iters):
     trace = []
     k = 0
     while b - a > root_tol:
-        if k >= max_iters:
-            raise MaxIterationsError(
-                f"root refinement exceeded {max_iters} iterations "
-                f"(bracket width {b - a:.3e})")
         k += 1
         fx = f(x)
         trace.append((k, x, fx))
@@ -271,7 +279,7 @@ def _refine_root(f, fprime, lo, hi, f_lo, root_tol, max_iters):
             slope = 0.0
             try:
                 slope = fprime(x)
-            except (AccuracyError, ConvergenceError):
+            except AccuracyError:
                 pass
             if abs(slope) > DERIVATIVE_FLOOR:
                 candidate = x - fx / slope
@@ -286,10 +294,10 @@ def _refine_root(f, fprime, lo, hi, f_lo, root_tol, max_iters):
 
 def _slope_and_sensitivity(problem, measurement, alpha, rel_tol):
     """(F'(alpha), |1/F'(alpha)|), both nan when F'(alpha) cannot be
-    certified (AccuracyError or ConvergenceError)."""
+    certified (AccuracyError)."""
     try:
         slope = residual_derivative(problem, measurement, alpha, rel_tol=rel_tol)
-    except (AccuracyError, ConvergenceError):
+    except AccuracyError:
         return math.nan, math.nan
     return slope, math.inf if abs(slope) < DERIVATIVE_FLOOR else 1.0 / abs(slope)
 
@@ -297,9 +305,8 @@ def _slope_and_sensitivity(problem, measurement, alpha, rel_tol):
 def invert_order(problem, measurement, config=InverseConfig()):
     """Recover the order from the measurement; see InversionReport.
 
-    Raises NoRootError when the scan finds no sign change and
-    MaxIterationsError when a bracket fails to shrink within the budget.
-    Multiple brackets are all refined and reported, with `unique` False.
+    Raises NoRootError when the scan finds no sign change.  Multiple
+    brackets are all refined and reported, with `unique` False.
     """
     scan = scan_bracket(problem, measurement, config)
     if not scan.brackets:
@@ -313,7 +320,7 @@ def invert_order(problem, measurement, config=InverseConfig()):
     def fp(a):
         return residual_derivative(problem, measurement, a, rel_tol=config.f_rel_tol)
 
-    refined = [_refine_root(f, fp, lo, hi, f(lo), config.root_tol, config.max_iters)
+    refined = [_refine_root(f, fp, lo, hi, f(lo), config.root_tol)
                for lo, hi in scan.brackets]
     alpha_hat = refined[0][0]
     res = f(alpha_hat)

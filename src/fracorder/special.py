@@ -28,14 +28,14 @@ from scipy.special import gamma as _sc_gamma
 from scipy.special import gammaln as _sc_gammaln
 from scipy.special import psi as _sc_psi
 
-from .errors import AccuracyError, ConvergenceError, DomainError
+from .errors import AccuracyError, DomainError
 
 _EPS = 2.220446049250313e-16
 _LOG_PI = math.log(math.pi)
 
 REL_TOL_MIN = 1e-15
 REL_TOL_MAX = 1e-3
-Z_MAX_DEFAULT = 5.0
+Z_MAX = 5.0
 
 TAYLOR_MAX_TERMS = 500
 ASYM_MAX_TERMS = 400
@@ -216,7 +216,7 @@ def _shape(alpha, x):
         return math.inf
 
 
-def mittag_leffler(alpha, z, rel_tol=1e-12, z_max=Z_MAX_DEFAULT):
+def mittag_leffler(alpha, z, rel_tol=1e-12):
     """One-parameter Mittag-Leffler function E_alpha(z) on the real axis.
 
     Parameters
@@ -225,13 +225,11 @@ def mittag_leffler(alpha, z, rel_tol=1e-12, z_max=Z_MAX_DEFAULT):
         Order, 0 < alpha <= 1.  alpha = 1 reduces exactly to exp(z).
     z : float
         Real argument.  Any z <= 0 is supported; positive z only up to
-        `z_max` (the function grows like exp(z**(1/alpha)) there).
+        `Z_MAX` = 5 (the function grows like exp(z**(1/alpha)) there).
     rel_tol : float
         Requested relative accuracy, within [1e-15, 1e-3].  The evaluation
         certifies its own error estimate against this target and raises
         `AccuracyError` if the target cannot be met in double precision.
-    z_max : float
-        Positive-argument cutoff, default 5.
 
     Returns
     -------
@@ -242,7 +240,7 @@ def mittag_leffler(alpha, z, rel_tol=1e-12, z_max=Z_MAX_DEFAULT):
     Raises
     ------
     DomainError
-        For alpha outside (0, 1], non-finite z, z > z_max, or rel_tol
+        For alpha outside (0, 1], non-finite z, z > Z_MAX, or rel_tol
         outside its legal range.
     AccuracyError
         When no evaluation strategy certifies `rel_tol`, or the two
@@ -261,8 +259,8 @@ def mittag_leffler(alpha, z, rel_tol=1e-12, z_max=Z_MAX_DEFAULT):
     if not REL_TOL_MIN <= rel_tol <= REL_TOL_MAX:
         raise DomainError(f"mittag_leffler: rel_tol must lie in [{REL_TOL_MIN}, {REL_TOL_MAX}], "
                           f"got {rel_tol!r}")
-    if not z <= z_max:
-        raise DomainError(f"mittag_leffler: z={z!r} exceeds the positive cutoff z_max={z_max!r}")
+    if not z <= Z_MAX:
+        raise DomainError(f"mittag_leffler: z={z!r} exceeds the positive cutoff Z_MAX={Z_MAX!r}")
 
     if alpha == 1.0:
         return math.exp(z)
@@ -438,10 +436,9 @@ def ml_alpha_derivative(alpha, c, t, rel_tol=1e-10):
     the term ratio tends to zero with the Gamma ratio
     Gamma(alpha j)/Gamma(alpha j + alpha).
 
-    Raises `DomainError` for invalid arguments, `ConvergenceError` when the
-    truncation rule is not met within the term budget, and `AccuracyError`
-    when a series term exceeds the double range or cancellation leaves the
-    certified error above target.
+    Raises `DomainError` for invalid arguments, and `AccuracyError` when the
+    truncation rule is not met within the term budget, a series term exceeds
+    the double range or cancellation leaves the certified error above target.
     """
     alpha = float(alpha)
     c = float(c)
@@ -459,7 +456,7 @@ def ml_alpha_derivative(alpha, c, t, rel_tol=1e-10):
 
     value, err, converged = _sum_terms(_derivative_terms(alpha, c, t), 0.0, 0.0, 0.125 * rel_tol)
     if not converged:
-        raise ConvergenceError(
+        raise AccuracyError(
             f"ml_alpha_derivative: series not converged within {DERIV_MAX_TERMS} terms "
             f"at alpha={alpha:g}, c={c:g}, t={t:g}")
     if err > rel_tol * abs(value):

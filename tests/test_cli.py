@@ -229,11 +229,23 @@ def test_main_bad_points_exits_2(capsys):
     ("inverse", "root_tol", True, "root_tol must be a real number, got True"),
     ("inverse", "alpha_lo", "0.1", "alpha_lo must be a real number, got '0.1'"),
     ("inverse", "scan_points", 99.0, "scan_points must be an integer >= 9, got 99.0"),
+    ("inverse", "max_iters", 200, "unknown key 'max_iters' in section 'inverse'"),
+    ("inverse", "root_tol", 1e-16, "root_tol must be finite and at least 1e-15, got 1e-16"),
+    # JSON integers past the double range
+    ("problem", "diffusivity", 10**400,
+     "key 'diffusivity' in section 'problem' lies past the double range"),
+    ("problem", "modes", [[1, 10**400]], "needs a finite real amplitude"),
+    ("measurement", "position", 10**400,
+     "key 'position' in section 'measurement' lies past the double range"),
+    ("measurement", "extra", [[10**400, 0.1]], "an entry under 'extra' lies past the double range"),
+    (None, "alpha", 10**400, "key 'alpha' in section '(top level)' lies past the double range"),
 ], ids=["index-null", "index-nan", "index-inf", "amplitude-string", "value-nan",
-        "use_newton", "root_tol-bool", "alpha_lo-string", "scan_points-float"])
+        "use_newton", "root_tol-bool", "alpha_lo-string", "scan_points-float",
+        "max_iters", "root_tol-below-floor", "diffusivity-huge", "amplitude-huge",
+        "position-huge", "extra-huge", "alpha-huge"])
 def test_main_malformed_input_exits_2(tmp_path, capsys, section, key, value, message):
     data = _load_dict(SINGLE)
-    data.setdefault(section, {})[key] = value
+    (data if section is None else data.setdefault(section, {}))[key] = value
     assert main(["invert", "--config", _write(tmp_path, data)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
 

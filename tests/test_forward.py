@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import fracorder.special
-from fracorder import (AccuracyError, DomainError, eigenvalue, evaluate_solution,
-                       evaluate_solution_grid, forward, make_problem, sine_coefficient)
+from fracorder import (AccuracyError, DomainError, evaluate_solution, evaluate_solution_grid,
+                       forward, make_problem, sine_coefficient)
 
 PI = math.pi
 
@@ -34,6 +34,22 @@ def test_make_problem_rejects_bad_scalars():
         make_problem(0.1, 0.0, [(1, 1.0)], 1.0)
     with pytest.raises(DomainError):
         make_problem(0.1, PI, [(1, 1.0)], -1.0)
+    # a bool, a string, None, an int past the double range or a non-finite
+    # value is refused by name, whichever scalar it stands for
+    for bad in (True, "0.1", None, 10**400, math.nan, math.inf):
+        for position, name in enumerate(("diffusivity", "length", "time_horizon")):
+            args = [0.1, PI, 1.0]
+            args[position] = bad
+            with pytest.raises(DomainError, match=f"make_problem: {name} must be"):
+                make_problem(args[0], args[1], [(1, 1.0)], args[2])
+    with pytest.raises(DomainError, match="needs a finite real amplitude"):
+        make_problem(0.1, PI, [(1, 10**400)], 1.0)
+    for modes in (3, None, "12", {(1, 1.0)}):
+        with pytest.raises(DomainError, match="modes must be a list or tuple"):
+            make_problem(0.1, PI, modes, 1.0)
+    # integers and numpy scalars stay valid
+    problem = make_problem(1, np.float64(PI), [(1, 1)], np.int64(2))
+    assert problem == make_problem(1.0, PI, [(1, 1.0)], 2.0)
 
 
 def test_make_problem_rejects_empty_after_stripping():
@@ -62,25 +78,19 @@ def test_make_problem_rejects_bad_indices():
 
 # ------------------------------------------------------------- eigenvalue
 
+def _rates(problem):
+    """D * lambda_n per mode, as the measurement kernel reads them."""
+    return [rate for _, _, rate in forward._mode_terms(problem, 1.0)]
+
+
 def test_eigenvalue_unit_interval_pi():
-    problem = make_problem(1.0, PI, [(1, 1.0)], 1.0)
-    assert eigenvalue(problem, 1) == pytest.approx(1.0, rel=1e-15)
-    assert eigenvalue(problem, 3) == pytest.approx(9.0, rel=1e-15)
+    problem = make_problem(1.0, PI, [(1, 1.0), (3, 1.0)], 1.0)
+    assert _rates(problem) == pytest.approx([1.0, 9.0], rel=1e-15)
 
 
 def test_eigenvalue_scales_with_length():
-    problem = make_problem(1.0, 2.0 * PI, [(1, 1.0)], 1.0)
-    assert eigenvalue(problem, 2) == pytest.approx(1.0, rel=1e-15)
-
-
-def test_eigenvalue_rejects_bad_index():
-    problem = make_problem(1.0, PI, [(1, 1.0)], 1.0)
-    with pytest.raises(DomainError):
-        eigenvalue(problem, 0)
-    for n in (math.nan, math.inf, None, True, 2.5, "2"):
-        with pytest.raises(DomainError, match="eigenvalue"):
-            eigenvalue(problem, n)
-    assert eigenvalue(problem, 2.0) == eigenvalue(problem, np.int64(2)) == eigenvalue(problem, 2)
+    problem = make_problem(0.5, 2.0 * PI, [(2, 1.0)], 1.0)
+    assert _rates(problem) == pytest.approx([0.5], rel=1e-15)
 
 
 # ------------------------------------------------------ evaluate_solution

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import fracorder.forward
+import fracorder.inverse
 import fracorder.special
-from fracorder import (AccuracyError, DomainError, InverseConfig, MaxIterationsError, Measurement,
-                       NoRootError, check_uniqueness_hypothesis, endpoint_values,
-                       evaluate_solution, invert_order, make_problem, residual,
-                       residual_derivative, scan_bracket, sensitivity_profile)
+from fracorder import (AccuracyError, DomainError, InverseConfig, Measurement, NoRootError,
+                       check_uniqueness_hypothesis, endpoint_values, evaluate_solution,
+                       invert_order, make_problem, residual, residual_derivative,
+                       scan_bracket, sensitivity_profile)
 
 PI = math.pi
 
@@ -40,6 +41,21 @@ def test_measurement_domain_validation(single_mode):
         residual(problem, Measurement(1.0, 0.0, 0.1), 0.5)
     with pytest.raises(DomainError):
         residual(problem, Measurement(1.0, 5.0, 0.1), 0.5)  # beyond horizon
+    # a bool, a non-real or a number past the double range is refused by
+    # name where the measurement is used, not when it is built
+    good = {"position": 1.0, "time": 2.0, "value": 0.1}
+    for field, bad in [("position", "0.785"), ("position", None), ("position", True),
+                       ("position", 10**400), ("time", True), ("time", "2.0"),
+                       ("time", 10**400), ("value", True), ("value", "0.25"),
+                       ("value", [0.25]), ("value", 10**400)]:
+        measurement = Measurement(**{**good, field: bad})
+        with pytest.raises(DomainError, match=f"measurement {field}"):
+            residual(problem, measurement, 0.5)
+        with pytest.raises(DomainError, match=f"measurement {field}"):
+            invert_order(problem, measurement)
+    # integer and numpy fields stay valid
+    assert residual(problem, Measurement(1, np.int64(2), np.float64(0.1)), 0.5) == \
+        residual(problem, Measurement(**good), 0.5)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -262,10 +278,40 @@ def test_invert_no_root_raises(single_mode):
         invert_order(problem, Measurement(measurement.position, measurement.time, 10.0))
 
 
-def test_invert_iteration_cap(single_mode):
-    problem, measurement = single_mode
-    with pytest.raises(MaxIterationsError):
-        invert_order(problem, measurement, InverseConfig(max_iters=2))
+def test_invert_at_root_tol_floor():
+    # at root_tol=1e-16 this bracket stalls one ulp (1.1e-16) wide; at the
+    # floor the search ends
+    problem = make_problem(0.45, PI, [(1, 1.0)], 10.0)
+    d = evaluate_solution(problem, 0.7, PI / 2, 10.0) * (1 + 0.37e-13)
+    config = InverseConfig(root_tol=1e-15)
+    report = invert_order(problem, Measurement(PI / 2, 10.0, d), config)
+    assert report.unique
+    assert abs(report.alpha_hat - 0.7) <= 1e-12
+    cell = (config.alpha_hi - config.alpha_lo) / (config.scan_points - 1)
+    assert report.iterations <= 3 * math.ceil(math.log2(cell / config.root_tol))
+
+
+@pytest.mark.parametrize("setup", ["single_mode", "two_mode", "mixed_sign"])
+@pytest.mark.parametrize("root_tol", [1e-10, 1e-15])
+@pytest.mark.parametrize("scan_points", [9, 99])
+def test_refinement_within_iteration_bound(setup, root_tol, scan_points, request, monkeypatch):
+    # a midpoint at least every third iteration bounds the search by root_tol
+    problem, measurement = request.getfixturevalue(setup)
+    refined = []
+    real = fracorder.inverse._refine_root
+
+    def recording(f, fprime, lo, hi, f_lo, tol):
+        out = real(f, fprime, lo, hi, f_lo, tol)
+        refined.append((lo, hi, out[2]))
+        return out
+
+    monkeypatch.setattr(fracorder.inverse, "_refine_root", recording)
+    invert_order(problem, measurement,
+                 InverseConfig(root_tol=root_tol, scan_points=scan_points))
+    assert len(refined) == (2 if setup == "mixed_sign" else 1)
+    for lo, hi, iterations in refined:
+        assert lo < hi
+        assert 1 <= iterations <= 3 * math.ceil(math.log2((hi - lo) / root_tol))
 
 
 def test_invert_reports_multiple_roots(mixed_sign):
@@ -437,6 +483,14 @@ def test_inverse_config_validation():
         InverseConfig(f_rel_tol=1.0)
 
 
+def test_inverse_config_root_tol_floor():
+    # below 1e-15 a bracket may hold no double strictly inside it
+    for root_tol in (1e-16, 9.99e-16, 0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="InverseConfig: root_tol must be"):
+            InverseConfig(root_tol=root_tol)
+    assert InverseConfig(root_tol=1e-15).root_tol == 1e-15
+
+
 @pytest.mark.parametrize("f_rel_tol,message", [
     (1e-13, "~5.5e-14 at alpha=0.459265, z=-1.29562 misses rel_tol=5e-14"),
     (2e-11, "~1.1e-11 at alpha=0.999, z=-4.48965 misses rel_tol=1e-11"),
@@ -450,7 +504,7 @@ def test_f_rel_tol_below_round_off_floor_refused(two_mode, f_rel_tol, message):
     assert abs(invert_order(*two_mode, InverseConfig(f_rel_tol=3e-11)).alpha_hat - 0.5) <= 1e-4
 
 
-@pytest.mark.parametrize("field", ["scan_points", "max_iters"])
+@pytest.mark.parametrize("field", ["scan_points"])
 @pytest.mark.parametrize("value", [99.0, True, "99", np.float64(99.0)])
 def test_inverse_config_counts_must_be_int(field, value):
     with pytest.raises(DomainError, match=field):
