@@ -6,7 +6,8 @@ The measured value d = u(x0, t1) pins down the order through the scalar
 equation F(alpha) = d.  The paper's sign hypothesis asks every mode to
 contribute positively at x0; it does not by itself make F monotone, so the
 solver scans F to see whether it is, brackets each sign change, and refines
-the roots with derivative-accelerated bisection.
+the roots with Newton steps kept inside the bracket, bisecting where a
+step cannot be trusted.
 """
 
 import math

@@ -7,15 +7,16 @@ recovers the exponential exactly, and for 0 < alpha < 1 the decay on the
 negative axis is algebraic rather than exponential (heavy tail).
 """
 
+import math
+
 import numpy as np
-from scipy.special import erfcx
 
 from fracorder import AccuracyError, mittag_leffler
 
 # Reduction to classical functions: alpha = 1 is exp, alpha = 1/2 is the
 # scaled complementary error function exp(x^2) * erfc(x).
 print("alpha = 1   :", mittag_leffler(1.0, -0.8), "vs exp(-0.8) =", np.exp(-0.8))
-print("alpha = 1/2 :", mittag_leffler(0.5, -1.0), "vs erfcx(1)  =", float(erfcx(1.0)))
+print("alpha = 1/2 :", mittag_leffler(0.5, -1.0), "vs erfcx(1)  =", math.exp(1.0) * math.erfc(1.0))
 
 # Heavy-tail decay: compare a few orders along the negative axis.
 xs = np.array([0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0])
@@ -38,9 +39,8 @@ print("same point at a feasible target:", mittag_leffler(0.25, -2.0, rel_tol=1e-
 # The subdiffusive tail is ~ 1/(x * Gamma(1-alpha)): slower than any
 # exponential, which is why a single late-time measurement still carries
 # information about the order.
-from scipy.special import gamma
 x = 50.0
 for a in (0.25, 0.5, 0.75):
-    tail = 1.0 / (x * gamma(1.0 - a))
+    tail = 1.0 / (x * math.gamma(1.0 - a))
     print(f"alpha={a}: E = {mittag_leffler(a, -x, rel_tol=1e-8):.6e}, "
           f"leading tail = {tail:.6e}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from .errors import DomainError
 from .special import REL_TOL_MIN, _mittag_leffler_lanes, mittag_leffler, sinpi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForwardProblem:
     """Validated, canonical description of one initial-boundary value problem.
 
@@ -44,7 +45,8 @@ def make_problem(diffusivity, length, modes, time_horizon):
     Raises DomainError for a diffusivity, length or horizon that is not a
     positive real, `modes` that is not a list or tuple, a repeated mode
     index, an index that is not a positive integer, an amplitude that is not
-    a finite real, or no nonzero mode.
+    a finite real, a nonzero mode whose rate D*(n*pi/length)**2 is not a
+    finite double, or no nonzero mode.
     """
     scalars = []
     for name, value in (("diffusivity", diffusivity), ("length", length),
@@ -70,7 +72,16 @@ def make_problem(diffusivity, length, modes, time_horizon):
         if amplitude is None:
             raise DomainError(f"make_problem: mode entry {entry!r} needs a finite real amplitude")
         if amplitude != 0.0:
-            cleaned.append((n, amplitude))
+            try:
+                rate = _mode_rate(diffusivity, length, n)
+            except OverflowError:  # n*pi or its square past the double range
+                rate = math.inf
+            if not math.isfinite(rate):
+                raise DomainError(f"make_problem: mode entry {entry!r}: the rate "
+                                  f"D*(n*pi/length)**2 lies past the double range")
+            # an entry that already is the canonical pair is shared, not copied
+            cleaned.append(entry if type(entry) is tuple and entry[0] is n
+                           and entry[1] is amplitude else (n, amplitude))
 
     if not cleaned:
         raise DomainError("make_problem: no nonzero modes remain")
@@ -78,7 +89,10 @@ def make_problem(diffusivity, length, modes, time_horizon):
     for (n1, _), (n2, _) in zip(cleaned, cleaned[1:]):
         if n1 == n2:
             raise DomainError(f"make_problem: duplicate mode index {n1}")
-    return ForwardProblem(diffusivity, length, tuple(cleaned), time_horizon)
+    pairs = tuple(cleaned)
+    if type(modes) is tuple and len(modes) == len(pairs) and all(map(operator.is_, modes, pairs)):
+        pairs = modes
+    return ForwardProblem(diffusivity, length, pairs, time_horizon)
 
 
 def _not_real(value):
@@ -109,12 +123,16 @@ def _mode_index(n, where):
     raise DomainError(f"{where}: need a positive integer index, got {n!r}")
 
 
+def _mode_rate(diffusivity, length, n):
+    """D*lambda_n, with the Dirichlet eigenvalue lambda_n = (n*pi/length)**2."""
+    return diffusivity * (n * math.pi / length) ** 2
+
+
 def _mode_terms(problem, x):
-    """(a_n, sin(n*pi*x/length), D*lambda_n) for every mode at position x, with
-    the Dirichlet eigenvalue lambda_n = (n*pi/length)**2: the terms read by
-    the forward sum, F', the endpoints and the sign hypothesis."""
+    """(a_n, sin(n*pi*x/length), D*lambda_n) for every mode at position x: the
+    terms read by the forward sum, F', the endpoints and the sign hypothesis."""
     return [(amplitude, sinpi(n * (x / problem.length)),
-             problem.diffusivity * (n * math.pi / problem.length) ** 2)
+             _mode_rate(problem.diffusivity, problem.length, n))
             for n, amplitude in problem.modes]
 
 

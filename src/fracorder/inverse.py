@@ -6,8 +6,11 @@ the forward solution at the measurement point as a function of the order.
 F is evaluated here together with its analytic derivative in alpha.  A
 uniform scan, evaluated as one batch over its orders, finds the sign-change
 brackets and reports whether the sampled curve is monotone (a verdict on the
-samples, not a proof); bisection with safeguarded Newton acceleration
-refines each bracket to a root.
+samples, not a proof).  A bracketed, safeguarded Newton iteration refines
+each bracket to a root, starting from the scan's value at its left end: it
+bisects instead when a Newton step leaves the bracket, stops shrinking or
+would overrun the iteration budget set by root_tol, and ends when a step
+falls below root_tol/2 or the bracket narrows to root_tol.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ DERIVATIVE_FLOOR = 1e-14
 ROOT_TOL_MIN = 1e-15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Measurement:
     """One observation u(position, time) = value strictly inside the rod.
 
@@ -57,8 +60,10 @@ class InverseConfig:
     the factor, at any scanned or refined order raises `AccuracyError`.  The
     floor grows with |z| = D lambda_n t1**alpha, so it is highest at
     `alpha_hi`: the bundled two-mode config is refused at 2e-11 and accepted
-    at 3e-11.  `root_tol`, the bracket width at which refinement stops, may
-    not go below ROOT_TOL_MIN = 1e-15.
+    at 3e-11.  `root_tol` ends the refinement of a bracket once a Newton step
+    is below root_tol/2 or the bracket is at most root_tol wide, within
+    3*ceil(log2(cell / root_tol)) iterations for a scan cell of width `cell`
+    (rounded midpoints can add one); it may not go below ROOT_TOL_MIN = 1e-15.
     """
 
     alpha_lo: float = 1e-3
@@ -241,24 +246,30 @@ def scan_bracket(problem, measurement, config=InverseConfig()):
 
 
 def _refine_root(f, fprime, lo, hi, f_lo, root_tol):
-    """Bisection with safeguarded Newton steps on a sign bracket.
+    """Bracketed, safeguarded Newton iteration on a sign bracket [lo, hi],
+    f(lo) = f_lo (rtsafe, Press et al., Numerical Recipes, section 9.4).
 
-    Newton candidates are taken only strictly inside the current bracket,
-    only while the step keeps shrinking, and at most twice in a row before
-    a bisection is forced.  The width therefore at least halves every three
-    iterations, and refining [lo, hi] to width root_tol takes at most
-    3*ceil(log2((hi - lo) / root_tol)) iterations; rounded midpoints can add
+    Each iteration evaluates f at the iterate, keeps the side of the bracket
+    that holds the sign change, and forms the Newton candidate from fprime
+    there.  The search stops when the candidate lies in the bracket and its
+    step is below root_tol/2, returning the candidate, or when the bracket is
+    at most root_tol wide, returning its midpoint.  Otherwise the candidate
+    becomes the next iterate when it lies strictly inside the bracket, its
+    step is at most half the step before last, and enough of the budget of
+    3*ceil(log2((hi - lo) / root_tol)) iterations remains to bisect the
+    bracket down to root_tol afterwards; else the bracket midpoint does.  So
+    the search takes at most that many iterations; rounded midpoints can add
     one.  `InverseConfig` keeps root_tol >= ROOT_TOL_MIN, where a midpoint
     still lies strictly inside the bracket, so the loop always ends.
     Returns (root, trace, iterations).
     """
     if lo == hi:
-        return lo, ((1, lo, f(lo)),), 1
+        return lo, ((1, lo, f_lo),), 1
     a, b = lo, hi
     positive_left = f_lo > 0.0
+    budget = 3 * math.ceil(math.log2((b - a) / root_tol))
     x = 0.5 * (a + b)
-    prev_step = b - a
-    newton_streak = 0
+    step_before_last = step = b - a
     trace = []
     k = 0
     while b - a > root_tol:
@@ -274,20 +285,20 @@ def _refine_root(f, fprime, lo, hi, f_lo, root_tol):
         if b - a <= root_tol:
             break
         nxt = 0.5 * (a + b)
-        took_newton = False
-        if newton_streak < 2:
-            slope = 0.0
-            try:
-                slope = fprime(x)
-            except AccuracyError:
-                pass
-            if abs(slope) > DERIVATIVE_FLOOR:
-                candidate = x - fx / slope
-                if a < candidate < b and abs(candidate - x) <= 0.5 * prev_step:
-                    nxt = candidate
-                    took_newton = True
-        newton_streak = newton_streak + 1 if took_newton else 0
-        prev_step = abs(nxt - x) if nxt != x else 0.5 * (b - a)
+        slope = 0.0
+        try:
+            slope = fprime(x)
+        except AccuracyError:
+            pass
+        if abs(slope) > DERIVATIVE_FLOOR:
+            candidate = x - fx / slope
+            newton_step = abs(candidate - x)
+            if newton_step < 0.5 * root_tol and a <= candidate <= b:
+                return candidate, tuple(trace), k
+            if (a < candidate < b and newton_step <= 0.5 * step_before_last
+                    and k + 1 + math.ceil(math.log2((b - a) / root_tol)) <= budget):
+                nxt = candidate
+        step_before_last, step = step, abs(nxt - x)
         x = nxt
     return 0.5 * (a + b), tuple(trace), k
 
@@ -320,7 +331,10 @@ def invert_order(problem, measurement, config=InverseConfig()):
     def fp(a):
         return residual_derivative(problem, measurement, a, rel_tol=config.f_rel_tol)
 
-    refined = [_refine_root(f, fp, lo, hi, f(lo), config.root_tol)
+    # the scan's values are f's bits at its orders: each bracket's left end
+    # needs no new evaluation
+    scanned = dict(zip(scan.alphas.tolist(), scan.values.tolist()))
+    refined = [_refine_root(f, fp, lo, hi, scanned[lo], config.root_tol)
                for lo, hi in scan.brackets]
     alpha_hat = refined[0][0]
     res = f(alpha_hat)

@@ -1,9 +1,9 @@
 """Built-in verification suite behind the `selfcheck` command.
 
 Each check compares an implementation path against an independent target
-(the plain exponential, the erfcx identity, central finite differences,
-closed-form endpoint limits, forward/inverse round trips) and reports one
-machine-readable line.
+(the plain exponential, the erfcx identity E_1/2(-x) = exp(x^2) erfc(x),
+central finite differences, closed-form endpoint limits, forward/inverse
+round trips) and reports one machine-readable line.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfcx
 
 from .forward import evaluate_solution, make_problem
 from .inverse import Measurement, endpoint_values, invert_order
@@ -40,7 +39,7 @@ def _check_ml_exponential():
 def _check_ml_erfc_identity():
     worst = 0.0
     for x in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
-        expected = float(erfcx(x))
+        expected = math.exp(x * x) * math.erfc(x)  # erfcx(x), accurate at these x
         worst = max(worst, abs(mittag_leffler(0.5, -x, rel_tol=1e-8) - expected) / expected)
     return worst, 1e-8
 

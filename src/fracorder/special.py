@@ -12,21 +12,24 @@ The two power series, for E_a(z) and for its order derivative, hand their
 terms to one compensated-summation core, `_sum_terms`, and certify alike: a
 value is returned only when its error estimate is at most rel_tol times its
 magnitude.  Both read Gamma(alpha*j + 1), and the derivative also
-psi(alpha*j + 1), from per-order blocks of 32 terms, each built by one
-vectorised scipy call and kept in a small bounded cache: all modes at one
-order, F and F' at one refinement iterate and every cell of a fixed-order
-grid share them.  The values are the bits of the scalar scipy calls.
+psi(alpha*j + 1), from per-order blocks of 32 terms kept in a small bounded
+cache: all modes at one order, F and F' at one refinement iterate, every
+cell of a fixed-order grid and the batched scan's orders share them.
+
+Gamma, psi and log Gamma are pure-Python ports of the Cephes routines
+`gamma`, `psi` and `lgam` (S. L. Moshier, Methods and Programs for
+Mathematical Functions, 1989), the kernels behind scipy.special's ufuncs of
+the same names.  On the arguments the series reach they return scipy's bits
+(a test compares them), so the package needs numpy alone at run time.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
-from scipy.special import gamma as _sc_gamma
-from scipy.special import gammaln as _sc_gammaln
-from scipy.special import psi as _sc_psi
 
 from .errors import AccuracyError, DomainError
 
@@ -49,10 +52,14 @@ _S_TAYLOR_ONLY = 14.0
 _S_ASYM_ONLY = 30.0
 
 # Series coefficients Gamma(alpha*j + 1) and psi(alpha*j + 1) come in
-# per-order blocks of _BLOCK terms; each cache keeps the _BLOCKS_KEPT most
-# recently used, so its memory stays fixed however many orders are evaluated.
+# per-order blocks of _BLOCK terms; each cache keeps its most recently used
+# blocks, so its memory stays fixed however many orders are evaluated.  512
+# Gamma blocks hold the default 99-order scan's between inversions; the scan
+# reads no psi, so the psi cache only serves refinement iterates, whose
+# orders no later inversion reads again.
 _BLOCK = 32
-_BLOCKS_KEPT = 128
+_BLOCKS_KEPT = 512
+_PSI_BLOCKS_KEPT = 128
 
 
 def sinpi(u):
@@ -73,16 +80,142 @@ def sinpi(u):
     return -s if (n & 1) else s
 
 
+# Ports of Cephes gamma, psi and lgam.  Each polynomial is written out in the
+# Horner order of Cephes `polevl`, so every rounding happens as in the C code;
+# the branches cover the arguments the series reach: x >= 1 for `_gamma` and
+# `_psi`, x > 0 for `_gammaln`.  The Cephes cut-offs for huge x (psi's 1e17,
+# lgam's 1e8) are left out: past them the dropped terms are below half an ulp.
+_MAXGAM = 171.6243769563027  # Gamma(x) exceeds the double range from here on
+_EULER = 0.57721566490153286061
+# the positive root of psi, split into three parts, and the float32 constant
+# of the rational approximation on [1, 2]
+_PSI_ROOT1 = 1569415565.0 / 1073741824.0
+_PSI_ROOT2 = (381566830.0 / 1073741824.0) / 1073741824.0
+_PSI_ROOT3 = 0.9016312093258695918615325266959189453125e-19
+_PSI_Y = 0.99558162689208984375
+
+
+def _gamma(x):
+    """Gamma(x) for x >= 1, inf from _MAXGAM on: Stirling's formula above 33,
+    else the recurrence into [2, 3) and a rational approximation there."""
+    if x > 33.0:
+        if x >= _MAXGAM:
+            return math.inf
+        w = 1.0 / x
+        w = 1.0 + w * ((((7.87311395793093628397e-4 * w - 2.29549961613378126380e-4) * w
+                         - 2.68132617805781232825e-3) * w + 3.47222221605458667310e-3) * w
+                       + 8.33333333333482257126e-2)
+        y = math.exp(x)
+        if x > 143.01608:  # split the power so that it does not overflow
+            v = math.pow(x, 0.5 * x - 0.25)
+            y = v * (v / y)
+        else:
+            y = math.pow(x, x - 0.5) / y
+        return 2.50662827463100050242 * y * w
+    z = 1.0
+    while x >= 3.0:
+        x -= 1.0
+        z *= x
+    while x < 2.0:
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    p = ((((((1.60119522476751861407e-4 * x + 1.19135147006586384913e-3) * x
+             + 1.04213797561761569935e-2) * x + 4.76367800457137231464e-2) * x
+           + 2.07448227648435975150e-1) * x + 4.94214826801497100753e-1) * x
+         + 9.99999999999999996796e-1)
+    q = (((((((-2.31581873324120129819e-5 * x + 5.39605580493303397842e-4) * x
+              - 4.45641913851797240494e-3) * x + 1.18139785222060435552e-2) * x
+            + 3.58236398605498653373e-2) * x - 2.34591795718243348568e-1) * x
+          + 7.14304917030273074085e-2) * x + 1.00000000000000000320e0)
+    return z * p / q
+
+
+def _psi(x):
+    """psi(x) for x >= 1: a harmonic sum at the integers up to 10, else the
+    recurrence into [1, 2] and a rational approximation there below 10, and
+    the asymptotic series from 10 on."""
+    y = 0.0
+    if x <= 10.0 and x == math.floor(x):
+        for i in range(1, int(x)):
+            y += 1.0 / i
+        return y - _EULER
+    if x < 10.0:
+        while x > 2.0:
+            x -= 1.0
+            y += 1.0 / x
+    if x <= 2.0:
+        g = x - _PSI_ROOT1
+        g -= _PSI_ROOT2
+        g -= _PSI_ROOT3
+        x -= 1.0
+        p = (((((-0.0020713321167745952 * x - 0.045251321448739056) * x
+                - 0.28919126444774784) * x - 0.65031853770896507) * x
+              - 0.32555031186804491) * x + 0.25479851061131551)
+        q = ((((((-0.55789841321675513e-6 * x + 0.0021284987017821144) * x
+                 + 0.054151797245674225) * x + 0.43593529692665969) * x
+               + 1.4606242909763515) * x + 2.0767117023730469) * x + 1.0)
+        return y + (g * _PSI_Y + g * (p / q))
+    z = 1.0 / (x * x)
+    tail = z * ((((((8.33333333333333333333e-2 * z - 2.10927960927960927961e-2) * z
+                    + 7.57575757575757575758e-3) * z - 4.16666666666666666667e-3) * z
+                  + 3.96825396825396825397e-3) * z - 8.33333333333333333333e-3) * z
+                + 8.33333333333333333333e-2)
+    return y + (math.log(x) - (0.5 / x) - tail)
+
+
+def _gammaln(x):
+    """log Gamma(x) for x > 0: the recurrence into [2, 3) and a rational
+    approximation below 13, Stirling's series from 13 on."""
+    if x < 13.0:
+        z = 1.0
+        p = 0.0
+        u = x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        b = (((((-1.37825152569120859100e3 * x - 3.88016315134637840924e4) * x
+                - 3.31612992738871184744e5) * x - 1.16237097492762307383e6) * x
+              - 1.72173700820839662146e6) * x - 8.53555664245765465627e5)
+        c = ((((((x - 3.51815701436523470549e2) * x - 1.70642106651881159223e4) * x
+                - 2.20528590553854454839e5) * x - 1.13933444367982507207e6) * x
+              - 2.53252307177582951285e6) * x - 2.01889141433532773231e6)
+        return math.log(z) + x * b / c
+    q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + ((((8.11614167470508450300e-4 * p - 5.95061904284301438324e-4) * p
+                  + 7.93650340457716943945e-4) * p - 2.77777777730099687205e-3) * p
+                + 8.33333333333331927722e-2) / x
+
+
+def _port_block(port, alpha, start):
+    """port(alpha*j + 1) for j = start .. start + _BLOCK - 1."""
+    return tuple([port(alpha * j + 1.0) for j in range(start, start + _BLOCK)])
+
+
 @functools.lru_cache(maxsize=_BLOCKS_KEPT)
 def _gamma_block(alpha, start):
-    """Gamma(alpha*j + 1) for j = start .. start + _BLOCK - 1, in one ufunc call."""
-    return tuple(_sc_gamma(alpha * np.arange(start, start + _BLOCK, dtype=float) + 1.0).tolist())
+    """Gamma(alpha*j + 1) for j = start .. start + _BLOCK - 1."""
+    return _port_block(_gamma, alpha, start)
 
 
-@functools.lru_cache(maxsize=_BLOCKS_KEPT)
+@functools.lru_cache(maxsize=_PSI_BLOCKS_KEPT)
 def _psi_block(alpha, start):
-    """psi(alpha*j + 1) for j = start .. start + _BLOCK - 1, in one ufunc call."""
-    return tuple(_sc_psi(alpha * np.arange(start, start + _BLOCK, dtype=float) + 1.0).tolist())
+    """psi(alpha*j + 1) for j = start .. start + _BLOCK - 1."""
+    return _port_block(_psi, alpha, start)
 
 
 def _sum_terms(terms, total, abs_sum, threshold):
@@ -122,9 +255,9 @@ def _sum_terms(terms, total, abs_sum, threshold):
 def _ml_power_terms(alpha, z):
     """(z**j / Gamma(alpha*j + 1), its size) for j = 1 .. TAYLOR_MAX_TERMS.
 
-    Gamma comes from the cached blocks; the ufunc on `alpha * j + 1.0`
-    returns the bits of the scalar call on the same float.  Past Gamma's or
-    z**j's double range the term is taken in log space.
+    Gamma comes from the cached blocks, evaluated at the same float
+    `alpha * j + 1.0`.  Past Gamma's or z**j's double range the term is
+    taken in log space.
     """
     log_abs_z = math.log(abs(z))
     zpow = 1.0
@@ -137,7 +270,7 @@ def _ml_power_terms(alpha, z):
             if g <= 170.0 and math.isfinite(zpow):
                 term = zpow / gamma_g
             else:
-                magnitude = math.exp(j * log_abs_z - float(_sc_gammaln(g)))
+                magnitude = math.exp(j * log_abs_z - _gammaln(g))
                 term = -magnitude if (z < 0.0 and j & 1) else magnitude
             yield term, abs(term)
 
@@ -174,7 +307,7 @@ def _ml_algebraic_tail(alpha, x, rel_tol):
     n_used = 0
     for k in range(1, ASYM_MAX_TERMS + 1):
         s = alpha * k
-        log_gamma_s = float(_sc_gammaln(s))
+        log_gamma_s = _gammaln(s)
         log_env = log_gamma_s - k * log_x - _LOG_PI  # >= log |term|
         if log_env >= env_min:
             # envelope passed its minimum: optimal truncation reached
@@ -319,7 +452,8 @@ def _mittag_leffler_lanes(alphas, zs, rel_tol):
     raises the exception the first refusing lane raises there.  Lanes with
     0 < alpha < 1, z < 0 and |z|**(1/alpha) below _S_TAYLOR_ONLY, where
     `mittag_leffler` runs the power series alone, run it here together,
-    term by term, each with the scalar recurrence's operations in its order.
+    term by term, each with the scalar recurrence's operations in its order
+    and each lane's Gamma values from its order's cached blocks.
     A lane leaves the batch for `mittag_leffler`, in lane order, when it is
     outside that region, when a term passes Gamma's double range or makes
     z**j non-finite, or when the series does not certify rel_tol.
@@ -353,12 +487,18 @@ def _mittag_leffler_lanes(alphas, zs, rel_tol):
                 break
             g = a * j + 1.0
             zpow *= z
+            column = (j - 1) % _BLOCK
+            if column == 0:  # the next block of Gamma(alpha*j + 1), one row per order
+                orders, row = np.unique(a, return_inverse=True)
+                blocks = [_gamma_block(alpha, j) for alpha in orders.tolist()]
+                gammas = np.fromiter(itertools.chain.from_iterable(blocks), float,
+                                     orders.size * _BLOCK).reshape(orders.size, _BLOCK)
             keep = (g <= 170.0) & np.isfinite(zpow)
             if not keep.all():
-                lanes, a, z, g, total, comp, abs_sum, zpow, small_run, tail = (
+                lanes, a, z, g, total, comp, abs_sum, zpow, small_run, tail, row = (
                     v[keep] for v in (lanes, a, z, g, total, comp, abs_sum, zpow,
-                                      small_run, tail))
-            term = zpow / _sc_gamma(g)
+                                      small_run, tail, row))
+            term = zpow / gammas[row, column]
             # Kahan step
             y = term - comp
             t = total + y
@@ -377,9 +517,9 @@ def _mittag_leffler_lanes(alphas, zs, rel_tol):
                 values[lanes[stop][certified]] = value[certified]
                 done[lanes[stop][certified]] = True
                 keep = ~stop
-                lanes, a, z, total, comp, abs_sum, zpow, small_run, tail = (
+                lanes, a, z, total, comp, abs_sum, zpow, small_run, tail, row = (
                     v[keep] for v in (lanes, a, z, total, comp, abs_sum, zpow, small_run,
-                                      tail))
+                                      tail, row))
 
     for k in np.flatnonzero(~done).tolist():
         values[k] = mittag_leffler(alpha_list[k], z_list[k], rel_tol=rel_tol)
@@ -409,7 +549,7 @@ def _derivative_terms(alpha, c, t):
                 w = j * xpow / gamma_g
             else:
                 try:
-                    w = j * math.exp(j * log_x - float(_sc_gammaln(g)))
+                    w = j * math.exp(j * log_x - _gammaln(g))
                 except OverflowError:
                     w = math.inf
             if j & 1:

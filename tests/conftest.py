@@ -33,14 +33,25 @@ def mixed_sign():
 
 
 @pytest.fixture
-def scipy_calls(monkeypatch):
-    """Arguments of every `_sc_gamma` / `_sc_psi` call that fracorder.special
-    makes, from cleared coefficient caches on."""
-    log = {"_sc_gamma": [], "_sc_psi": []}
+def port_calls(monkeypatch):
+    """Gamma / psi port evaluations fracorder.special makes, from cleared
+    coefficient caches on: one list of arguments per block build, one float
+    per call outside a block build."""
+    special = fracorder.special
+    log = {"_gamma": [], "_psi": []}
+    real = {name: getattr(special, name) for name in log}
+    wrappers = {}
     for name, calls in log.items():
-        real = getattr(fracorder.special, name)
-        monkeypatch.setattr(fracorder.special, name,
-                            lambda x, real=real, calls=calls: calls.append(x) or real(x))
-    fracorder.special._gamma_block.cache_clear()
-    fracorder.special._psi_block.cache_clear()
+        wrappers[name] = lambda x, name=name, calls=calls: calls.append(x) or real[name](x)
+        monkeypatch.setattr(special, name, wrappers[name])
+    real_block = special._port_block
+
+    def block(port, alpha, start):
+        name = next(name for name, wrapper in wrappers.items() if wrapper is port)
+        log[name].append([alpha * j + 1.0 for j in range(start, start + special._BLOCK)])
+        return real_block(real[name], alpha, start)
+
+    monkeypatch.setattr(special, "_port_block", block)
+    special._gamma_block.cache_clear()
+    special._psi_block.cache_clear()
     return log

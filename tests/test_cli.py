@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,8 @@ from fracorder.cli import (EXIT_CONFIG, EXIT_FAILURE, EXIT_MULTI_ROOT, EXIT_NO_R
                            main, parse_config, parse_points)
 from fracorder.errors import ConfigError
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 SINGLE = CONFIG_DIR / "single_mode.json"
 TWO = CONFIG_DIR / "two_mode.json"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -239,10 +243,14 @@ def test_main_bad_points_exits_2(capsys):
      "key 'position' in section 'measurement' lies past the double range"),
     ("measurement", "extra", [[10**400, 0.1]], "an entry under 'extra' lies past the double range"),
     (None, "alpha", 10**400, "key 'alpha' in section '(top level)' lies past the double range"),
+    # mode indices whose rate D*(n*pi/length)**2 overflows
+    ("problem", "modes", [[10**300, 0.5]], "lies past the double range"),
+    ("problem", "modes", [[10**400, 0.5]], "lies past the double range"),
 ], ids=["index-null", "index-nan", "index-inf", "amplitude-string", "value-nan",
         "use_newton", "root_tol-bool", "alpha_lo-string", "scan_points-float",
         "max_iters", "root_tol-below-floor", "diffusivity-huge", "amplitude-huge",
-        "position-huge", "extra-huge", "alpha-huge"])
+        "position-huge", "extra-huge", "alpha-huge", "index-rate-overflow",
+        "index-huge"])
 def test_main_malformed_input_exits_2(tmp_path, capsys, section, key, value, message):
     data = _load_dict(SINGLE)
     (data if section is None else data.setdefault(section, {}))[key] = value
@@ -337,3 +345,18 @@ def test_main_output_matches_golden(config, command, golden, capsys):
     assert main(argv) == EXIT_OK
     expected = (GOLDEN_DIR / f"{config.stem}_{golden}").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+# ------------------------------------------------------------- imports
+
+def test_cli_import_loads_no_scipy():
+    # the runtime needs numpy alone: Gamma, psi and log Gamma are ports
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, fracorder.cli; "
+                               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

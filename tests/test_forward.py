@@ -70,10 +70,31 @@ def test_make_problem_rejects_bad_indices():
         with pytest.raises(DomainError, match=r"mode entry \(") as exc_info:
             make_problem(1.0, PI, [entry], 1.0)
         assert repr(entry) in str(exc_info.value)
+    # an index whose rate D*(n*pi/length)**2 is not a finite double: the
+    # square overflows at 10**300, n*pi already at 10**400
+    for entry in [(10**300, 1.0), (10**400, 1.0)]:
+        with pytest.raises(DomainError, match="lies past the double range"):
+            make_problem(1.0, PI, [entry], 1.0)
+    with pytest.raises(DomainError, match="lies past the double range"):
+        make_problem(1e10, PI, [(10**150, 1.0)], 1.0)  # finite square, D times it is not
     # an integral float and numpy integers and floats still pass
     problem = make_problem(1.0, PI, [(2.0, 1.0), (np.int64(3), np.float64(0.5))], 1.0)
     assert problem.modes == ((2, 1.0), (3, 0.5))
     assert all(type(n) is int and type(a) is float for n, a in problem.modes)
+
+
+def test_make_problem_shares_canonical_modes():
+    # a tuple of (int, float) pairs, sorted, nonzero: kept, not copied
+    canonical = ((2, 1.0), (3, 0.5))
+    problem = make_problem(1.0, PI, canonical, 1.0)
+    assert problem.modes is canonical
+    assert not hasattr(problem, "__dict__")  # slots: no per-instance dict
+    for other in [list(canonical), ((3, 0.5), (2, 1.0)), ((2, 1.0), (3, 0.5), (4, 0.0)),
+                  ((2, 1.0), (3.0, 0.5)), ((2, 1.0), [3, 0.5])]:
+        modes = make_problem(1.0, PI, other, 1.0).modes
+        assert modes == canonical and modes is not other
+        assert all(type(pair) is tuple and type(n) is int and type(a) is float
+                   for pair in modes for n, a in [pair])
 
 
 # ------------------------------------------------------------- eigenvalue
@@ -243,14 +264,14 @@ def test_evaluate_solution_same_in_every_cache_state():
     assert [interleaved[k] for k in range(len(calls))] == cold
 
 
-def test_grid_builds_each_coefficient_block_once(scipy_calls):
+def test_grid_builds_each_coefficient_block_once(port_calls):
     # |z| up to 2.8: the longest power series read two blocks
     problem = make_problem(0.05, PI, [(1, 1.0), (2, -0.4), (3, 0.2)], 10.0)
     evaluate_solution_grid(problem, 0.8, np.linspace(0.0, PI, 9), np.linspace(0.5, 10.0, 8))
     # only whole blocks, each once: no per-term scalar call, no psi
-    assert all(np.ndim(g) == 1 for g in scipy_calls["_sc_gamma"])
-    assert [g[0] for g in scipy_calls["_sc_gamma"]] == [0.8 * 1 + 1.0, 0.8 * 33 + 1.0]
-    assert scipy_calls["_sc_psi"] == []
+    assert all(np.ndim(g) == 1 for g in port_calls["_gamma"])
+    assert [g[0] for g in port_calls["_gamma"]] == [0.8 * 1 + 1.0, 0.8 * 33 + 1.0]
+    assert port_calls["_psi"] == []
 
 
 def test_grid_rejects_empty(single_mode):

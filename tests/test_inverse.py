@@ -243,6 +243,19 @@ def test_scan_makes_no_scalar_mittag_leffler_calls(two_mode, monkeypatch):
     assert len(calls) == 1
 
 
+def test_scan_blocks_stay_cached_between_inversions(two_mode, port_calls):
+    # the batched scan reads whole Gamma blocks, each built once, and the cache
+    # keeps them: after an inversion, scanning again builds none
+    problem, measurement = two_mode
+    invert_order(problem, measurement)
+    builds = port_calls["_gamma"]
+    assert builds and all(np.ndim(args) == 1 for args in builds)
+    assert len({tuple(args) for args in builds}) == len(builds)
+    builds.clear()
+    scan_bracket(problem, measurement)
+    assert builds == []
+
+
 # --------------------------------------------------------- invert_order
 
 def test_invert_reference_single_mode(single_mode):
@@ -291,11 +304,37 @@ def test_invert_at_root_tol_floor():
     assert report.iterations <= 3 * math.ceil(math.log2(cell / config.root_tol))
 
 
+def test_refinement_bound_holds_for_adversarial_slopes():
+    # slopes whose Newton steps crawl towards the root, a hundredth of the way
+    # at most and shrinking only as fast as the step rule demands, and that
+    # send the candidate out of the bracket just before a step could end the
+    # search: without the budget, crawls and bisections alternate for 293
+    # iterations, against a bound of 102
+    root, root_tol = 0.9, 1e-10
+    iterates = []
+
+    def slope(x):
+        iterates.append(x)
+        fx = x - root
+        toward = 1.0 if fx < 0.0 else -1.0  # the bracket lies on the root's side
+        before_last = 1.0 if len(iterates) < 3 else abs(iterates[-2] - iterates[-3])
+        step = min(0.49 * before_last, 0.01 * abs(fx))
+        if step < 4.0 * root_tol:
+            return fx / (toward * step)  # a candidate behind x, outside the bracket
+        return -fx / (toward * step)
+
+    alpha, trace, iterations = fracorder.inverse._refine_root(
+        lambda x: x - root, slope, 0.0, 1.0, -root, root_tol)
+    assert iterations <= 3 * math.ceil(math.log2(1.0 / root_tol))
+    assert abs(alpha - root) <= root_tol
+    assert len(trace) == iterations
+
+
 @pytest.mark.parametrize("setup", ["single_mode", "two_mode", "mixed_sign"])
 @pytest.mark.parametrize("root_tol", [1e-10, 1e-15])
 @pytest.mark.parametrize("scan_points", [9, 99])
 def test_refinement_within_iteration_bound(setup, root_tol, scan_points, request, monkeypatch):
-    # a midpoint at least every third iteration bounds the search by root_tol
+    # the budget of bisections still needed bounds the search by root_tol
     problem, measurement = request.getfixturevalue(setup)
     refined = []
     real = fracorder.inverse._refine_root
@@ -387,6 +426,25 @@ def test_newton_trace_stays_in_bracket(single_mode):
     lo, hi = scan.brackets[0]
     report = invert_order(problem, measurement)
     assert all(lo <= alpha <= hi for _, alpha, _ in report.trace)
+
+
+@pytest.mark.parametrize("setup", ["single_mode", "two_mode", "mixed_sign"])
+def test_newton_refinement_takes_few_iterations(setup, request, monkeypatch):
+    # each bracket ends once a Newton step is below root_tol/2: a few
+    # iterations of one residual each, none at a bracket's left end, whose
+    # value the scan holds, and alpha_hat's residual at F's rounding level
+    problem, measurement = request.getfixturevalue(setup)
+    orders = []
+    real = fracorder.inverse.residual
+    monkeypatch.setattr(fracorder.inverse, "residual",
+                        lambda *args, **kwargs: orders.append(args[2]) or real(*args, **kwargs))
+    report = invert_order(problem, measurement)
+    assert report.iterations <= 4 * len(report.roots)
+    assert len(orders) == report.iterations + 1  # the iterates, then alpha_hat
+    assert orders[-1] == report.alpha_hat
+    scale = sum(abs(term.product)
+                for term in check_uniqueness_hypothesis(problem, measurement).terms)
+    assert abs(report.residual) <= 1e-14 * scale
 
 
 def test_root_certificate(single_mode, two_mode):

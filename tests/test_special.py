@@ -6,6 +6,7 @@ import threading
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from scipy.special import erfcx
 
 import fracorder.special
@@ -506,9 +507,51 @@ def test_derivative_refuses_cancelled_values():
 
 # ------------------------------------------------ coefficient blocks
 
-def test_series_read_gamma_and_psi_blocks_once(scipy_calls):
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _port_mismatches(port, reference, xs):
+    """(count, first few arguments) where the port's bits differ from scipy's."""
+    xs = np.asarray(xs, dtype=float)
+    bad = xs[_bits([port(x) for x in xs.tolist()]) != _bits(reference(xs))]
+    return bad.size, bad[:5].tolist()
+
+
+def test_ports_return_scipy_bits():
+    # every Gamma/psi argument alpha*j + 1 of the series, j <= 700, at the
+    # default scan orders and a map of 19 orders, plus every log Gamma
+    # argument: alpha*k of the tail (orders down to 1e-9) and alpha*j + 1
+    # past Gamma's range, and seeded points in [1e-3, 2e4]
+    orders = np.concatenate([np.linspace(1e-3, 1.0 - 1e-3, 99), np.linspace(0.05, 0.95, 19)])
+    series = (orders[:, None] * np.arange(1, 701) + 1.0).ravel()
+    tail_orders = np.concatenate([orders, np.logspace(-9, -3, 13)])
+    tail = (tail_orders[:, None] * np.arange(1, fracorder.special.ASYM_MAX_TERMS + 1)).ravel()
+    log_series = (orders[:, None] * np.arange(1, fracorder.special.DERIV_MAX_TERMS + 1)
+                  + 1.0).ravel()
+    seeded = np.random.default_rng(9).uniform(1e-3, 2e4, 20000)
+    assert tail.min() <= 1e-9
+    for port, reference, xs in (
+            (fracorder.special._gamma, scipy.special.gamma, series),
+            (fracorder.special._psi, scipy.special.psi, series),
+            (fracorder.special._gammaln, scipy.special.gammaln,
+             np.concatenate([tail, log_series[log_series > 170.0], seeded]))):
+        assert _port_mismatches(port, reference, xs) == (0, []), port.__name__
+    # Gamma overflows where scipy's does, integers and half-integers included
+    edge = [170.0, 171.0, 171.5, 171.6243769563027, 171.62437695630274, 172.0, 500.5,
+            1.0, 2.0, 3.0, 10.0, 33.0, 33.5, 1.5, 2.5]
+    assert _port_mismatches(fracorder.special._gamma, scipy.special.gamma, edge) == (0, [])
+    assert _port_mismatches(fracorder.special._psi, scipy.special.psi,
+                            [1.0, 2.0, 9.0, 10.0, 10.5, 11.0, 1.4616321449683622]) == (0, [])
+    # far past the series, where Cephes drops terms below half an ulp
+    huge = np.logspace(8, 300, 200)
+    assert _port_mismatches(fracorder.special._psi, scipy.special.psi, huge) == (0, [])
+    assert _port_mismatches(fracorder.special._gammaln, scipy.special.gammaln, huge) == (0, [])
+
+
+def test_series_read_gamma_and_psi_blocks_once(port_calls):
     value = ml_alpha_derivative(0.3, 1.0, 3.0)  # 65-96 terms: three blocks of each
-    for name, args in scipy_calls.items():
+    for name, args in port_calls.items():
         assert all(np.ndim(x) == 1 for x in args), name  # no per-term scalar call
         starts = [x[0] for x in args]
         assert len(starts) == len(set(starts)) == 3, name
@@ -516,17 +559,17 @@ def test_series_read_gamma_and_psi_blocks_once(scipy_calls):
     # warm: the same order reads its blocks again, and E_alpha never pays for psi
     assert ml_alpha_derivative(0.3, 1.0, 3.0) == value
     mittag_leffler(0.3, -3.0 ** 0.3)
-    assert scipy_calls == {"_sc_gamma": [], "_sc_psi": []}
+    assert port_calls == {"_gamma": [], "_psi": []}
     _clear_coefficient_caches()
     mittag_leffler(0.3, -3.0 ** 0.3)
-    assert [x[0] for x in scipy_calls["_sc_gamma"]] == [0.3 * j + 1.0 for j in (1, 33, 65)]
-    assert scipy_calls["_sc_psi"] == []
+    assert [x[0] for x in port_calls["_gamma"]] == [0.3 * j + 1.0 for j in (1, 33, 65)]
+    assert port_calls["_psi"] == []
 
 
 def test_concurrent_orders_reproduce_serial_bits():
-    # each thread sweeps its own 40 orders: more blocks than a cache keeps, so
+    # each thread sweeps its own 120 orders: more blocks than a cache keeps, so
     # builds, hits and evictions of both caches interleave across threads
-    orders = np.linspace(0.05, 0.95, 4 * 40).reshape(4, 40).tolist()
+    orders = np.linspace(0.05, 0.95, 4 * 120).reshape(4, 120).tolist()
 
     def sweep(alphas):
         return [(_outcome(mittag_leffler, a, -0.5), _outcome(mittag_leffler, a, -3.0),
