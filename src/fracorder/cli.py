@@ -15,25 +15,20 @@ error (also an unreadable points file or an unwritable output path),
 3 no root in range, 4 non-unique root.
 """
 
-from __future__ import annotations
-
 import argparse
-import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
-from .errors import AccuracyError, ConfigError, DomainError, NoRootError
-from .forward import ForwardProblem, evaluate_solution, make_problem
-from .inverse import (InverseConfig, Measurement, endpoint_values, invert_order,
-                      scan_bracket)
-from .selfcheck import run_selfcheck
+from .errors import AccuracyError, ConfigError, DomainError, NoRootError, _shown
+from .forward import evaluate_solution, make_problem
+from .inverse import InverseConfig, Measurement, endpoint_values, invert_order, scan_bracket
 from .special import _not_real
 
 _PROBLEM_KEYS = {"diffusivity", "length", "modes", "time_horizon"}
 _MEASUREMENT_KEYS = {"position", "time", "value", "extra"}
-_INVERSE_KEYS = {field.name for field in dataclasses.fields(InverseConfig)}
+_INVERSE_KEYS = set(InverseConfig._fields)
 _OUTPUT_KEYS = {"path", "format"}
 _TOP_KEYS = {"alpha", "problem", "measurement", "inverse", "output"}
 
@@ -44,14 +39,13 @@ EXIT_NO_ROOT = 3
 EXIT_MULTI_ROOT = 4
 
 
-@dataclass
-class RunConfig:
-    problem: ForwardProblem
-    measurement: Measurement | None
-    extra_measurements: tuple[tuple[float, float], ...]
-    inverse: InverseConfig
-    alpha: float | None
-    output_path: str | None
+class RunConfig(namedtuple("RunConfig", "problem measurement extra_measurements inverse "
+                                        "alpha output_path")):
+    """A validated config: `problem`, `measurement`, `extra_measurements` as
+    (time, value) pairs, `inverse`, the forward order `alpha`, `output_path`;
+    `measurement`, `alpha` and `output_path` may be None."""
+
+    __slots__ = ()
 
 
 def _reject_unknown(section, mapping, allowed):
@@ -69,7 +63,7 @@ def _number(section, mapping, key, required=True):
         return None
     value = mapping[key]
     if _not_real(value):
-        raise ConfigError(f"key '{key}' in section '{section}' must be a number, got {value!r}")
+        raise ConfigError(f"key '{key}' in section '{section}' must be a number, got {_shown(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -108,7 +102,8 @@ def parse_config(data):
             rows = []
             for entry in meas["extra"]:
                 if not isinstance(entry, list) or len(entry) != 2 or any(map(_not_real, entry)):
-                    raise ConfigError(f"bad entry {entry!r} under 'extra': expected [time, value]")
+                    raise ConfigError(f"bad entry {_shown(entry)} under 'extra': "
+                                      f"expected [time, value]")
                 try:
                     rows.append((float(entry[0]), float(entry[1])))
                 except OverflowError:
@@ -133,7 +128,7 @@ def parse_config(data):
                 raise ConfigError(f"key 'path' in section 'output' must be a string")
             output_path = out["path"]
         if "format" in out and out["format"] != "csv":
-            raise ConfigError(f"unsupported output format {out['format']!r} (only 'csv')")
+            raise ConfigError(f"unsupported output format {_shown(out['format'])} (only 'csv')")
 
     return RunConfig(problem, measurement, extra, inverse, alpha, output_path)
 
@@ -145,8 +140,8 @@ def load_config(path):
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # also a valid integer past the digit limit for str -> int
+        raise ConfigError(f"config {path!r} cannot be decoded: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path!r} must hold a JSON object")
     return parse_config(data)
@@ -198,7 +193,7 @@ def _inverse_config(config, rel_tol=None, scan_points=None):
         updates["f_rel_tol"] = rel_tol
     if scan_points is not None:
         updates["scan_points"] = scan_points
-    return dataclasses.replace(config.inverse, **updates) if updates else config.inverse
+    return config.inverse._replace(**updates) if updates else config.inverse
 
 
 def cmd_invert(config, rel_tol=None):
@@ -248,6 +243,8 @@ def cmd_curve(config, scan_points=None, rel_tol=None):
 
 
 def cmd_selfcheck():
+    from .selfcheck import run_selfcheck  # only this command needs the suite
+
     lines, ok = run_selfcheck()
     return "\n".join(lines) + "\n", EXIT_OK if ok else EXIT_FAILURE
 

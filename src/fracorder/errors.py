@@ -15,3 +15,12 @@ class NoRootError(RuntimeError):
 
 class ConfigError(ValueError):
     """A run configuration is malformed; the message names the offending key."""
+
+
+def _shown(value):
+    """repr(value) for a refusal message; its type alone where repr raises
+    ValueError, as for an int past the str conversion limit of 4300 digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<unprintable {type(value).__name__}>"

@@ -9,30 +9,25 @@ Mittag-Leffler core.  Only the array functions `evaluate_solution_grid` and
 `sine_coefficient` import numpy, when they are called.
 """
 
-from __future__ import annotations
-
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .errors import DomainError
-from .special import (REL_TOL_MIN, _finite_float, _mittag_leffler, _real, mittag_leffler,
-                      sinpi)
+from .errors import DomainError, _shown
+from .special import (REL_TOL_MAX, REL_TOL_MIN, _finite_float, _mittag_leffler, _real,
+                      mittag_leffler, sinpi)
 
 
-@dataclass(frozen=True, slots=True)
-class ForwardProblem:
+class ForwardProblem(namedtuple("ForwardProblem", "diffusivity length modes time_horizon")):
     """Validated, canonical description of one initial-boundary value problem.
 
-    `modes` holds (index, amplitude) pairs, strictly ascending in index,
-    with every amplitude nonzero.  Construct through `make_problem`, which
-    canonicalizes raw input.
+    `diffusivity`, `length` and `time_horizon` are positive floats; `modes`
+    holds (index, amplitude) pairs, strictly ascending in index, with every
+    amplitude nonzero.  Construct through `make_problem`, which canonicalizes
+    raw input.
     """
 
-    diffusivity: float
-    length: float
-    modes: tuple[tuple[int, float], ...]
-    time_horizon: float
+    __slots__ = ()
 
     @property
     def n_modes(self):
@@ -55,30 +50,30 @@ def make_problem(diffusivity, length, modes, time_horizon):
         number = _finite_float(value)
         if number is None or number <= 0.0:
             raise DomainError(f"make_problem: {name} must be a positive real number, "
-                              f"got {value!r}")
+                              f"got {_shown(value)}")
         scalars.append(number)
     diffusivity, length, time_horizon = scalars
     if not isinstance(modes, (list, tuple)):
         raise DomainError(f"make_problem: modes must be a list or tuple of "
-                          f"(index, amplitude) pairs, got {modes!r}")
+                          f"(index, amplitude) pairs, got {_shown(modes)}")
 
     cleaned = []
     for entry in modes:
         try:
             n, amplitude = entry
         except (TypeError, ValueError):
-            raise DomainError(f"make_problem: mode entries must be (index, amplitude) pairs, got {entry!r}")
-        n = _mode_index(n, f"make_problem: mode entry {entry!r}")
+            raise DomainError(f"make_problem: mode entries must be (index, amplitude) pairs, got {_shown(entry)}")
+        n = _mode_index(n, f"make_problem: mode entry {_shown(entry)}")
         amplitude = _finite_float(amplitude)
         if amplitude is None:
-            raise DomainError(f"make_problem: mode entry {entry!r} needs a finite real amplitude")
+            raise DomainError(f"make_problem: mode entry {_shown(entry)} needs a finite real amplitude")
         if amplitude != 0.0:
             try:
                 rate = _mode_rate(diffusivity, length, n)
             except OverflowError:  # n*pi or its square past the double range
                 rate = math.inf
             if not math.isfinite(rate):
-                raise DomainError(f"make_problem: mode entry {entry!r}: the rate "
+                raise DomainError(f"make_problem: mode entry {_shown(entry)}: the rate "
                                   f"D*(n*pi/length)**2 lies past the double range")
             # an entry that already is the canonical pair is shared, not copied
             cleaned.append(entry if type(entry) is tuple and entry[0] is n
@@ -104,7 +99,7 @@ def _mode_index(n, where):
             return int(n)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise DomainError(f"{where}: need a positive integer index, got {n!r}")
+    raise DomainError(f"{where}: need a positive integer index, got {_shown(n)}")
 
 
 def _mode_rate(diffusivity, length, n):
@@ -120,12 +115,23 @@ def _mode_terms(problem, x):
             for n, amplitude in problem.modes]
 
 
+def _mode_tol(problem, rel_tol, name):
+    """max(rel_tol / n_modes, REL_TOL_MIN) for each mode's factor; DomainError
+    naming `name` unless rel_tol is a real in [REL_TOL_MIN, REL_TOL_MAX]."""
+    rel_tol = _real(rel_tol, name)
+    if not REL_TOL_MIN <= rel_tol <= REL_TOL_MAX:
+        raise DomainError(f"{name} must lie in [{REL_TOL_MIN}, {REL_TOL_MAX}], "
+                          f"got {rel_tol!r}")
+    return max(rel_tol / problem.n_modes, REL_TOL_MIN)
+
+
 def evaluate_solution(problem, alpha, x, t, rel_tol=1e-10):
     """Solution value u(x, t) for order alpha in (0, 1].
 
     Sums amplitude * E_alpha(-D*lambda_n*t**alpha) * sin(n*pi*x/length)
     over the problem's modes, each Mittag-Leffler factor evaluated at
-    rel_tol / n_modes.  Exactly zero on the boundary x in {0, length}.
+    rel_tol / n_modes (at least REL_TOL_MIN); rel_tol must lie in
+    [REL_TOL_MIN, REL_TOL_MAX].  Exactly zero on the boundary x in {0, length}.
     """
     alpha = _real(alpha, "evaluate_solution: alpha")
     if not (math.isfinite(alpha) and 0.0 < alpha <= 1.0):
@@ -136,8 +142,7 @@ def evaluate_solution(problem, alpha, x, t, rel_tol=1e-10):
         raise DomainError(f"x={x!r} outside [0, {problem.length}]")
     if not (math.isfinite(t) and 0.0 < t <= problem.time_horizon):
         raise DomainError(f"t={t!r} outside (0, {problem.time_horizon}]")
-    mode_tol = max(_real(rel_tol, "evaluate_solution: rel_tol") / problem.n_modes,
-                   REL_TOL_MIN)
+    mode_tol = _mode_tol(problem, rel_tol, "evaluate_solution: rel_tol")
     ta = t**alpha
     total = 0.0
     for amplitude, basis, rate in _mode_terms(problem, x):

@@ -14,13 +14,11 @@ stops shrinking or would overrun the iteration budget set by root_tol, and
 ends when a step falls below root_tol/2 or the bracket narrows to root_tol.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .errors import AccuracyError, DomainError, NoRootError
-from .forward import _mode_terms, _solution_at_orders, evaluate_solution
+from .errors import AccuracyError, DomainError, NoRootError, _shown
+from .forward import _mode_terms, _mode_tol, _solution_at_orders, evaluate_solution
 from .special import (REL_TOL_MAX, REL_TOL_MIN, _finite_float, _not_real, _real,
                       ml_alpha_derivative)
 
@@ -36,23 +34,22 @@ DERIVATIVE_FLOOR = 1e-14
 ROOT_TOL_MIN = 1e-15
 
 
-@dataclass(frozen=True, slots=True)
-class Measurement:
-    """One observation u(position, time) = value strictly inside the rod.
+class Measurement(namedtuple("Measurement", "position time value", defaults=(None,))):
+    """One observation u(`position`, `time`) = `value` strictly inside the rod.
 
-    `value` may be None while a configuration is only used for forward
-    evaluation; every inverse operation requires it.
+    `value` may be None, its default, while a configuration is only used for
+    forward evaluation; every inverse operation requires it.
     """
 
-    position: float
-    time: float
-    value: float | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class InverseConfig:
+class InverseConfig(namedtuple("InverseConfig", "alpha_lo alpha_hi root_tol scan_points f_rel_tol",
+                               defaults=(1e-3, 1.0 - 1e-3, 1e-10, 99, 1e-10))):
     """Knobs of the order search; defaults match the documented contract.
 
+    The scan takes `scan_points` >= 9 orders from `alpha_lo` to `alpha_hi` in
+    (0, 1); every construction, `_make` and `_replace` included, checks them.
     `f_rel_tol` is the relative accuracy asked of F(alpha); each mode's
     Mittag-Leffler factor is asked for `f_rel_tol / n_modes`.  A request
     below the power series' round-off floor, `6*EPS*sum|term|` relative to
@@ -65,79 +62,73 @@ class InverseConfig:
     (rounded midpoints can add one); it may not go below ROOT_TOL_MIN = 1e-15.
     """
 
-    alpha_lo: float = 1e-3
-    alpha_hi: float = 1.0 - 1e-3
-    root_tol: float = 1e-10
-    scan_points: int = 99
-    f_rel_tol: float = 1e-10
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        return super().__new__(cls, *args, **kwargs)._checked()
+
+    @classmethod
+    def _make(cls, iterable):  # _replace calls it; namedtuple's skips __new__
+        return super()._make(iterable)._checked()
+
+    def _checked(self):
         for name in ("alpha_lo", "alpha_hi", "root_tol", "f_rel_tol"):
             _real(getattr(self, name), f"InverseConfig: {name}")
         if not (0.0 < self.alpha_lo < self.alpha_hi < 1.0):
             raise DomainError(
                 f"InverseConfig: need 0 < alpha_lo < alpha_hi < 1, got "
-                f"[{self.alpha_lo!r}, {self.alpha_hi!r}]")
+                f"[{_shown(self.alpha_lo)}, {_shown(self.alpha_hi)}]")
         if (isinstance(self.scan_points, bool) or not isinstance(self.scan_points, int)
                 or self.scan_points < 9):
             raise DomainError(f"InverseConfig: scan_points must be an integer >= 9, "
-                              f"got {self.scan_points!r}")
+                              f"got {_shown(self.scan_points)}")
         if not ROOT_TOL_MIN <= self.root_tol < math.inf:
             raise DomainError(f"InverseConfig: root_tol must be finite and at least "
-                              f"{ROOT_TOL_MIN}, got {self.root_tol!r}")
+                              f"{ROOT_TOL_MIN}, got {_shown(self.root_tol)}")
         if not REL_TOL_MIN <= self.f_rel_tol <= REL_TOL_MAX:
             raise DomainError(f"InverseConfig: f_rel_tol must lie in "
-                              f"[{REL_TOL_MIN}, {REL_TOL_MAX}], got {self.f_rel_tol!r}")
+                              f"[{REL_TOL_MIN}, {REL_TOL_MAX}], got {_shown(self.f_rel_tol)}")
+        return self
 
 
-@dataclass(frozen=True)
-class ModeTerm:
-    """Sign data of one mode's contribution at the measurement point."""
+class ModeTerm(namedtuple("ModeTerm", "index amplitude basis_value")):
+    """Sign data of one mode's contribution at the measurement point: the
+    mode `index`, its `amplitude` and `basis_value` = sin(index*pi*x0/length)."""
 
-    index: int
-    amplitude: float
-    basis_value: float
+    __slots__ = ()
 
     @property
     def product(self):
         return self.amplitude * self.basis_value
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
-    holds: bool
-    terms: tuple[ModeTerm, ...]
+class UniquenessReport(namedtuple("UniquenessReport", "holds terms")):
+    """Outcome of `check_uniqueness_hypothesis`: the verdict `holds` and
+    one ModeTerm per mode in `terms`."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    """The scan's orders, F(alpha) - d at each, the monotonicity verdict on
-    those samples and the sign-change cells (lo, hi), lo == hi for an exact
-    zero."""
+class ScanResult(namedtuple("ScanResult", "alphas values monotone brackets")):
+    """The scan's orders `alphas`, F(alpha) - d at each in `values`, the
+    `monotone` verdict on those samples and the sign-change cells (lo, hi) in
+    `brackets`, lo == hi for an exact zero; every sequence is a tuple."""
 
-    alphas: tuple[float, ...]
-    values: tuple[float, ...]
-    monotone: bool
-    brackets: tuple[tuple[float, float], ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class InversionReport:
+class InversionReport(namedtuple("InversionReport", "alpha_hat residual derivative_at_root "
+                                 "monotone uniqueness_hypothesis sensitivity trace roots iterations")):
     """Outcome of `invert_order`; `alpha_hat` is the first of `roots`.
 
+    `residual` is F(alpha_hat) - d, `monotone` and `uniqueness_hypothesis` the
+    scan's and the sign hypothesis' verdicts, `trace` the steps (k, alpha,
+    F - d) that refined `alpha_hat` and `iterations` the count over all roots.
     `derivative_at_root` and `sensitivity` (|1/F'|) are nan when F'(alpha_hat)
     cannot be certified (AccuracyError); the root stands.
     """
 
-    alpha_hat: float
-    residual: float
-    derivative_at_root: float
-    monotone: str
-    uniqueness_hypothesis: bool
-    sensitivity: float
-    trace: tuple[tuple[int, float, float], ...]
-    roots: tuple[float, ...]
-    iterations: int
+    __slots__ = ()
 
     @property
     def unique(self):
@@ -148,8 +139,8 @@ def _field_error(name, raw, reason):
     """DomainError for measurement field `name`: a type refusal for a bool or
     non-real `raw`, else `reason`."""
     if _not_real(raw):
-        return DomainError(f"measurement {name} must be a real number, got {raw!r}")
-    return DomainError(f"measurement {name} {raw!r} {reason}")
+        return DomainError(f"measurement {name} must be a real number, got {_shown(raw)}")
+    return DomainError(f"measurement {name} {_shown(raw)} {reason}")
 
 
 def _check_measurement(problem, measurement, need_value=True):
@@ -181,8 +172,7 @@ def residual_derivative(problem, measurement, alpha, rel_tol=1e-10):
     if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
         raise DomainError(f"residual_derivative: need 0 < alpha < 1, got {alpha!r}")
     _check_measurement(problem, measurement, need_value=False)
-    mode_tol = max(_real(rel_tol, "residual_derivative: rel_tol") / problem.n_modes,
-                   REL_TOL_MIN)
+    mode_tol = _mode_tol(problem, rel_tol, "residual_derivative: rel_tol")
     total = 0.0
     for amplitude, basis, rate in _mode_terms(problem, measurement.position):
         if basis == 0.0:

@@ -6,8 +6,6 @@ central finite differences, closed-form endpoint limits, forward/inverse
 round trips) and reports one machine-readable line.
 """
 
-from __future__ import annotations
-
 import math
 
 from .forward import evaluate_solution, make_problem

@@ -258,6 +258,43 @@ def test_main_malformed_input_exits_2(tmp_path, capsys, section, key, value, mes
     assert message in capsys.readouterr().err
 
 
+def test_main_integer_past_digit_limit_exits_2(tmp_path, capsys):
+    # a JSON integer over 4300 digits makes json.loads raise a plain
+    # ValueError, not a JSONDecodeError
+    text = json.dumps(_load_dict(SINGLE)).replace('"diffusivity": 0.1',
+                                                  '"diffusivity": 1' + "0" * 5000)
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["invert", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: config ") and "cannot be decoded" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("problem", "diffusivity", [10**5000], "must be a number, got <unprintable list>"),
+    ("problem", "modes", [[1, 10**5000]], "mode entry <unprintable list>"),
+    ("measurement", "extra", [[10**5000]], "bad entry <unprintable list> under 'extra'"),
+    ("output", "format", 10**5000, "unsupported output format <unprintable int>"),
+], ids=["number", "mode", "extra", "format"])
+def test_parse_config_refuses_unprintable_values(section, key, value, message):
+    # values whose repr raises ValueError (ints past str()'s 4300-digit limit)
+    # still give a ConfigError; they can reach parse_config from Python
+    data = _load_dict(SINGLE)
+    data.setdefault(section, {})[key] = value
+    with pytest.raises(ConfigError, match=message):
+        parse_config(data)
+
+
+def test_main_rel_tol_override_checked(capsys):
+    # --rel-tol goes through InverseConfig._replace, which checks it
+    assert main(["invert", "--config", str(TWO), "--rel-tol", "1e-20"]) == EXIT_CONFIG
+    assert "f_rel_tol must lie in" in capsys.readouterr().err
+    assert main(["forward", "--config", str(SINGLE), "--points", "0.5,1.0",
+                 "--rel-tol", "-1"]) == EXIT_CONFIG
+    assert "evaluate_solution: rel_tol must lie in" in capsys.readouterr().err
+
+
 def test_main_unreadable_points_exits_2(tmp_path, capsys):
     binary = tmp_path / "points.bin"
     binary.write_bytes(b"\xff\xfe0.5,1")
@@ -363,18 +400,22 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_numpy(tmp_path):
-    # the CLI and the inverse path use the standard library alone; numpy
-    # serves only evaluate_solution_grid and sine_coefficient
+    # the CLI and the inverse path use the standard library alone: numpy
+    # serves only evaluate_solution_grid and sine_coefficient, the records are
+    # named tuples (no dataclasses, inspect or typing), and selfcheck loads
+    # only for its own command.  -S keeps site out, whose .pth files can
+    # import typing themselves; PYTHONPATH still applies
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     output = tmp_path / "invert.txt"
     argv = ["invert", "--config", str(TWO), "--output", str(output)]
+    banned = ("numpy", "scipy", "dataclasses", "inspect", "typing", "fracorder.selfcheck")
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, fracorder.cli; "
-                               f"code = fracorder.cli.main({argv!r}); "
-                               "print(code, sorted(m for m in sys.modules "
-                               "if m.split('.')[0] in ('numpy', 'scipy')))"],
+        [sys.executable, "-S", "-c", "import sys, fracorder.cli; "
+                                     f"code = fracorder.cli.main({argv!r}); "
+                                     "print(code, sorted(m for m in sys.modules if any("
+                                     f"m == b or m.startswith(b + '.') for b in {banned!r})))"],
         env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "0 []"

@@ -35,16 +35,18 @@ def test_make_problem_rejects_bad_scalars():
     with pytest.raises(DomainError):
         make_problem(0.1, PI, [(1, 1.0)], -1.0)
     # a bool, a string, None, an int past the double range or a non-finite
-    # value is refused by name, whichever scalar it stands for
-    for bad in (True, "0.1", None, 10**400, math.nan, math.inf):
+    # value is refused by name, whichever scalar it stands for; an int past
+    # the 4300-digit limit of str(), whose repr raises ValueError, too
+    for bad in (True, "0.1", None, 10**400, 10**5000, math.nan, math.inf):
         for position, name in enumerate(("diffusivity", "length", "time_horizon")):
             args = [0.1, PI, 1.0]
             args[position] = bad
             with pytest.raises(DomainError, match=f"make_problem: {name} must be"):
                 make_problem(args[0], args[1], [(1, 1.0)], args[2])
-    with pytest.raises(DomainError, match="needs a finite real amplitude"):
-        make_problem(0.1, PI, [(1, 10**400)], 1.0)
-    for modes in (3, None, "12", {(1, 1.0)}):
+    for amplitude in (10**400, 10**5000):
+        with pytest.raises(DomainError, match="needs a finite real amplitude"):
+            make_problem(0.1, PI, [(1, amplitude)], 1.0)
+    for modes in (3, None, "12", {(1, 1.0)}, 10**5000):
         with pytest.raises(DomainError, match="modes must be a list or tuple"):
             make_problem(0.1, PI, modes, 1.0)
     # integers and numpy scalars stay valid
@@ -77,6 +79,11 @@ def test_make_problem_rejects_bad_indices():
             make_problem(1.0, PI, [entry], 1.0)
     with pytest.raises(DomainError, match="lies past the double range"):
         make_problem(1e10, PI, [(10**150, 1.0)], 1.0)  # finite square, D times it is not
+    # an entry whose repr raises ValueError (an int past str()'s 4300-digit
+    # limit) is still refused by DomainError, shown by its type
+    for entry in [(-10**5000, 1.0), (10**5000, 1.0), (1, 10**5000), (1, 2, 10**5000)]:
+        with pytest.raises(DomainError, match=r"mode entr.* <unprintable tuple>"):
+            make_problem(1.0, PI, [entry], 1.0)
     # an integral float and numpy integers and floats still pass
     problem = make_problem(1.0, PI, [(2.0, 1.0), (np.int64(3), np.float64(0.5))], 1.0)
     assert problem.modes == ((2, 1.0), (3, 0.5))
@@ -204,6 +211,22 @@ def test_domain_validation(single_mode):
             evaluate_solution_grid(problem, 0.5, [1.0], [bad])
         with pytest.raises(DomainError, match="^evaluate_solution: alpha "):
             evaluate_solution_grid(problem, bad, [1.0], [1.0])
+
+
+def test_evaluate_solution_refuses_rel_tol_out_of_range():
+    # a tolerance outside [REL_TOL_MIN, REL_TOL_MAX] is refused by name
+    # before the per-mode split, not raised silently to 1e-15 per mode
+    problem = make_problem(0.1, PI, [(1, 1.0)], 4)
+    for bad in (-1.0, 0.0, 1e-16, 2e-3, math.nan, math.inf):
+        with pytest.raises(DomainError, match="^evaluate_solution: rel_tol must lie in"):
+            evaluate_solution(problem, 0.5, 1.0, 1.0, rel_tol=bad)
+        with pytest.raises(DomainError, match="^evaluate_solution: rel_tol must lie in"):
+            evaluate_solution_grid(problem, 0.5, [1.0], [1.0], rel_tol=bad)
+    # both ends of the range stay legal (1e-15 is attainable at alpha = 1)
+    assert evaluate_solution(problem, 1.0, 1.0, 1.0, rel_tol=fracorder.special.REL_TOL_MIN) \
+        == pytest.approx(math.exp(-0.1) * math.sin(1.0), rel=1e-15)
+    assert evaluate_solution(problem, 0.5, 1.0, 1.0, rel_tol=fracorder.special.REL_TOL_MAX) \
+        == pytest.approx(evaluate_solution(problem, 0.5, 1.0, 1.0), rel=1e-3)
 
 
 # ------------------------------------------------- evaluate_solution_grid

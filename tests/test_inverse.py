@@ -47,7 +47,9 @@ def test_measurement_domain_validation(single_mode):
     for field, bad in [("position", "0.785"), ("position", None), ("position", True),
                        ("position", 10**400), ("time", True), ("time", "2.0"),
                        ("time", 10**400), ("value", True), ("value", "0.25"),
-                       ("value", [0.25]), ("value", 10**400)]:
+                       ("value", [0.25]), ("value", 10**400),
+                       # reprs that raise ValueError: past str()'s 4300-digit limit
+                       ("position", 10**5000), ("value", [10**5000])]:
         measurement = Measurement(**{**good, field: bad})
         with pytest.raises(DomainError, match=f"measurement {field}"):
             residual(problem, measurement, 0.5)
@@ -146,6 +148,20 @@ def test_orders_and_tolerances_must_be_real(single_mode):
             residual(problem, measurement, 0.5, rel_tol=bad)
         with pytest.raises(DomainError, match="^residual_derivative: rel_tol "):
             residual_derivative(problem, measurement, 0.5, rel_tol=bad)
+
+
+def test_rel_tol_out_of_range_refused(single_mode):
+    # refused by name before the per-mode split, not raised silently to 1e-15
+    # per mode, where it surfaced as an AccuracyError about cancellation
+    problem, measurement = single_mode
+    for bad in (-5.0, -1.0, 0.0, 1e-16, 2e-3, math.nan):
+        with pytest.raises(DomainError, match="^evaluate_solution: rel_tol must lie in"):
+            residual(problem, measurement, 0.5, rel_tol=bad)
+        with pytest.raises(DomainError, match="^residual_derivative: rel_tol must lie in"):
+            residual_derivative(problem, measurement, 0.5, rel_tol=bad)
+        with pytest.raises(DomainError, match="rel_tol must lie in"):
+            sensitivity_profile(problem, measurement, [0.5], rel_tol=bad)
+    assert math.isfinite(residual_derivative(problem, measurement, 0.5, rel_tol=1e-3))
 
 
 # ------------------------------------------- check_uniqueness_hypothesis
