@@ -15,7 +15,11 @@ is returned only when its error estimate is at most rel_tol times its
 magnitude.  Both read Gamma(alpha*j + 1), and the derivative also
 psi(alpha*j + 1), from per-order blocks of 32 terms kept in a small bounded
 cache: all modes at one order, F and F' at one refinement iterate, every
-cell of a fixed-order grid and the scan's orders share them.
+cell of a fixed-order grid and the scan's orders share them.  The E_a series
+tests the range of its terms once per block: a block whose Gamma arguments
+stay at most 170 and whose powers of z stay below 1e300 is summed with no
+per-term test, and the per-term loop, which takes a term past either range
+in log space, serves the blocks that fail the test.
 
 `mittag_leffler` checks its arguments and hands them to the unchecked core
 `_mittag_leffler`, which the order scan calls directly with arguments an
@@ -28,13 +32,11 @@ the same names.  On the arguments the series reach they return scipy's bits
 (a test compares them), so this module needs the standard library alone.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import numbers
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, _shown
 
 _EPS = 2.220446049250313e-16
 _LOG_PI = math.log(math.pi)
@@ -89,7 +91,7 @@ def _real(value, name):
     if type(value) is float:
         return value
     if _not_real(value):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
+        raise DomainError(f"{name} must be a real number, got {_shown(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -296,13 +298,22 @@ def _ml_power_series(alpha, z, rel_tol):
     slower.
 
     Gamma comes from the cached blocks, evaluated at the same float
-    `alpha * j + 1.0`.  Past Gamma's or z**j's double range the term is
-    taken in log space.  Truncation stops at an internal threshold of
-    rel_tol/8 so the certified total stays below the requested rel_tol with
-    headroom.
+    `alpha * j + 1.0`.  Whether a block's terms are in range is tested once
+    per block: a full block whose last Gamma argument is at most 170 and
+    whose powers of z cannot pass 1e300 sums `zpow / Gamma` with no per-term
+    test.  Every other block, the budget's sliced last one and those past
+    Gamma's or z**j's double range, takes the per-term loop, which moves a
+    term past either range into log space.  Both loops make the same
+    operations on an in-range term, so the value keeps its bits whichever
+    loop sums it.  Truncation stops at an internal threshold of rel_tol/8
+    so the certified total stays below the requested rel_tol with headroom.
     """
     threshold = 0.125 * rel_tol
     isfinite = math.isfinite
+    abs_z = abs(z)
+    # a |zpow| below this keeps the next _BLOCK powers under 1e300; exp
+    # underflows to 0 rather than raising, and a NaN z compares False
+    zpow_cap = math.inf if abs_z <= 1.0 else 1e300 * math.exp(-_BLOCK * math.log(abs_z))
     total = 1.0  # j = 0: 1/Gamma(1)
     abs_sum = 1.0
     comp = 0.0
@@ -311,14 +322,40 @@ def _ml_power_series(alpha, z, rel_tol):
     zpow = 1.0
     j = 0
     while j < TAYLOR_MAX_TERMS:
-        for gamma_g in _gamma_block(alpha, j + 1)[:TAYLOR_MAX_TERMS - j]:
+        gammas = _gamma_block(alpha, j + 1)
+        end = j + _BLOCK
+        # alpha*j + 1.0 never decreases in j, so the block's last is its largest
+        if end <= TAYLOR_MAX_TERMS and alpha * end + 1.0 <= 170.0 and abs(zpow) < zpow_cap:
+            j = end
+            for gamma_g in gammas:
+                zpow *= z
+                term = zpow / gamma_g
+                size = abs(term)
+                # Kahan step
+                y = term - comp
+                t = total + y
+                comp = (t - total) - y
+                total = t
+                abs_sum += size
+                scale = abs(total)
+                if size <= threshold * (1e-300 if 1e-300 > scale else scale):
+                    small_run += 1
+                    if size > tail:
+                        tail = size
+                    if small_run == 3:
+                        return total + comp, 2.0 * tail + 6.0 * _EPS * abs_sum, True
+                else:
+                    small_run = 0
+                    tail = 0.0
+            continue
+        for gamma_g in gammas[:TAYLOR_MAX_TERMS - j]:
             j += 1
             g = alpha * j + 1.0
             zpow *= z
             if g <= 170.0 and isfinite(zpow):
                 term = zpow / gamma_g
             else:
-                term = math.exp(j * math.log(abs(z)) - _gammaln(g))
+                term = math.exp(j * math.log(abs_z) - _gammaln(g))
                 if z < 0.0 and j & 1:
                     term = -term
             size = abs(term)

@@ -402,15 +402,17 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_loads_no_numpy(tmp_path):
     # the CLI and the inverse path use the standard library alone: numpy
     # serves only evaluate_solution_grid and sine_coefficient, the records are
-    # named tuples (no dataclasses, inspect or typing), and selfcheck loads
-    # only for its own command.  -S keeps site out, whose .pth files can
-    # import typing themselves; PYTHONPATH still applies
+    # named tuples (no dataclasses, inspect or typing), no module imports
+    # __future__, and selfcheck loads only for its own command.  -S keeps
+    # site out, whose .pth files can import typing themselves; PYTHONPATH
+    # still applies
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     output = tmp_path / "invert.txt"
     argv = ["invert", "--config", str(TWO), "--output", str(output)]
-    banned = ("numpy", "scipy", "dataclasses", "inspect", "typing", "fracorder.selfcheck")
+    banned = ("numpy", "scipy", "dataclasses", "inspect", "typing", "__future__",
+              "fracorder.selfcheck")
     result = subprocess.run(
         [sys.executable, "-S", "-c", "import sys, fracorder.cli; "
                                      f"code = fracorder.cli.main({argv!r}); "

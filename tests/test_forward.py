@@ -197,8 +197,9 @@ def test_domain_validation(single_mode):
         evaluate_solution(problem, 0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         evaluate_solution(problem, 1.1, 1.0, 1.0)
-    # a bool, a string or a number past the double range is refused by name
-    for bad in (True, "1.0", 10**400):
+    # a bool, a string, a number past the double range or a container whose
+    # repr raises (an int past the 4300-digit limit) is refused by name
+    for bad in (True, "1.0", 10**400, (10**5000,)):
         for name, args in (("alpha", (bad, 1.0, 1.0)), ("x", (0.5, bad, 1.0)),
                            ("t", (0.5, 1.0, bad))):
             with pytest.raises(DomainError, match=f"^evaluate_solution: {name} "):

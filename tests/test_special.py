@@ -176,7 +176,8 @@ def test_gamma_ratio_domain():
 # -------------------------------------------------------------- sinpi
 
 def test_sinpi_domain_errors():
-    for bad in (True, "0.5", None, 10**400, math.nan, math.inf):
+    # [10**5000] has no repr (past the 4300-digit limit); the refusal still names it
+    for bad in (True, "0.5", None, 10**400, [10**5000], math.nan, math.inf):
         with pytest.raises(DomainError, match="^sinpi: argument "):
             sinpi(bad)
     assert sinpi(3) == 0.0 and sinpi(np.float64(0.5)) == 1.0
@@ -275,7 +276,8 @@ def test_ml_domain_errors():
     # a bool, a non-real or a number past the double range, named
     for args, name in [((True, -1.0), "alpha"), ((0.5, True), "z"), ((0.5, "-1.0"), "z"),
                        ((0.5, -1.0, "1e-10"), "rel_tol"), ((10**400, -1.0), "alpha"),
-                       ((0.5, -10**400), "z"), ((0.5, -1.0, 10**400), "rel_tol")]:
+                       ((0.5, -10**400), "z"), ((0.5, -1.0, 10**400), "rel_tol"),
+                       (([10**5000], -1.0), "alpha")]:
         with pytest.raises(DomainError, match=f"^mittag_leffler: {name} "):
             mittag_leffler(*args)
     with pytest.raises(DomainError):
@@ -301,6 +303,90 @@ def test_ml_accuracy_refusal_in_crossover():
 def test_ml_overflow_for_large_positive():
     with pytest.raises(OverflowError):
         mittag_leffler(0.2, 5.0)
+
+
+# ------------------------------------- power series against its reference
+
+def _per_term_power_series(alpha, z, rel_tol):
+    """The power series of E_alpha(z) with its range tested at every term:
+    the reference whose bits `_ml_power_series` must return."""
+    special = fracorder.special
+    threshold = 0.125 * rel_tol
+    total = 1.0
+    abs_sum = 1.0
+    comp = 0.0
+    small_run = 0
+    tail = 0.0
+    zpow = 1.0
+    j = 0
+    while j < special.TAYLOR_MAX_TERMS:
+        for gamma_g in _gamma_block(alpha, j + 1)[:special.TAYLOR_MAX_TERMS - j]:
+            j += 1
+            g = alpha * j + 1.0
+            zpow *= z
+            if g <= 170.0 and math.isfinite(zpow):
+                term = zpow / gamma_g
+            else:
+                term = math.exp(j * math.log(abs(z)) - special._gammaln(g))
+                if z < 0.0 and j & 1:
+                    term = -term
+            size = abs(term)
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            abs_sum += size
+            scale = abs(total)
+            if size <= threshold * (1e-300 if 1e-300 > scale else scale):
+                small_run += 1
+                if size > tail:
+                    tail = size
+                if small_run == 3:
+                    return total + comp, 2.0 * tail + 6.0 * special._EPS * abs_sum, True
+            else:
+                small_run = 0
+                tail = 0.0
+    return total + comp, math.inf, False
+
+
+def _series_outcome(series, alpha, z, rel_tol):
+    """(value, error) float bytes and `converged`, or (type, message)."""
+    try:
+        value, err, converged = series(alpha, z, rel_tol)
+    except ArithmeticError as exc:  # math.exp past the double range, off the map's series region
+        return type(exc), str(exc)
+    return value.hex(), err.hex(), converged
+
+
+def _series_mismatches(args):
+    return [a for a in args
+            if _series_outcome(_ml_power_series, *a) != _series_outcome(_per_term_power_series, *a)]
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12, 1e-15])
+def test_power_series_matches_per_term_reference_on_map(rel_tol):
+    # every point of the map, also those the dispatcher hands to the tail
+    alphas = np.linspace(0.05, 0.95, 19).tolist()
+    args = [(a, -x, rel_tol) for a in alphas for x in np.logspace(-3, 4, 200).tolist()]
+    assert _series_mismatches(args) == []
+
+
+def test_power_series_matches_per_term_reference_past_block_range():
+    # alpha = 0.001 runs the whole budget of 500 terms, whose last block is sliced
+    assert _per_term_power_series(0.001, -1.0, 1e-12)[2] is False
+    # positive z where the reference takes its terms in log space: (0.35, 4.9)
+    # converges at j = 489, after z**j passes the double range (j = 447) and
+    # Gamma's argument 170 (j = 483); (0.36, 5.0) at j = 452, after z**j
+    # passes it (j = 442); (0.34, 5.0) and (0.25, 4.9) run out of terms
+    converged = {(0.35, 4.9): True, (0.36, 5.0): True, (0.34, 5.0): False, (0.25, 4.9): False}
+    for (alpha, z), expected in converged.items():
+        assert _per_term_power_series(alpha, z, 1e-12)[2] is expected
+    args = [(0.001, -1.0, 1e-12)] + [(a, z, 1e-12) for a, z in converged]
+    # rel_tol = 0 sums the whole budget, so every block's range test decides
+    # a returned bit, also where Gamma's argument passes 170 with z**j in range
+    args += [(a, z, 0.0) for a in np.linspace(0.05, 0.95, 19).tolist()
+             for z in (-4.2, -2.0, 2.0, 4.2, 4.9)]
+    assert _series_mismatches(args) == []
 
 
 # ------------------------------------------- coefficient cache states
@@ -391,7 +477,8 @@ def test_derivative_matches_central_difference(c, t):
 def test_derivative_domain_errors():
     for args, name in [((True, 0.4, 2.0), "alpha"), ((0.5, True, 2.0), "c"),
                        ((0.5, 0.4, "2.0"), "t"), ((0.5, 0.4, 2.0, True), "rel_tol"),
-                       ((0.5, 10**400, 2.0), "c"), ((0.5, 0.4, 10**400), "t")]:
+                       ((0.5, 10**400, 2.0), "c"), ((0.5, 0.4, 10**400), "t"),
+                       ((0.5, [10**5000], 1.0), "c")]:
         with pytest.raises(DomainError, match=f"^ml_alpha_derivative: {name} "):
             ml_alpha_derivative(*args)
     with pytest.raises(DomainError):
