@@ -4,9 +4,10 @@ The state is represented spectrally.  Initial data carries finitely many
 sine modes, and each mode n decays in time through the Mittag-Leffler
 factor E_alpha(-D * lambda_n * t**alpha) with lambda_n = (n*pi/length)**2,
 so evaluation at a point is a short weighted sum of special-function calls.
-The order scan evaluates the same sum at many orders through the unchecked
-Mittag-Leffler core.  Only the array functions `evaluate_solution_grid` and
-`sine_coefficient` import numpy, when they are called.
+That sum, F, and its order derivative F' are written once, as `_solution`
+and `_slope` over the terms `_mode_terms` of one point; the public functions
+here and in `inverse` check their inputs once, then call them.  Only
+`evaluate_solution_grid` and `sine_coefficient` import numpy, when called.
 """
 
 import math
@@ -14,8 +15,8 @@ import operator
 from collections import namedtuple
 
 from .errors import DomainError, _shown
-from .special import (REL_TOL_MAX, REL_TOL_MIN, _finite_float, _mittag_leffler, _real,
-                      mittag_leffler, sinpi)
+from .special import (REL_TOL_MAX, REL_TOL_MIN, _finite_float, _mittag_leffler,
+                      _ml_alpha_derivative, _real, sinpi)
 
 
 class ForwardProblem(namedtuple("ForwardProblem", "diffusivity length modes time_horizon")):
@@ -109,7 +110,7 @@ def _mode_rate(diffusivity, length, n):
 
 def _mode_terms(problem, x):
     """(a_n, sin(n*pi*x/length), D*lambda_n) for every mode at position x: the
-    terms read by the forward sum, F', the endpoints and the sign hypothesis."""
+    terms read by `_solution`, `_slope`, the endpoints and the sign hypothesis."""
     return [(amplitude, sinpi(n * (x / problem.length)),
              _mode_rate(problem.diffusivity, problem.length, n))
             for n, amplitude in problem.modes]
@@ -120,9 +121,44 @@ def _mode_tol(problem, rel_tol, name):
     naming `name` unless rel_tol is a real in [REL_TOL_MIN, REL_TOL_MAX]."""
     rel_tol = _real(rel_tol, name)
     if not REL_TOL_MIN <= rel_tol <= REL_TOL_MAX:
-        raise DomainError(f"{name} must lie in [{REL_TOL_MIN}, {REL_TOL_MAX}], "
-                          f"got {rel_tol!r}")
+        raise DomainError(f"{name} must lie in [{REL_TOL_MIN}, {REL_TOL_MAX}], got {rel_tol!r}")
     return max(rel_tol / problem.n_modes, REL_TOL_MIN)
+
+
+def _solution(terms, alpha, t, mode_tol):
+    """F: u(x, t) from the `_mode_terms` of x, summing amplitude * E * basis
+    in mode order through the unchecked core; callers check the inputs."""
+    ta = t**alpha
+    total = 0.0
+    for amplitude, basis, rate in terms:
+        if basis != 0.0:
+            total += amplitude * _mittag_leffler(alpha, -rate * ta, mode_tol) * basis
+    return total
+
+
+def _slope(terms, alpha, t, mode_tol):
+    """F': d/dalpha of `_solution` for 0 < alpha < 1, summing amplitude *
+    basis * d/dalpha E in mode order through the unchecked core."""
+    total = 0.0
+    for amplitude, basis, rate in terms:
+        if basis != 0.0:
+            total += amplitude * basis * _ml_alpha_derivative(alpha, rate, t, mode_tol)
+    return total
+
+
+def _order(alpha, name, below_one=False):
+    """`alpha` as a float; DomainError naming `name` outside (0, 1], or (0, 1) if `below_one`."""
+    alpha = _real(alpha, f"{name}: alpha")
+    if not (0.0 < alpha < 1.0 or alpha == 1.0 and not below_one):
+        raise DomainError(f"{name}: need 0 < alpha {'<' if below_one else '<='} 1, got {alpha!r}")
+    return alpha
+
+
+def _check_point(problem, x, t):
+    if not (math.isfinite(x) and 0.0 <= x <= problem.length):
+        raise DomainError(f"x={x!r} outside [0, {problem.length}]")
+    if not (math.isfinite(t) and 0.0 < t <= problem.time_horizon):
+        raise DomainError(f"t={t!r} outside (0, {problem.time_horizon}]")
 
 
 def evaluate_solution(problem, alpha, x, t, rel_tol=1e-10):
@@ -133,42 +169,11 @@ def evaluate_solution(problem, alpha, x, t, rel_tol=1e-10):
     rel_tol / n_modes (at least REL_TOL_MIN); rel_tol must lie in
     [REL_TOL_MIN, REL_TOL_MAX].  Exactly zero on the boundary x in {0, length}.
     """
-    alpha = _real(alpha, "evaluate_solution: alpha")
-    if not (math.isfinite(alpha) and 0.0 < alpha <= 1.0):
-        raise DomainError(f"evaluate_solution: need 0 < alpha <= 1, got {alpha!r}")
-    x = _real(x, "evaluate_solution: x")
-    t = _real(t, "evaluate_solution: t")
-    if not (math.isfinite(x) and 0.0 <= x <= problem.length):
-        raise DomainError(f"x={x!r} outside [0, {problem.length}]")
-    if not (math.isfinite(t) and 0.0 < t <= problem.time_horizon):
-        raise DomainError(f"t={t!r} outside (0, {problem.time_horizon}]")
+    alpha = _order(alpha, "evaluate_solution")
+    x, t = _real(x, "evaluate_solution: x"), _real(t, "evaluate_solution: t")
+    _check_point(problem, x, t)
     mode_tol = _mode_tol(problem, rel_tol, "evaluate_solution: rel_tol")
-    ta = t**alpha
-    total = 0.0
-    for amplitude, basis, rate in _mode_terms(problem, x):
-        if basis == 0.0:
-            continue
-        decay = mittag_leffler(alpha, -rate * ta, rel_tol=mode_tol)
-        total += amplitude * decay * basis
-    return total
-
-
-def _solution_at_orders(problem, alphas, x, t, rel_tol):
-    """[u(x, t) at each order in `alphas`], equal to the `evaluate_solution`
-    calls to the bit, refusals included: the same sum in the same order,
-    order-major and mode-minor, through the Mittag-Leffler core.  Nothing is
-    checked here; the orders and rel_tol come as floats from a validated
-    `InverseConfig`, the point from a validated `Measurement`."""
-    mode_tol = max(rel_tol / problem.n_modes, REL_TOL_MIN)
-    terms = [term for term in _mode_terms(problem, x) if term[1] != 0.0]
-    values = []
-    for alpha in alphas:
-        ta = t**alpha
-        total = 0.0
-        for amplitude, basis, rate in terms:
-            total += amplitude * _mittag_leffler(alpha, -rate * ta, mode_tol) * basis
-        values.append(total)
-    return values
+    return _solution(_mode_terms(problem, x), alpha, t, mode_tol)
 
 
 def evaluate_solution_grid(problem, alpha, xs, ts, rel_tol=1e-10):
@@ -181,11 +186,14 @@ def evaluate_solution_grid(problem, alpha, xs, ts, rel_tol=1e-10):
         raise DomainError("evaluate_solution_grid: empty x grid")
     if not ts:
         raise DomainError("evaluate_solution_grid: empty t grid")
-    out = np.empty((len(xs), len(ts)))
-    for i, x in enumerate(xs):
-        for j, t in enumerate(ts):
-            out[i, j] = evaluate_solution(problem, alpha, x, t, rel_tol=rel_tol)
-    return out
+    # refused in the pointwise calls' order: alpha, x0, t0, rel_tol, the ts, the xs
+    alpha = _order(alpha, "evaluate_solution")
+    _check_point(problem, xs[0], ts[0])
+    mode_tol = _mode_tol(problem, rel_tol, "evaluate_solution: rel_tol")
+    for x, t in [(xs[0], t) for t in ts] + [(x, ts[0]) for x in xs]:
+        _check_point(problem, x, t)
+    rows = [_mode_terms(problem, x) for x in xs]
+    return np.array([[_solution(terms, alpha, t, mode_tol) for t in ts] for terms in rows])
 
 
 def sine_coefficient(xs, fs, n):

@@ -3,24 +3,23 @@
 With finite-mode initial data the measured value d = u(x0, t1) turns the
 identification into the scalar equation F(alpha) = d on (0, 1), where F is
 the forward solution at the measurement point as a function of the order.
-F is evaluated here together with its analytic derivative in alpha.  A
-uniform scan over the orders, whose Mittag-Leffler factors skip the argument
-checks that the validated config and measurement make once, finds the
-sign-change brackets and reports whether the sampled curve is monotone (a
-verdict on the samples, not a proof).  A bracketed, safeguarded Newton
-iteration refines each bracket to a root, starting from the scan's value at
-its left end: it bisects instead when a Newton step leaves the bracket,
-stops shrinking or would overrun the iteration budget set by root_tol, and
-ends when a step falls below root_tol/2 or the bracket narrows to root_tol.
+Each public function checks its inputs once, builds the per-mode terms at x0
+once and evaluates F and its analytic derivative in alpha through the
+forward kernel.  A uniform scan over the orders finds the sign-change
+brackets and reports whether the sampled curve is monotone (a verdict on
+the samples, not a proof).  A bracketed, safeguarded Newton iteration
+refines each bracket to a root, starting from the scan's value at its left
+end: it bisects instead when a Newton step leaves the bracket, stops
+shrinking or would overrun the iteration budget set by root_tol, and ends
+when a step falls below root_tol/2 or the bracket narrows to root_tol.
 """
 
 import math
 from collections import namedtuple
 
 from .errors import AccuracyError, DomainError, NoRootError, _shown
-from .forward import _mode_terms, _mode_tol, _solution_at_orders, evaluate_solution
-from .special import (REL_TOL_MAX, REL_TOL_MIN, _finite_float, _not_real, _real,
-                      ml_alpha_derivative)
+from .forward import _mode_terms, _mode_tol, _order, _slope, _solution
+from .special import REL_TOL_MAX, REL_TOL_MIN, _finite_float, _not_real, _real
 
 MONOTONE_VERIFIED = "verified"
 MONOTONE_VIOLATED = "violated"
@@ -143,7 +142,8 @@ def _field_error(name, raw, reason):
     return DomainError(f"measurement {name} {_shown(raw)} {reason}")
 
 
-def _check_measurement(problem, measurement, need_value=True):
+def _measured(problem, measurement, need_value=True):
+    """The checked measurement's (`_mode_terms` at x0, t1 as a float)."""
     x0 = _finite_float(measurement.position)
     if x0 is None or not 0.0 < x0 < problem.length:
         raise _field_error("position", measurement.position, f"not inside (0, {problem.length})")
@@ -156,30 +156,23 @@ def _check_measurement(problem, measurement, need_value=True):
             raise DomainError("measurement carries no value; required for inverse operations")
     elif _finite_float(value) is None and (need_value or _not_real(value)):
         raise _field_error("value", value, "is not finite")
+    return _mode_terms(problem, x0), t1
 
 
 def residual(problem, measurement, alpha, rel_tol=1e-10):
     """F(alpha) - d at the measurement point."""
-    _check_measurement(problem, measurement)
-    return (evaluate_solution(problem, alpha, measurement.position, measurement.time,
-                              rel_tol=rel_tol)
-            - float(measurement.value))
+    terms, t1 = _measured(problem, measurement)
+    alpha = _order(alpha, "evaluate_solution")
+    mode_tol = _mode_tol(problem, rel_tol, "evaluate_solution: rel_tol")
+    return _solution(terms, alpha, t1, mode_tol) - float(measurement.value)
 
 
 def residual_derivative(problem, measurement, alpha, rel_tol=1e-10):
     """dF/dalpha, summed mode-wise from the analytic order-derivative series."""
-    alpha = _real(alpha, "residual_derivative: alpha")
-    if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise DomainError(f"residual_derivative: need 0 < alpha < 1, got {alpha!r}")
-    _check_measurement(problem, measurement, need_value=False)
+    alpha = _order(alpha, "residual_derivative", below_one=True)
+    terms, t1 = _measured(problem, measurement, need_value=False)
     mode_tol = _mode_tol(problem, rel_tol, "residual_derivative: rel_tol")
-    total = 0.0
-    for amplitude, basis, rate in _mode_terms(problem, measurement.position):
-        if basis == 0.0:
-            continue
-        total += amplitude * basis * ml_alpha_derivative(alpha, rate, measurement.time,
-                                                         rel_tol=mode_tol)
-    return total
+    return _slope(terms, alpha, t1, mode_tol)
 
 
 def check_uniqueness_hypothesis(problem, measurement):
@@ -190,9 +183,9 @@ def check_uniqueness_hypothesis(problem, measurement):
     1/Gamma(1 + alpha) peaks near alpha = 0.46 and F can meet d twice.  The
     scan's `monotone` verdict reports what was actually seen.
     """
-    _check_measurement(problem, measurement, need_value=False)
+    terms, _ = _measured(problem, measurement, need_value=False)
     terms = tuple(ModeTerm(n, amplitude, basis) for (n, amplitude), (_, basis, _)
-                  in zip(problem.modes, _mode_terms(problem, measurement.position)))
+                  in zip(problem.modes, terms))
     return UniquenessReport(all(term.product > 0.0 for term in terms), terms)
 
 
@@ -203,12 +196,11 @@ def endpoint_values(problem, measurement):
     value 1/(1 + D*lambda_n); at alpha = 1 it is the plain exponential
     exp(-D*lambda_n*t1).
     """
-    _check_measurement(problem, measurement, need_value=False)
-    f0 = 0.0
-    f1 = 0.0
-    for amplitude, basis, rate in _mode_terms(problem, measurement.position):
+    terms, t1 = _measured(problem, measurement, need_value=False)
+    f0 = f1 = 0.0
+    for amplitude, basis, rate in terms:
         f0 += amplitude * basis / (1.0 + rate)
-        f1 += amplitude * basis * math.exp(-rate * measurement.time)
+        f1 += amplitude * basis * math.exp(-rate * t1)
     return f0, f1
 
 
@@ -220,25 +212,24 @@ def scan_bracket(problem, measurement, config=InverseConfig()):
     included.  An empty bracket tuple is a legal outcome meaning no root in
     range.
     """
-    _check_measurement(problem, measurement)
+    terms, t1 = _measured(problem, measurement)
+    mode_tol = _mode_tol(problem, config.f_rel_tol, "InverseConfig: f_rel_tol")
+    return _scan(terms, t1, float(measurement.value), mode_tol, config)
+
+
+def _scan(terms, t1, d, mode_tol, config):
+    """`scan_bracket` on checked inputs."""
     lo, hi, n = float(config.alpha_lo), float(config.alpha_hi), config.scan_points
     step = (hi - lo) / (n - 1)
     alphas = tuple([i * step + lo for i in range(n - 1)] + [hi])  # linspace's arithmetic
-    d = float(measurement.value)
-    values = tuple([value - d for value in _solution_at_orders(
-        problem, alphas, float(measurement.position), float(measurement.time),
-        float(config.f_rel_tol))])
+    values = tuple([_solution(terms, alpha, t1, mode_tol) - d for alpha in alphas])
     diffs = [b - a for a, b in zip(values, values[1:])]
     monotone = all(diff > 0.0 for diff in diffs) or all(diff < 0.0 for diff in diffs)
-    brackets = []
-    for i in range(n - 1):
-        if values[i] == 0.0:
-            brackets.append((alphas[i], alphas[i]))
-        elif values[i] * values[i + 1] < 0.0:
-            brackets.append((alphas[i], alphas[i + 1]))
-    if values[-1] == 0.0:
-        brackets.append((alphas[-1], alphas[-1]))
-    return ScanResult(alphas, values, monotone, tuple(brackets))
+    # an exact zero is its own bracket, else a cell whose ends differ in sign
+    cells = zip(alphas, alphas[1:] + (hi,), values, values[1:] + (0.0,))
+    brackets = tuple((a, a) if fa == 0.0 else (a, b) for a, b, fa, fb in cells
+                     if fa == 0.0 or fa * fb < 0.0)
+    return ScanResult(alphas, values, monotone, brackets)
 
 
 def _refine_root(f, fprime, lo, hi, f_lo, root_tol):
@@ -299,11 +290,10 @@ def _refine_root(f, fprime, lo, hi, f_lo, root_tol):
     return 0.5 * (a + b), tuple(trace), k
 
 
-def _slope_and_sensitivity(problem, measurement, alpha, rel_tol):
-    """(F'(alpha), |1/F'(alpha)|), both nan when F'(alpha) cannot be
-    certified (AccuracyError)."""
+def _slope_and_sensitivity(terms, alpha, t1, mode_tol):
+    """(F'(alpha), |1/F'(alpha)|), both nan if F' is not certified (AccuracyError)."""
     try:
-        slope = residual_derivative(problem, measurement, alpha, rel_tol=rel_tol)
+        slope = _slope(terms, alpha, t1, mode_tol)
     except AccuracyError:
         return math.nan, math.nan
     return slope, math.inf if abs(slope) < DERIVATIVE_FLOOR else 1.0 / abs(slope)
@@ -315,17 +305,19 @@ def invert_order(problem, measurement, config=InverseConfig()):
     Raises NoRootError when the scan finds no sign change.  Multiple
     brackets are all refined and reported, with `unique` False.
     """
-    scan = scan_bracket(problem, measurement, config)
+    terms, t1 = _measured(problem, measurement)
+    mode_tol = _mode_tol(problem, config.f_rel_tol, "InverseConfig: f_rel_tol")
+    d = float(measurement.value)
+    scan = _scan(terms, t1, d, mode_tol, config)
     if not scan.brackets:
-        raise NoRootError(
-            f"no root in range: F(alpha)-d has no sign change on "
-            f"[{config.alpha_lo:g}, {config.alpha_hi:g}]")
+        raise NoRootError(f"no root in range: F(alpha)-d has no sign change on "
+                          f"[{config.alpha_lo:g}, {config.alpha_hi:g}]")
 
     def f(a):
-        return residual(problem, measurement, a, rel_tol=config.f_rel_tol)
+        return _solution(terms, a, t1, mode_tol) - d
 
     def fp(a):
-        return residual_derivative(problem, measurement, a, rel_tol=config.f_rel_tol)
+        return _slope(terms, a, t1, mode_tol)
 
     # the scan's values are f's bits at its orders: each bracket's left end
     # needs no new evaluation
@@ -333,15 +325,13 @@ def invert_order(problem, measurement, config=InverseConfig()):
     refined = [_refine_root(f, fp, lo, hi, scanned[lo], config.root_tol)
                for lo, hi in scan.brackets]
     alpha_hat = refined[0][0]
-    res = f(alpha_hat)
-    slope, sensitivity = _slope_and_sensitivity(problem, measurement, alpha_hat,
-                                                config.f_rel_tol)
+    slope, sensitivity = _slope_and_sensitivity(terms, alpha_hat, t1, mode_tol)
     return InversionReport(
         alpha_hat=alpha_hat,
-        residual=res,
+        residual=f(alpha_hat),
         derivative_at_root=slope,
         monotone=MONOTONE_VERIFIED if scan.monotone else MONOTONE_VIOLATED,
-        uniqueness_hypothesis=check_uniqueness_hypothesis(problem, measurement).holds,
+        uniqueness_hypothesis=all(amplitude * basis > 0.0 for amplitude, basis, _ in terms),
         sensitivity=sensitivity,
         trace=refined[0][1],
         roots=tuple(root for root, _, _ in refined),
@@ -355,12 +345,12 @@ def sensitivity_profile(problem, measurement, alphas, rel_tol=1e-10):
     As in `InversionReport`, the last two are nan at an order where F'
     cannot be certified; the row and the rest of the profile stand.
     """
-    _check_measurement(problem, measurement, need_value=False)
+    terms, t1 = _measured(problem, measurement, need_value=False)
     rows = []
     for alpha in alphas:
-        alpha = _real(alpha, "sensitivity_profile: alpha")
-        value = evaluate_solution(problem, alpha, measurement.position, measurement.time,
-                                  rel_tol=rel_tol)
-        rows.append((alpha, value,
-                     *_slope_and_sensitivity(problem, measurement, alpha, rel_tol)))
+        alpha = _order(_real(alpha, "sensitivity_profile: alpha"), "evaluate_solution")
+        mode_tol = _mode_tol(problem, rel_tol, "evaluate_solution: rel_tol")
+        value = _solution(terms, alpha, t1, mode_tol)
+        _order(alpha, "residual_derivative", below_one=True)
+        rows.append((alpha, value, *_slope_and_sensitivity(terms, alpha, t1, mode_tol)))
     return rows

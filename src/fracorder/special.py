@@ -21,9 +21,9 @@ stay at most 170 and whose powers of z stay below 1e300 is summed with no
 per-term test, and the per-term loop, which takes a term past either range
 in log space, serves the blocks that fail the test.
 
-`mittag_leffler` checks its arguments and hands them to the unchecked core
-`_mittag_leffler`, which the order scan calls directly with arguments an
-`InverseConfig` and a `Measurement` check has already validated.
+`mittag_leffler` and `ml_alpha_derivative` check their arguments and hand
+them to the unchecked cores `_mittag_leffler` and `_ml_alpha_derivative`,
+which the forward kernel calls once its public callers have checked theirs.
 
 Gamma, psi and log Gamma are pure-Python ports of the Cephes routines
 `gamma`, `psi` and `lgam` (S. L. Moshier, Methods and Programs for
@@ -493,11 +493,9 @@ def mittag_leffler(alpha, z, rel_tol=1e-12):
 
 
 def _mittag_leffler(alpha, z, rel_tol):
-    """E_alpha(z) without the argument checks, for `mittag_leffler` once it has
-    made them and for the order scan, whose orders and tolerance a validated
-    `InverseConfig` supplies.  The scan's arguments -D*lambda_n*t**alpha can
-    still overflow to -inf; that is refused here as `mittag_leffler` refuses it.
-    """
+    """E_alpha(z) unchecked, for `mittag_leffler` and the forward kernel's
+    `_solution`, whose argument -D*lambda_n*t**alpha can still overflow to
+    -inf; that is refused here as `mittag_leffler` refuses it."""
     if alpha == 1.0:
         return math.exp(z)
     if z == 0.0:
@@ -562,7 +560,6 @@ def _derivative_terms(alpha, c, t):
     blocks.  Raises `AccuracyError` at the first term past the double range.
     """
     x = c * t**alpha
-    log_x = math.log(x)
     ln_t = math.log(t)
     abs_ln_t = abs(ln_t)
     xpow = 1.0
@@ -578,7 +575,7 @@ def _derivative_terms(alpha, c, t):
                 w = j * xpow / gamma_g
             else:
                 try:
-                    w = j * math.exp(j * log_x - _gammaln(g))
+                    w = j * math.exp(j * math.log(x) - _gammaln(g))
                 except OverflowError:
                     w = math.inf
             if j & 1:
@@ -622,7 +619,12 @@ def ml_alpha_derivative(alpha, c, t, rel_tol=1e-10):
     if not REL_TOL_MIN <= rel_tol <= REL_TOL_MAX:
         raise DomainError(f"ml_alpha_derivative: rel_tol must lie in "
                           f"[{REL_TOL_MIN}, {REL_TOL_MAX}], got {rel_tol!r}")
+    return _ml_alpha_derivative(alpha, c, t, rel_tol)
 
+
+def _ml_alpha_derivative(alpha, c, t, rel_tol):
+    """G'(alpha) unchecked, for `ml_alpha_derivative` and the kernel's `_slope`;
+    an x = c * t**alpha of 0 (c = 0, or an underflow) gives zero terms and 0."""
     value, err, converged = _sum_terms(_derivative_terms(alpha, c, t), 0.0, 0.0, 0.125 * rel_tol)
     if not converged:
         raise AccuracyError(

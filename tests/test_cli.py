@@ -197,6 +197,24 @@ def test_main_multi_root_exit(tmp_path, capsys):
     assert len(out.split("roots = ")[1].splitlines()[0].split()) == 2
 
 
+def test_main_underflowed_argument_exits_4_without_traceback(tmp_path):
+    # D*lambda_1*t1**alpha underflows to 0 at every order: F(alpha) = d, each
+    # scanned order is a root and the slope is 0, where the order derivative
+    # used to end the process with a math domain error
+    data = {"problem": {"diffusivity": 5e-324, "length": math.pi, "modes": [[1, 1.0]],
+                        "time_horizon": 2.0},
+            "measurement": {"position": 1.0, "time": 1e-310, "value": 0.8414709848078965}}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "fracorder.cli", "invert", "--config", _write(tmp_path, data)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == EXIT_MULTI_ROOT
+    assert result.stderr == ""
+    assert "derivative_at_root = 0" in result.stdout and "unique = false" in result.stdout
+
+
 def test_main_config_error_exits_2(tmp_path, capsys):
     data = _load_dict(SINGLE)
     data["problem"]["diffusivity"] = -0.1

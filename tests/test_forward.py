@@ -265,9 +265,9 @@ def test_grid_equals_pointwise_with_walls_and_nodes():
 def test_grid_on_walls_evaluates_no_factor(monkeypatch):
     problem = make_problem(0.01, PI, SIX_MODES, 4.0)
     calls = []
-    real = forward.mittag_leffler
-    monkeypatch.setattr(forward, "mittag_leffler",
-                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    real = forward._mittag_leffler
+    monkeypatch.setattr(forward, "_mittag_leffler",
+                        lambda *args: calls.append(args) or real(*args))
     grid = evaluate_solution_grid(problem, 0.6, [0.0, PI], [1.0, 4.0])
     assert calls == []
     assert not grid.any()

@@ -8,8 +8,8 @@ import fracorder.inverse
 import fracorder.special
 from fracorder import (AccuracyError, DomainError, InverseConfig, Measurement, NoRootError,
                        check_uniqueness_hypothesis, endpoint_values, evaluate_solution,
-                       invert_order, make_problem, residual, residual_derivative,
-                       scan_bracket, sensitivity_profile)
+                       evaluate_solution_grid, invert_order, make_problem, residual,
+                       residual_derivative, scan_bracket, sensitivity_profile)
 
 PI = math.pi
 
@@ -296,14 +296,13 @@ def test_scan_domain_errors_match_pointwise():
 def test_scan_makes_no_scalar_mittag_leffler_calls(two_mode, monkeypatch):
     # the scan calls the unchecked core once per order and mode, order-major
     # and mode-minor as `evaluate_solution` would, and never the checked
-    # `mittag_leffler`
+    # `mittag_leffler`, which the forward module does not even import
     public, core = [], []
     checked = fracorder.special.mittag_leffler
     unchecked = fracorder.forward._mittag_leffler
     monkeypatch.setattr(fracorder.special, "mittag_leffler",
                         lambda *args, **kwargs: public.append(args) or checked(*args, **kwargs))
-    monkeypatch.setattr(fracorder.forward, "mittag_leffler",
-                        lambda *args, **kwargs: public.append(args) or checked(*args, **kwargs))
+    assert "mittag_leffler" not in vars(fracorder.forward)
     monkeypatch.setattr(fracorder.forward, "_mittag_leffler",
                         lambda *args: core.append(args) or unchecked(*args))
     problem, measurement = two_mode
@@ -521,14 +520,15 @@ def test_newton_trace_stays_in_bracket(single_mode):
 @pytest.mark.parametrize("setup", ["single_mode", "two_mode", "mixed_sign"])
 def test_newton_refinement_takes_few_iterations(setup, request, monkeypatch):
     # each bracket ends once a Newton step is below root_tol/2: a few
-    # iterations of one residual each, none at a bracket's left end, whose
-    # value the scan holds, and alpha_hat's residual at F's rounding level
+    # iterations of one evaluation of F each, none at a bracket's left end,
+    # whose value the scan holds, and alpha_hat's residual at F's rounding level
     problem, measurement = request.getfixturevalue(setup)
-    orders = []
-    real = fracorder.inverse.residual
-    monkeypatch.setattr(fracorder.inverse, "residual",
-                        lambda *args, **kwargs: orders.append(args[2]) or real(*args, **kwargs))
+    calls = []
+    real = fracorder.inverse._solution
+    monkeypatch.setattr(fracorder.inverse, "_solution",
+                        lambda *args: calls.append(args[1]) or real(*args))
     report = invert_order(problem, measurement)
+    orders = calls[InverseConfig().scan_points:]  # the scan's orders come first
     assert report.iterations <= 4 * len(report.roots)
     assert len(orders) == report.iterations + 1  # the iterates, then alpha_hat
     assert orders[-1] == report.alpha_hat
@@ -570,6 +570,46 @@ def test_alpha_hat_within_search_interval(single_mode):
     config = InverseConfig()
     report = invert_order(problem, measurement, config)
     assert config.alpha_lo <= report.alpha_hat <= config.alpha_hi
+
+
+def test_invert_with_underflowed_rate():
+    # D*(pi/length)**2 underflows to 0.0: the factor is identically 1, so
+    # F(alpha) = d at every order and F' = 0, not a refusal that names
+    # ml_alpha_derivative's c, which the caller never passed
+    problem = make_problem(1.0, 1e200, [(1, 1.0)], 2.0)
+    measurement = Measurement(5e199, 1.0, 1.0)
+    report = invert_order(problem, measurement)
+    assert report.residual == 0.0 and report.derivative_at_root == 0.0
+    assert report.sensitivity == math.inf
+    assert len(report.roots) == InverseConfig().scan_points
+    assert residual_derivative(problem, measurement, 0.5) == 0.0
+
+
+def test_kernel_work_counts(two_mode, monkeypatch):
+    # a grid builds its mode terms once per row, one sinpi per row and mode,
+    # and calls the Mittag-Leffler core once per cell and mode with a nonzero
+    # basis value; an inversion builds its mode terms once
+    forward = fracorder.forward
+    sines, core, builds = [], [], []
+    real_sinpi, real_core, real_terms = forward.sinpi, forward._mittag_leffler, forward._mode_terms
+    monkeypatch.setattr(forward, "sinpi", lambda u: sines.append(u) or real_sinpi(u))
+    monkeypatch.setattr(forward, "_mittag_leffler",
+                        lambda *args: core.append(args) or real_core(*args))
+    for module in (forward, fracorder.inverse):
+        monkeypatch.setattr(module, "_mode_terms",
+                            lambda *args: builds.append(args) or real_terms(*args))
+    problem = make_problem(0.01, PI, [(1, 1.0), (2, -0.5), (4, 0.25)], 4.0)
+    xs = [0.0, PI / 4, PI / 2, 2.0, PI]  # the walls and nodes of modes 4 and 2
+    ts = [0.5, 1.0, 4.0]
+    evaluate_solution_grid(problem, 0.6, xs, ts)
+    assert len(builds) == len(xs)
+    assert len(sines) == len(xs) * problem.n_modes
+    nonzero = sum(basis != 0.0 for x in xs for _, basis, _ in real_terms(problem, x))
+    assert 0 < nonzero < len(xs) * problem.n_modes
+    assert len(core) == nonzero * len(ts)
+    builds.clear()
+    invert_order(*two_mode)
+    assert len(builds) == 1
 
 
 # --------------------------------------------------- sensitivity_profile

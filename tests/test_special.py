@@ -453,6 +453,13 @@ def test_derivative_log_time_zero():
     assert abs(value - ML_DERIVATIVE_REFERENCE[(0.5, 0.4, 1.0)]) <= 1e-12
 
 
+def test_derivative_of_underflowed_argument_is_zero():
+    # c * t**alpha underflows to 0: every term is 0 and so is the slope; the
+    # log of the argument is taken only for a term past the double range
+    assert ml_alpha_derivative(0.5, 5e-324, 0.1) == 0.0
+    assert fracorder.special._ml_alpha_derivative(0.5, 0.0, 2.0, 1e-10) == 0.0
+
+
 @pytest.mark.parametrize("key", sorted(ML_DERIVATIVE_REFERENCE))
 def test_derivative_frozen_values(key):
     expected = ML_DERIVATIVE_REFERENCE[key]
