@@ -1,6 +1,6 @@
 """
-Mittag-Leffler function on the real axis
-========================================
+Mittag-Leffler function on the decay axis
+=========================================
 
 E_alpha(z) = sum_j z^j / Gamma(alpha*j + 1) generalizes exp(z): alpha = 1
 recovers the exponential exactly, and for 0 < alpha < 1 the decay on the

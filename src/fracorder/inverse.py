@@ -162,8 +162,8 @@ def _measured(problem, measurement, need_value=True):
 def residual(problem, measurement, alpha, rel_tol=1e-10):
     """F(alpha) - d at the measurement point."""
     terms, t1 = _measured(problem, measurement)
-    alpha = _order(alpha, "evaluate_solution")
-    mode_tol = _mode_tol(problem, rel_tol, "evaluate_solution: rel_tol")
+    alpha = _order(alpha, "residual")
+    mode_tol = _mode_tol(problem, rel_tol, "residual: rel_tol")
     return _solution(terms, alpha, t1, mode_tol) - float(measurement.value)
 
 
@@ -225,10 +225,11 @@ def _scan(terms, t1, d, mode_tol, config):
     values = tuple([_solution(terms, alpha, t1, mode_tol) - d for alpha in alphas])
     diffs = [b - a for a, b in zip(values, values[1:])]
     monotone = all(diff > 0.0 for diff in diffs) or all(diff < 0.0 for diff in diffs)
-    # an exact zero is its own bracket, else a cell whose ends differ in sign
+    # an exact zero is its own bracket, else a cell whose ends differ in sign;
+    # signs are compared, as a product of two values below ~1e-162 underflows
     cells = zip(alphas, alphas[1:] + (hi,), values, values[1:] + (0.0,))
     brackets = tuple((a, a) if fa == 0.0 else (a, b) for a, b, fa, fb in cells
-                     if fa == 0.0 or fa * fb < 0.0)
+                     if fa == 0.0 or fb != 0.0 and (fa < 0.0) != (fb < 0.0))
     return ScanResult(alphas, values, monotone, brackets)
 
 
@@ -342,15 +343,16 @@ def invert_order(problem, measurement, config=InverseConfig()):
 def sensitivity_profile(problem, measurement, alphas, rel_tol=1e-10):
     """Rows (alpha, F(alpha), F'(alpha), |1/F'(alpha)|) for diagnostics.
 
-    As in `InversionReport`, the last two are nan at an order where F'
+    Every order must lie in (0, 1), where F' is defined; `rel_tol` is
+    checked before the first row, so it is checked for an empty `alphas`
+    too.  As in `InversionReport`, the last two are nan at an order where F'
     cannot be certified; the row and the rest of the profile stand.
     """
     terms, t1 = _measured(problem, measurement, need_value=False)
+    mode_tol = _mode_tol(problem, rel_tol, "sensitivity_profile: rel_tol")
     rows = []
     for alpha in alphas:
-        alpha = _order(_real(alpha, "sensitivity_profile: alpha"), "evaluate_solution")
-        mode_tol = _mode_tol(problem, rel_tol, "evaluate_solution: rel_tol")
-        value = _solution(terms, alpha, t1, mode_tol)
-        _order(alpha, "residual_derivative", below_one=True)
-        rows.append((alpha, value, *_slope_and_sensitivity(terms, alpha, t1, mode_tol)))
+        alpha = _order(alpha, "sensitivity_profile", below_one=True)
+        rows.append((alpha, _solution(terms, alpha, t1, mode_tol),
+                     *_slope_and_sensitivity(terms, alpha, t1, mode_tol)))
     return rows

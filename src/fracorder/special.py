@@ -1,12 +1,12 @@
-"""Real-axis special functions used by the diffusion solver.
+"""Decay-axis special functions used by the diffusion solver.
 
-The one-parameter Mittag-Leffler function E_a(z) and the derivative of
-a -> E_a(-c t^a) are evaluated by adaptively truncated series with certified
-error estimates; on the negative real axis the power series and the
-algebraic tail expansion are combined, switching on the size of
-|z|**(1/a), which controls both the power-series cancellation (grows like
-exp(|z|**(1/a))) and the tail-expansion accuracy (shrinks like the same
-exponential).
+The one-parameter Mittag-Leffler function E_a(z) for z <= 0, which holds
+every time factor E_a(-D lambda_n t**a) of the forward solution, and the
+derivative of a -> E_a(-c t^a) are evaluated by adaptively truncated series
+with certified error estimates; for E_a the power series and the algebraic
+tail expansion are combined, switching on the size of |z|**(1/a), which
+controls both the power-series cancellation (grows like exp(|z|**(1/a)))
+and the tail-expansion accuracy (shrinks like the same exponential).
 
 The two power series, for E_a(z) and for its order derivative, sum by one
 compensated-summation rule, `_sum_terms` (written out in the E_a series,
@@ -16,10 +16,8 @@ magnitude.  Both read Gamma(alpha*j + 1), and the derivative also
 psi(alpha*j + 1), from per-order blocks of 32 terms kept in a small bounded
 cache: all modes at one order, F and F' at one refinement iterate, every
 cell of a fixed-order grid and the scan's orders share them.  The E_a series
-tests the range of its terms once per block: a block whose Gamma arguments
-stay at most 170 and whose powers of z stay below 1e300 is summed with no
-per-term test, and the per-term loop, which takes a term past either range
-in log space, serves the blocks that fail the test.
+is summed only where |z|**(1/a) <= 30, and there every term it reaches stays
+in the double range, so it sums the blocks with no range test.
 
 `mittag_leffler` and `ml_alpha_derivative` check their arguments and hand
 them to the unchecked cores `_mittag_leffler` and `_ml_alpha_derivative`,
@@ -43,7 +41,6 @@ _LOG_PI = math.log(math.pi)
 
 REL_TOL_MIN = 1e-15
 REL_TOL_MAX = 1e-3
-Z_MAX = 5.0
 
 TAYLOR_MAX_TERMS = 500
 ASYM_MAX_TERMS = 400
@@ -290,30 +287,28 @@ def _sum_terms(terms, total, abs_sum, threshold):
 
 
 def _ml_power_series(alpha, z, rel_tol):
-    """Taylor sum of E_alpha(z), z != 0, as `_sum_terms` returns it for the
-    terms (z**j / Gamma(alpha*j + 1), its size), j = 1 .. TAYLOR_MAX_TERMS,
-    after the j = 0 term 1.  The loop is `_sum_terms`'s, written out with
-    the same operations in the same order: the order scan spends most of
-    its time here, and a term generator made the scan a quarter to a third
-    slower.
+    """Taylor sum of E_alpha(z), z < 0 with |z|**(1/alpha) <= _S_ASYM_ONLY,
+    as `_sum_terms` returns it for the terms (z**j / Gamma(alpha*j + 1), its
+    size), j = 1 .. TAYLOR_MAX_TERMS, after the j = 0 term 1.  The loop is
+    `_sum_terms`'s, written out with the same operations in the same order:
+    the order scan spends most of its time here, and a term generator made
+    the scan a quarter to a third slower.
 
     Gamma comes from the cached blocks, evaluated at the same float
-    `alpha * j + 1.0`.  Whether a block's terms are in range is tested once
-    per block: a full block whose last Gamma argument is at most 170 and
-    whose powers of z cannot pass 1e300 sums `zpow / Gamma` with no per-term
-    test.  Every other block, the budget's sliced last one and those past
-    Gamma's or z**j's double range, takes the per-term loop, which moves a
-    term past either range into log space.  Both loops make the same
-    operations on an in-range term, so the value keeps its bits whichever
-    loop sums it.  Truncation stops at an internal threshold of rel_tol/8
-    so the certified total stays below the requested rel_tol with headroom.
+    `alpha * j + 1.0`, and each term is `z**j / Gamma` with no range test.
+    The precondition, which `_mittag_leffler` keeps, is why none is needed:
+    with s = |z|**(1/alpha) <= 30 the j-th term has size
+    s**(alpha*j) / Gamma(alpha*j + 1), below 1e-34 once alpha*j passes 140.
+    That is far under the truncation threshold at any legal rel_tol, since
+    the value there is at least about exp(-30) ~ 1e-13, so the sum stops, or
+    the 500-term budget ends, while alpha*j is about 140 or less.  Up to
+    there Gamma's argument stays below 170 and |z|**j = s**(alpha*j) below
+    30**141 < 1e209: no term leaves the double range, which a test checks
+    on a sweep of orders, shapes and tolerances.  Truncation stops at an
+    internal threshold of rel_tol/8 so the certified total stays below the
+    requested rel_tol with headroom.
     """
     threshold = 0.125 * rel_tol
-    isfinite = math.isfinite
-    abs_z = abs(z)
-    # a |zpow| below this keeps the next _BLOCK powers under 1e300; exp
-    # underflows to 0 rather than raising, and a NaN z compares False
-    zpow_cap = math.inf if abs_z <= 1.0 else 1e300 * math.exp(-_BLOCK * math.log(abs_z))
     total = 1.0  # j = 0: 1/Gamma(1)
     abs_sum = 1.0
     comp = 0.0
@@ -323,41 +318,12 @@ def _ml_power_series(alpha, z, rel_tol):
     j = 0
     while j < TAYLOR_MAX_TERMS:
         gammas = _gamma_block(alpha, j + 1)
-        end = j + _BLOCK
-        # alpha*j + 1.0 never decreases in j, so the block's last is its largest
-        if end <= TAYLOR_MAX_TERMS and alpha * end + 1.0 <= 170.0 and abs(zpow) < zpow_cap:
-            j = end
-            for gamma_g in gammas:
-                zpow *= z
-                term = zpow / gamma_g
-                size = abs(term)
-                # Kahan step
-                y = term - comp
-                t = total + y
-                comp = (t - total) - y
-                total = t
-                abs_sum += size
-                scale = abs(total)
-                if size <= threshold * (1e-300 if 1e-300 > scale else scale):
-                    small_run += 1
-                    if size > tail:
-                        tail = size
-                    if small_run == 3:
-                        return total + comp, 2.0 * tail + 6.0 * _EPS * abs_sum, True
-                else:
-                    small_run = 0
-                    tail = 0.0
-            continue
-        for gamma_g in gammas[:TAYLOR_MAX_TERMS - j]:
-            j += 1
-            g = alpha * j + 1.0
+        j += _BLOCK
+        if j > TAYLOR_MAX_TERMS:  # the budget's last block
+            gammas = gammas[:TAYLOR_MAX_TERMS + _BLOCK - j]
+        for gamma_g in gammas:
             zpow *= z
-            if g <= 170.0 and isfinite(zpow):
-                term = zpow / gamma_g
-            else:
-                term = math.exp(j * math.log(abs_z) - _gammaln(g))
-                if z < 0.0 and j & 1:
-                    term = -term
+            term = zpow / gamma_g
             size = abs(term)
             # Kahan step
             y = term - comp
@@ -444,15 +410,15 @@ def _shape(alpha, x):
 
 
 def mittag_leffler(alpha, z, rel_tol=1e-12):
-    """One-parameter Mittag-Leffler function E_alpha(z) on the real axis.
+    """One-parameter Mittag-Leffler function E_alpha(z) on the decay axis z <= 0.
 
     Parameters
     ----------
     alpha : float
         Order, 0 < alpha <= 1.  alpha = 1 reduces exactly to exp(z).
     z : float
-        Real argument.  Any z <= 0 is supported; positive z only up to
-        `Z_MAX` = 5 (the function grows like exp(z**(1/alpha)) there).
+        Real argument, z <= 0: the axis of the solver's time factors
+        E_alpha(-D lambda_n t**alpha).  Positive z is refused.
     rel_tol : float
         Requested relative accuracy, within [1e-15, 1e-3].  The evaluation
         certifies its own error estimate against this target and raises
@@ -461,21 +427,17 @@ def mittag_leffler(alpha, z, rel_tol=1e-12):
     Returns
     -------
     float
-        E_alpha(z).  For z <= 0 the value lies in (0, 1] and decreases as
-        z decreases; for z >= 0 it increases with z.
+        E_alpha(z), which lies in (0, 1] and decreases as z decreases.
 
     Raises
     ------
     DomainError
         For an argument that is a bool, not a real number or past the double
-        range, alpha outside (0, 1], non-finite z, z > Z_MAX, or rel_tol
-        outside its legal range.
+        range, alpha outside (0, 1], non-finite z, z > 0, or rel_tol outside
+        its legal range.
     AccuracyError
         When no evaluation strategy certifies `rel_tol`, or the two
         strategies disagree beyond their combined error estimates.
-    OverflowError
-        When the result exceeds the double range (large positive z with
-        small alpha).
     """
     alpha = _real(alpha, "mittag_leffler: alpha")
     z = _real(z, "mittag_leffler: z")
@@ -487,34 +449,21 @@ def mittag_leffler(alpha, z, rel_tol=1e-12):
     if not REL_TOL_MIN <= rel_tol <= REL_TOL_MAX:
         raise DomainError(f"mittag_leffler: rel_tol must lie in [{REL_TOL_MIN}, {REL_TOL_MAX}], "
                           f"got {rel_tol!r}")
-    if not z <= Z_MAX:
-        raise DomainError(f"mittag_leffler: z={z!r} exceeds the positive cutoff Z_MAX={Z_MAX!r}")
+    if z > 0.0:
+        raise DomainError(f"mittag_leffler: z must be <= 0, got {z!r}")
     return _mittag_leffler(alpha, z, rel_tol)
 
 
 def _mittag_leffler(alpha, z, rel_tol):
-    """E_alpha(z) unchecked, for `mittag_leffler` and the forward kernel's
-    `_solution`, whose argument -D*lambda_n*t**alpha can still overflow to
-    -inf; that is refused here as `mittag_leffler` refuses it."""
+    """E_alpha(z) unchecked for z <= 0, for `mittag_leffler` and the forward
+    kernel's `_solution`, whose argument -D*lambda_n*t**alpha can still
+    overflow to -inf; that is refused here as `mittag_leffler` refuses it.
+    The power series is summed only where |z|**(1/alpha) <= _S_ASYM_ONLY,
+    the precondition of `_ml_power_series`."""
     if alpha == 1.0:
         return math.exp(z)
     if z == 0.0:
         return 1.0
-
-    if z > 0.0:
-        if z > 1.0 and math.log(z) / alpha > math.log(709.0):
-            # the value grows like exp(z**(1/alpha)); past this it overflows
-            raise OverflowError(
-                f"mittag_leffler: E_{alpha}({z}) exceeds the double range")
-        value, err, ok = _ml_power_series(alpha, z, rel_tol)
-        if not math.isfinite(value):
-            raise OverflowError(
-                f"mittag_leffler: E_{alpha}({z}) exceeds the double range")
-        if not ok or err > rel_tol * abs(value):
-            raise AccuracyError(
-                f"mittag_leffler: cannot certify rel_tol={rel_tol:g} at "
-                f"alpha={alpha:g}, z={z:g}")
-        return value
 
     x = -z
     shape = _shape(alpha, x)

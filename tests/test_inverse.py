@@ -138,16 +138,26 @@ def test_orders_and_tolerances_must_be_real(single_mode):
     # not read as 1.0, 0.5 or an OverflowError
     problem, measurement = single_mode
     for bad in (True, "0.5", 10**400):
-        with pytest.raises(DomainError, match="^evaluate_solution: alpha "):
+        with pytest.raises(DomainError, match="^residual: alpha "):
             residual(problem, measurement, bad)
         with pytest.raises(DomainError, match="^residual_derivative: alpha "):
             residual_derivative(problem, measurement, bad)
         with pytest.raises(DomainError, match="^sensitivity_profile: alpha "):
             sensitivity_profile(problem, measurement, [0.5, bad])
-        with pytest.raises(DomainError, match="^evaluate_solution: rel_tol "):
+        with pytest.raises(DomainError, match="^residual: rel_tol "):
             residual(problem, measurement, 0.5, rel_tol=bad)
         with pytest.raises(DomainError, match="^residual_derivative: rel_tol "):
             residual_derivative(problem, measurement, 0.5, rel_tol=bad)
+        with pytest.raises(DomainError, match="^sensitivity_profile: rel_tol "):
+            sensitivity_profile(problem, measurement, [0.5], rel_tol=bad)
+    # an order out of range too, and for the profile 1.0 as well, where F'
+    # is not defined
+    for bad in (0.0, 2.0, math.nan):
+        with pytest.raises(DomainError, match="^residual: need 0 < alpha <= 1"):
+            residual(problem, measurement, bad)
+    for bad in (0.0, 1.0, 2.0, math.nan):
+        with pytest.raises(DomainError, match="^sensitivity_profile: need 0 < alpha < 1"):
+            sensitivity_profile(problem, measurement, [0.5, bad])
 
 
 def test_rel_tol_out_of_range_refused(single_mode):
@@ -155,12 +165,14 @@ def test_rel_tol_out_of_range_refused(single_mode):
     # per mode, where it surfaced as an AccuracyError about cancellation
     problem, measurement = single_mode
     for bad in (-5.0, -1.0, 0.0, 1e-16, 2e-3, math.nan):
-        with pytest.raises(DomainError, match="^evaluate_solution: rel_tol must lie in"):
+        with pytest.raises(DomainError, match="^residual: rel_tol must lie in"):
             residual(problem, measurement, 0.5, rel_tol=bad)
         with pytest.raises(DomainError, match="^residual_derivative: rel_tol must lie in"):
             residual_derivative(problem, measurement, 0.5, rel_tol=bad)
-        with pytest.raises(DomainError, match="rel_tol must lie in"):
-            sensitivity_profile(problem, measurement, [0.5], rel_tol=bad)
+        # checked once, before the rows, so also when there are none
+        for alphas in ([0.5], []):
+            with pytest.raises(DomainError, match="^sensitivity_profile: rel_tol must lie in"):
+                sensitivity_profile(problem, measurement, alphas, rel_tol=bad)
     assert math.isfinite(residual_derivative(problem, measurement, 0.5, rel_tol=1e-3))
 
 
@@ -255,6 +267,19 @@ def test_scan_refuses_as_pointwise():
         scan_bracket(problem, measurement)
     assert str(scanned.value) == str(pointwise.value)
     assert "no strategy converged at alpha=0.001," in str(scanned.value)
+
+
+def test_scan_brackets_residuals_below_product_underflow():
+    # with amplitude 1e-200, F - d stays below 1e-162 on the whole scan, so
+    # the product of two residuals of opposite sign underflows to -0.0; the
+    # scan compares signs, and finds the bracket of the amplitude-1 problem
+    brackets = []
+    for amplitude in (1e-200, 1.0):
+        problem = make_problem(0.1, PI, [(1, amplitude)], 10.0)
+        measurement = Measurement(1.0, 5.0, evaluate_solution(problem, 0.503, 1.0, 5.0))
+        brackets.append(scan_bracket(problem, measurement).brackets)
+        assert abs(invert_order(problem, measurement).alpha_hat - 0.503) <= 1e-10
+    assert brackets[0] == brackets[1] == ((0.5, 0.5101836734693878),)
 
 
 def test_scan_equals_pointwise_off_the_series_region():

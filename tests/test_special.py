@@ -83,17 +83,9 @@ def test_gamma_domain_and_overflow():
         mittag_leffler(0.0, -1.0)
     with pytest.raises(DomainError):
         mittag_leffler(-2.5, -1.0)
-    # Gamma(201) overflows its block; the series takes such terms in log space
+    # Gamma(201) overflows its block; the derivative series takes such terms
+    # in log space, and the E series stops long before it reads them
     assert _coefficient(1.0, 200) == math.inf
-    # E_1/2(12) = exp(144) erfc(-12) peaks near j = 288: its terms from j = 286
-    # on pass 12**j's double range, and from j = 339 on Gamma's, where
-    # alpha*j + 1 > 170, and they still count at the requested 1e-12
-    value, err, converged = _ml_power_series(0.5, 12.0, 1e-12)
-    with mpmath.workdps(40):
-        expected = mpmath.exp(144) * mpmath.erfc(-12)
-        assert mpmath.mpf(12.0) ** 339 / mpmath.gamma(0.5 * 339 + 1) > 1e-9 * expected
-    assert converged and err <= 1e-12 * value
-    assert abs(value - expected) <= 1e-12 * expected
 
 
 # -------------------------------------------------------------- digamma
@@ -266,12 +258,6 @@ def test_ml_uniform_decay_envelope(alpha):
     assert sup <= _DECAY_ENVELOPE_BOUND[alpha]
 
 
-def test_ml_positive_axis_increasing():
-    zs = np.linspace(0.0, 2.0, 40)
-    values = [mittag_leffler(0.5, float(z), rel_tol=1e-12) for z in zs]
-    assert all(b > a for a, b in zip(values, values[1:]))
-
-
 def test_ml_domain_errors():
     # a bool, a non-real or a number past the double range, named
     for args, name in [((True, -1.0), "alpha"), ((0.5, True), "z"), ((0.5, "-1.0"), "z"),
@@ -285,7 +271,7 @@ def test_ml_domain_errors():
     with pytest.raises(DomainError):
         mittag_leffler(1.2, -1.0)
     with pytest.raises(DomainError):
-        mittag_leffler(0.5, 6.0)  # above the positive cutoff
+        mittag_leffler(0.5, 6.0)  # positive z
     with pytest.raises(DomainError):
         mittag_leffler(0.5, math.nan)
     with pytest.raises(DomainError):
@@ -300,16 +286,23 @@ def test_ml_accuracy_refusal_in_crossover():
         mittag_leffler(0.25, -2.0202020202020203, rel_tol=1e-10)
 
 
-def test_ml_overflow_for_large_positive():
-    with pytest.raises(OverflowError):
-        mittag_leffler(0.2, 5.0)
+def test_ml_refuses_positive_z():
+    # the decay axis z <= 0 holds every time factor of the solution
+    for z in (5e-324, 1.0, 5.0):
+        with pytest.raises(DomainError, match="^mittag_leffler: z "):
+            mittag_leffler(0.5, z)
+    for alpha in (0.5, 1.0):
+        assert mittag_leffler(alpha, 0.0) == 1.0
+        assert mittag_leffler(alpha, -0.0) == 1.0
 
 
 # ------------------------------------- power series against its reference
 
 def _per_term_power_series(alpha, z, rel_tol):
     """The power series of E_alpha(z) with its range tested at every term:
-    the reference whose bits `_ml_power_series` must return."""
+    the reference whose bits `_ml_power_series` must return.  Returns its
+    (value, error, converged) and the number of terms it took in log space,
+    past the double range of z**j or of Gamma."""
     special = fracorder.special
     threshold = 0.125 * rel_tol
     total = 1.0
@@ -318,6 +311,7 @@ def _per_term_power_series(alpha, z, rel_tol):
     small_run = 0
     tail = 0.0
     zpow = 1.0
+    log_space = 0
     j = 0
     while j < special.TAYLOR_MAX_TERMS:
         for gamma_g in _gamma_block(alpha, j + 1)[:special.TAYLOR_MAX_TERMS - j]:
@@ -327,6 +321,7 @@ def _per_term_power_series(alpha, z, rel_tol):
             if g <= 170.0 and math.isfinite(zpow):
                 term = zpow / gamma_g
             else:
+                log_space += 1
                 term = math.exp(j * math.log(abs(z)) - special._gammaln(g))
                 if z < 0.0 and j & 1:
                     term = -term
@@ -342,51 +337,58 @@ def _per_term_power_series(alpha, z, rel_tol):
                 if size > tail:
                     tail = size
                 if small_run == 3:
-                    return total + comp, 2.0 * tail + 6.0 * special._EPS * abs_sum, True
+                    return (total + comp, 2.0 * tail + 6.0 * special._EPS * abs_sum, True), log_space
             else:
                 small_run = 0
                 tail = 0.0
-    return total + comp, math.inf, False
-
-
-def _series_outcome(series, alpha, z, rel_tol):
-    """(value, error) float bytes and `converged`, or (type, message)."""
-    try:
-        value, err, converged = series(alpha, z, rel_tol)
-    except ArithmeticError as exc:  # math.exp past the double range, off the map's series region
-        return type(exc), str(exc)
-    return value.hex(), err.hex(), converged
+    return (total + comp, math.inf, False), log_space
 
 
 def _series_mismatches(args):
-    return [a for a in args
-            if _series_outcome(_ml_power_series, *a) != _series_outcome(_per_term_power_series, *a)]
+    """The arguments where `_ml_power_series` and its reference differ in a
+    bit of the value or the error, or in `converged`, or where the reference
+    takes a term in log space."""
+    mismatches = []
+    for a in args:
+        value, err, converged = _ml_power_series(*a)
+        (ref_value, ref_err, ref_converged), log_space = _per_term_power_series(*a)
+        if (log_space or converged is not ref_converged
+                or (value.hex(), err.hex()) != (ref_value.hex(), ref_err.hex())):
+            mismatches.append(a)
+    return mismatches
+
+
+def _in_series_region(alpha, z):
+    """Where `_mittag_leffler` hands z to the power series."""
+    return alpha < 1.0 and z < 0.0 and (-z) ** (1.0 / alpha) <= fracorder.special._S_ASYM_ONLY
 
 
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12, 1e-15])
 def test_power_series_matches_per_term_reference_on_map(rel_tol):
-    # every point of the map, also those the dispatcher hands to the tail
+    # the map's points that the dispatcher hands to the series
     alphas = np.linspace(0.05, 0.95, 19).tolist()
-    args = [(a, -x, rel_tol) for a in alphas for x in np.logspace(-3, 4, 200).tolist()]
+    args = [(a, -x, rel_tol) for a in alphas for x in np.logspace(-3, 4, 200).tolist()
+            if _in_series_region(a, -x)]
+    assert len(args) > 1000
+    assert _series_mismatches(args) == []
+
+
+@pytest.mark.parametrize("rel_tol", [1e-15, 1e-12, 1e-8, 1e-3])
+def test_power_series_stays_in_double_range(rel_tol):
+    # |z|**(1/alpha) up to 30 from the smallest orders to the edge of 1: the
+    # series stops, or its budget ends, before a term leaves the double range
+    alphas = (np.logspace(-3, -1, 8).tolist() + np.linspace(0.12, 0.96, 22).tolist()
+              + [0.99, 0.999, 1.0 - 1e-5, 1.0 - 1e-6, 1.0 - 1e-7])
+    args = [(a, -(s ** a), rel_tol) for a in alphas for s in np.linspace(0.125, 30.0, 230).tolist()]
+    args = [(a, z, tol) for a, z, tol in args if _in_series_region(a, z)]  # rounding at 30
+    assert len(args) >= 8000
     assert _series_mismatches(args) == []
 
 
 def test_power_series_matches_per_term_reference_past_block_range():
     # alpha = 0.001 runs the whole budget of 500 terms, whose last block is sliced
-    assert _per_term_power_series(0.001, -1.0, 1e-12)[2] is False
-    # positive z where the reference takes its terms in log space: (0.35, 4.9)
-    # converges at j = 489, after z**j passes the double range (j = 447) and
-    # Gamma's argument 170 (j = 483); (0.36, 5.0) at j = 452, after z**j
-    # passes it (j = 442); (0.34, 5.0) and (0.25, 4.9) run out of terms
-    converged = {(0.35, 4.9): True, (0.36, 5.0): True, (0.34, 5.0): False, (0.25, 4.9): False}
-    for (alpha, z), expected in converged.items():
-        assert _per_term_power_series(alpha, z, 1e-12)[2] is expected
-    args = [(0.001, -1.0, 1e-12)] + [(a, z, 1e-12) for a, z in converged]
-    # rel_tol = 0 sums the whole budget, so every block's range test decides
-    # a returned bit, also where Gamma's argument passes 170 with z**j in range
-    args += [(a, z, 0.0) for a in np.linspace(0.05, 0.95, 19).tolist()
-             for z in (-4.2, -2.0, 2.0, 4.2, 4.9)]
-    assert _series_mismatches(args) == []
+    assert _per_term_power_series(0.001, -1.0, 1e-12)[0][2] is False
+    assert _series_mismatches([(0.001, -1.0, 1e-12)]) == []
 
 
 # ------------------------------------------- coefficient cache states
