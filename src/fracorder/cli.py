@@ -154,7 +154,11 @@ def _fmt(value):
 def parse_points(source):
     """Points from a file path or an inline 'x,t[;x,t...]' string."""
     try:
-        text = (Path(source).read_text(encoding="utf-8") if Path(source).exists()
+        is_path = Path(source).exists()
+    except (OSError, ValueError):  # no path can have this name, e.g. one too long
+        is_path = False
+    try:
+        text = (Path(source).read_text(encoding="utf-8") if is_path
                 else source.replace(";", "\n"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read points {source!r}: {exc}") from exc
@@ -267,8 +271,10 @@ def build_parser():
                     "time-fractional diffusion.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", help="write results to this path instead of stdout")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write results to this path instead of stdout")
+    # every command but selfcheck, whose checks fix their own tolerances
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--rel-tol", type=float, default=None,
                         help="override the evaluation tolerance")
 
@@ -287,7 +293,7 @@ def build_parser():
     p_curve.add_argument("--config", required=True)
     p_curve.add_argument("--scan-points", type=int, default=None)
 
-    sub.add_parser("selfcheck", parents=[common], help="run the built-in verification suite")
+    sub.add_parser("selfcheck", parents=[output], help="run the built-in verification suite")
     return parser
 
 

@@ -212,7 +212,7 @@ def sine_coefficient(xs, fs, n):
         raise DomainError("sine_coefficient: xs and fs must be 1-D arrays of equal length")
     if xs.size < 64:
         raise DomainError(f"sine_coefficient: need at least 64 samples, got {xs.size}")
-    _mode_index(n, "sine_coefficient")
+    n = _mode_index(n, "sine_coefficient")
     length = float(xs[-1])
     if not (xs[0] == 0.0 and length > 0.0):
         raise DomainError("sine_coefficient: grid must start at 0 and end at the interval length")

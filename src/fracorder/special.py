@@ -8,16 +8,17 @@ tail expansion are combined, switching on the size of |z|**(1/a), which
 controls both the power-series cancellation (grows like exp(|z|**(1/a)))
 and the tail-expansion accuracy (shrinks like the same exponential).
 
-The two power series, for E_a(z) and for its order derivative, sum by one
-compensated-summation rule, `_sum_terms` (written out in the E_a series,
-where the order scan spends most of its time), and certify alike: a value
-is returned only when its error estimate is at most rel_tol times its
-magnitude.  Both read Gamma(alpha*j + 1), and the derivative also
-psi(alpha*j + 1), from per-order blocks of 32 terms kept in a small bounded
-cache: all modes at one order, F and F' at one refinement iterate, every
-cell of a fixed-order grid and the scan's orders share them.  The E_a series
-is summed only where |z|**(1/a) <= 30, and there every term it reaches stays
-in the double range, so it sums the blocks with no range test.
+The two power series, for E_a(z) and for its order derivative, each sum in
+one loop over the cached coefficient blocks, with the same Kahan step and
+stop rule, and certify alike: a value is returned only when its error
+estimate is at most rel_tol times its magnitude.  Both read
+Gamma(alpha*j + 1), and the derivative also psi(alpha*j + 1), from
+per-order blocks of 32 terms kept in a small bounded cache: all modes at
+one order, F and F' at one refinement iterate, every cell of a fixed-order
+grid and the scan's orders share them.  The E_a series is summed only where
+|z|**(1/a) <= 30, and there every term it reaches stays in the double range,
+so it sums the blocks with no range test; the derivative refuses a term
+past the double range, which no certified value reaches.
 
 `mittag_leffler` and `ml_alpha_derivative` check their arguments and hand
 them to the unchecked cores `_mittag_leffler` and `_ml_alpha_derivative`,
@@ -252,47 +253,18 @@ def _psi_block(alpha, start):
     return _port_block(_psi, alpha, start)
 
 
-def _sum_terms(terms, total, abs_sum, threshold):
-    """Compensated sum of `total` and the terms of the (term, size) pairs in
-    `terms`, where size bounds |term| and feeds the round-off estimate.
-
-    Returns (value, abs_error_estimate, converged).  The sum stops after three
-    consecutive sizes at most `threshold` times the running |sum|; the error
-    estimate is twice the largest of those sizes (truncation) plus
-    6*EPS*sum(size) (round-off amplified by cancellation).  `converged` is
-    False, with an infinite error, when `terms` runs out first.
-    """
-    comp = 0.0
-    small_run = 0
-    tail = 0.0
-    for term, size in terms:
-        # Kahan step
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        abs_sum += size
-        scale = abs(total)
-        # max(scale, 1e-300) inlined; a NaN scale stays NaN, as max keeps it
-        if size <= threshold * (1e-300 if 1e-300 > scale else scale):
-            small_run += 1
-            if size > tail:  # max(tail, size) inlined
-                tail = size
-            if small_run == 3:
-                return total + comp, 2.0 * tail + 6.0 * _EPS * abs_sum, True
-        else:
-            small_run = 0
-            tail = 0.0
-    return total + comp, math.inf, False
-
-
 def _ml_power_series(alpha, z, rel_tol):
-    """Taylor sum of E_alpha(z), z < 0 with |z|**(1/alpha) <= _S_ASYM_ONLY,
-    as `_sum_terms` returns it for the terms (z**j / Gamma(alpha*j + 1), its
-    size), j = 1 .. TAYLOR_MAX_TERMS, after the j = 0 term 1.  The loop is
-    `_sum_terms`'s, written out with the same operations in the same order:
-    the order scan spends most of its time here, and a term generator made
-    the scan a quarter to a third slower.
+    """Taylor sum of E_alpha(z), z < 0 with |z|**(1/alpha) <= _S_ASYM_ONLY:
+    the Kahan-compensated sum of the terms z**j / Gamma(alpha*j + 1),
+    j = 1 .. TAYLOR_MAX_TERMS, after the j = 0 term 1.  Returns
+    (value, abs_error_estimate, converged).  The sum stops after three
+    consecutive terms of size at most the threshold times the running |sum|;
+    the error estimate is twice the largest of those sizes (truncation) plus
+    6*EPS*sum(|term|) (round-off amplified by cancellation).  `converged` is
+    False, with an infinite error, when the budget runs out first.  The
+    loop, a while over whole blocks, is the lightest form measured: the
+    order scan spends most of its time here, and a term generator made the
+    scan a quarter to a third slower.
 
     Gamma comes from the cached blocks, evaluated at the same float
     `alpha * j + 1.0`, and each term is `z**j / Gamma` with no range test.
@@ -351,11 +323,9 @@ def _ml_algebraic_tail(alpha, x, rel_tol):
 
     truncated at the smallest-envelope term.  Returns the same triple as
     the power series; `converged` is False when no useful truncation point
-    exists (envelope grows from the start, i.e. x too small).  It keeps its
-    own loop rather than `_sum_terms`: it also stops where the envelope
-    passes its minimum, and certifies with the latest envelope instead of
-    the largest small term, so sharing the core would make it branch on its
-    caller.
+    exists (envelope grows from the start, i.e. x too small).  Unlike the
+    power series it also stops where the envelope passes its minimum, and
+    certifies with the latest envelope instead of the largest small term.
     """
     threshold = 0.125 * rel_tol
     log_x = math.log(x)
@@ -502,40 +472,6 @@ def _mittag_leffler(alpha, z, rel_tol):
     return value
 
 
-def _derivative_terms(alpha, c, t):
-    """(w_j * (ln t - psi_j), |w_j| * (|ln t| + |psi_j|)) for j = 1 ..
-    DERIV_MAX_TERMS, with w_j = (-x)**j * j / Gamma(alpha j + 1),
-    x = c * t**alpha and psi_j = psi(alpha j + 1), both from the cached
-    blocks.  Raises `AccuracyError` at the first term past the double range.
-    """
-    x = c * t**alpha
-    ln_t = math.log(t)
-    abs_ln_t = abs(ln_t)
-    xpow = 1.0
-    j = 0
-    while j < DERIV_MAX_TERMS:
-        end = DERIV_MAX_TERMS - j
-        gammas = _gamma_block(alpha, j + 1)[:end]
-        for gamma_g, psi_g in zip(gammas, _psi_block(alpha, j + 1)[:end]):
-            j += 1
-            g = alpha * j + 1.0
-            xpow *= x
-            if g <= 170.0 and math.isfinite(xpow):
-                w = j * xpow / gamma_g
-            else:
-                try:
-                    w = j * math.exp(j * math.log(x) - _gammaln(g))
-                except OverflowError:
-                    w = math.inf
-            if j & 1:
-                w = -w
-            weight = abs(w) * (abs_ln_t + abs(psi_g))
-            if not math.isfinite(weight):
-                raise AccuracyError(f"ml_alpha_derivative: series terms exceed the double range "
-                                    f"at alpha={alpha:g}, c={c:g}, t={t:g}")
-            yield w * (ln_t - psi_g), weight
-
-
 def ml_alpha_derivative(alpha, c, t, rel_tol=1e-10):
     """Derivative in the order of G(alpha) = E_alpha(-c * t**alpha).
 
@@ -544,8 +480,8 @@ def ml_alpha_derivative(alpha, c, t, rel_tol=1e-10):
         G'(alpha) = sum_{j>=1} (-c)**j * j * t**(alpha j)
                     * (ln t - psi(alpha j + 1)) / Gamma(alpha j + 1)
 
-    by the same summation core and truncation as the power series, applied
-    to the weight |w_j| * (|ln t| + |psi|), and certified as `mittag_leffler`
+    by the power series' Kahan step and truncation rule, applied to the
+    weight |w_j| * (|ln t| + |psi|), and certified as `mittag_leffler`
     certifies: the value is returned only when its error estimate is at most
     rel_tol * |value|.  Convergence is guaranteed for 0 < alpha < 1 since
     the term ratio tends to zero with the Gamma ratio
@@ -573,14 +509,66 @@ def ml_alpha_derivative(alpha, c, t, rel_tol=1e-10):
 
 def _ml_alpha_derivative(alpha, c, t, rel_tol):
     """G'(alpha) unchecked, for `ml_alpha_derivative` and the kernel's `_slope`;
-    an x = c * t**alpha of 0 (c = 0, or an underflow) gives zero terms and 0."""
-    value, err, converged = _sum_terms(_derivative_terms(alpha, c, t), 0.0, 0.0, 0.125 * rel_tol)
-    if not converged:
-        raise AccuracyError(
-            f"ml_alpha_derivative: series not converged within {DERIV_MAX_TERMS} terms "
-            f"at alpha={alpha:g}, c={c:g}, t={t:g}")
-    if err > rel_tol * abs(value):
-        raise AccuracyError(
-            f"ml_alpha_derivative: cancellation leaves error ~{err:.1e} at "
-            f"alpha={alpha:g}, c={c:g}, t={t:g}")
-    return value
+    an x = c * t**alpha of 0 (c = 0, or an underflow) gives zero terms and 0.
+
+    The loop is `_ml_power_series`'s, over the terms w_j * (ln t - psi_j) with
+    w_j = j * (-x)**j / Gamma(alpha*j + 1) and psi_j = psi(alpha*j + 1), both
+    from the cached blocks, j = 1 .. DERIV_MAX_TERMS; the size
+    |w_j| * (|ln t| + |psi_j|) feeds the stop rule and the round-off estimate.
+    A term past the double range, or one whose Gamma argument alpha*j + 1
+    passes 170, is refused as past the double range.  The sum is still
+    running there only when x**(1/alpha) is above about 45, and then its
+    terms, as large as about exp(x**(1/alpha)), leave a round-off estimate
+    far above any legal rel_tol: no value that such a term reaches would
+    be accepted, which a test checks against a form that takes those terms
+    in log space.
+    """
+    threshold = 0.125 * rel_tol
+    z = -(c * t**alpha)
+    ln_t = math.log(t)
+    abs_ln_t = abs(ln_t)
+    total = 0.0
+    abs_sum = 0.0
+    comp = 0.0
+    small_run = 0
+    tail = 0.0
+    zpow = 1.0
+    j = 0
+    while j < DERIV_MAX_TERMS:
+        gammas = _gamma_block(alpha, j + 1)
+        if j + _BLOCK > DERIV_MAX_TERMS:  # the budget's last block
+            gammas = gammas[:DERIV_MAX_TERMS - j]
+        for gamma_g, psi_g in zip(gammas, _psi_block(alpha, j + 1)):
+            j += 1
+            zpow *= z
+            w = j * zpow / gamma_g
+            size = abs(w) * (abs_ln_t + abs(psi_g))
+            if not math.isfinite(size) or alpha * j + 1.0 > 170.0:
+                raise AccuracyError(f"ml_alpha_derivative: series terms exceed the double range "
+                                    f"at alpha={alpha:g}, c={c:g}, t={t:g}")
+            term = w * (ln_t - psi_g)
+            # Kahan step
+            y = term - comp
+            s = total + y
+            comp = (s - total) - y
+            total = s
+            abs_sum += size
+            scale = abs(total)
+            if size <= threshold * (1e-300 if 1e-300 > scale else scale):
+                small_run += 1
+                if size > tail:
+                    tail = size
+                if small_run == 3:
+                    value = total + comp
+                    err = 2.0 * tail + 6.0 * _EPS * abs_sum
+                    if err > rel_tol * abs(value):
+                        raise AccuracyError(
+                            f"ml_alpha_derivative: cancellation leaves error ~{err:.1e} at "
+                            f"alpha={alpha:g}, c={c:g}, t={t:g}")
+                    return value
+            else:
+                small_run = 0
+                tail = 0.0
+    raise AccuracyError(
+        f"ml_alpha_derivative: series not converged within {DERIV_MAX_TERMS} terms "
+        f"at alpha={alpha:g}, c={c:g}, t={t:g}")

@@ -322,6 +322,22 @@ def test_main_unreadable_points_exits_2(tmp_path, capsys):
         assert "cannot read points" in capsys.readouterr().err
 
 
+def test_main_long_inline_points_match_file(tmp_path):
+    # an inline string past the usual file-name limit of 255 bytes is still points
+    inline = ";".join(f"{0.1 * k + 0.05:.6f},{0.5 + 0.1 * k:.6f}" for k in range(30))
+    assert len(inline) > 255
+    points_file = tmp_path / "points.txt"
+    points_file.write_text(inline.replace(";", "\n"), encoding="utf-8")
+    outputs = []
+    for source in (inline, str(points_file)):
+        out = tmp_path / f"out{len(outputs)}.csv"
+        assert main(["forward", "--config", str(SINGLE), "--points", source,
+                     "--output", str(out)]) == EXIT_OK
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 31
+
+
 def test_main_undecodable_config_exits_2(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_bytes(b"\xff\xfe{}")
@@ -351,6 +367,14 @@ def test_main_selfcheck_fault_hook(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL always_fails" in out
     assert "FAIL overall" in out
+
+
+def test_main_selfcheck_refuses_rel_tol(capsys):
+    # the checks fix their own tolerances; an ignored override would mislead
+    with pytest.raises(SystemExit) as exc_info:
+        main(["selfcheck", "--rel-tol", "1e-8"])
+    assert exc_info.value.code == EXIT_CONFIG
+    assert "--rel-tol" in capsys.readouterr().err
 
 
 def test_main_requires_subcommand():

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -339,6 +341,14 @@ def test_sine_coefficient_two_mode_initial_data():
     fs_fine = 2.0 * np.sin(xs_fine) + 0.5 * np.sin(3.0 * xs_fine)
     fine = sine_coefficient(xs_fine, fs_fine, 3)
     assert abs(fine - 0.5) <= abs(coarse - 0.5) + 1e-12
+
+
+def test_sine_coefficient_takes_any_integral_index():
+    xs = np.linspace(0.0, PI, 256)
+    fs = np.sin(2.0 * xs) + 0.25 * np.sin(5.0 * xs)
+    expected = sine_coefficient(xs, fs, 2).hex()
+    for n in (Decimal(2), Fraction(4, 2), 2.0, np.int64(2)):
+        assert sine_coefficient(xs, fs, n).hex() == expected, n
 
 
 def test_sine_coefficient_rejects_bad_grids():

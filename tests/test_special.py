@@ -83,8 +83,8 @@ def test_gamma_domain_and_overflow():
         mittag_leffler(0.0, -1.0)
     with pytest.raises(DomainError):
         mittag_leffler(-2.5, -1.0)
-    # Gamma(201) overflows its block; the derivative series takes such terms
-    # in log space, and the E series stops long before it reads them
+    # Gamma(201) overflows its block; the derivative series refuses a term
+    # past Gamma argument 170, and the E series stops long before it reads them
     assert _coefficient(1.0, 200) == math.inf
 
 
@@ -456,8 +456,7 @@ def test_derivative_log_time_zero():
 
 
 def test_derivative_of_underflowed_argument_is_zero():
-    # c * t**alpha underflows to 0: every term is 0 and so is the slope; the
-    # log of the argument is taken only for a term past the double range
+    # c * t**alpha underflows to 0: every term is 0 and so is the slope
     assert ml_alpha_derivative(0.5, 5e-324, 0.1) == 0.0
     assert fracorder.special._ml_alpha_derivative(0.5, 0.0, 2.0, 1e-10) == 0.0
 
@@ -591,6 +590,111 @@ def test_derivative_refuses_cancelled_values():
         assert abs(_order_derivative_oracle(alpha, [(c, t)])[0] - true_slope) <= 1e-4
 
 
+# ------------------------------------------ derivative against its reference
+
+def _sum_terms(terms, total, abs_sum, threshold):
+    """Compensated sum of `total` and the terms of the (term, size) pairs in
+    `terms`, by the stop rule and error estimate of the power series:
+    (value, abs_error_estimate, converged)."""
+    comp = 0.0
+    small_run = 0
+    tail = 0.0
+    for term, size in terms:
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        abs_sum += size
+        scale = abs(total)
+        if size <= threshold * (1e-300 if 1e-300 > scale else scale):
+            small_run += 1
+            if size > tail:
+                tail = size
+            if small_run == 3:
+                return total + comp, 2.0 * tail + 6.0 * fracorder.special._EPS * abs_sum, True
+        else:
+            small_run = 0
+            tail = 0.0
+    return total + comp, math.inf, False
+
+
+def _derivative_terms(alpha, c, t, log_space):
+    """(w_j * (ln t - psi_j), |w_j| * (|ln t| + |psi_j|)) for j = 1 ..
+    DERIV_MAX_TERMS, w_j = (-x)**j * j / Gamma(alpha*j + 1), x = c * t**alpha.
+    A term whose Gamma argument passes 170, or whose x**j leaves the double
+    range, is taken in log space and its j appended to `log_space`; a weight
+    past the double range raises AccuracyError."""
+    special = fracorder.special
+    x = c * t**alpha
+    ln_t = math.log(t)
+    xpow = 1.0
+    j = 0
+    while j < special.DERIV_MAX_TERMS:
+        end = special.DERIV_MAX_TERMS - j
+        gammas = _gamma_block(alpha, j + 1)[:end]
+        for gamma_g, psi_g in zip(gammas, _psi_block(alpha, j + 1)[:end]):
+            j += 1
+            g = alpha * j + 1.0
+            xpow *= x
+            if g <= 170.0 and math.isfinite(xpow):
+                w = j * xpow / gamma_g
+            else:
+                log_space.append(j)
+                try:
+                    w = j * math.exp(j * math.log(x) - special._gammaln(g))
+                except OverflowError:
+                    w = math.inf
+            if j & 1:
+                w = -w
+            weight = abs(w) * (abs(ln_t) + abs(psi_g))
+            if not math.isfinite(weight):
+                raise AccuracyError("series terms exceed the double range")
+            yield w * (ln_t - psi_g), weight
+
+
+def _log_space_reference(alpha, c, t, rel_tol):
+    """The order derivative as a term generator summed by `_sum_terms`, taking
+    terms past the double range in log space: the value it certifies, or None
+    for a refusal, and the number of terms it took in log space."""
+    log_space = []
+    try:
+        value, err, converged = _sum_terms(_derivative_terms(alpha, c, t, log_space),
+                                           0.0, 0.0, 0.125 * rel_tol)
+    except AccuracyError:
+        return None, len(log_space)
+    if not converged or err > rel_tol * abs(value):
+        return None, len(log_space)
+    return value, len(log_space)
+
+
+def test_derivative_matches_log_space_reference():
+    # orders, c and t across the domain and tolerances across their range;
+    # where the reference takes a term in log space, its sum is refused, and
+    # the loop refuses there too, without such terms
+    alphas = np.linspace(0.001, 0.999, 45).tolist()[::2]
+    cs = np.logspace(-3, 4, 60).tolist()[::2]
+    args = [(a, c, t, tol) for a in alphas for c in cs for t in np.logspace(-2, 3, 9).tolist()
+            for tol in (1e-15, 1e-10, 1e-3)]
+    args += [(0.375, 4.763938010401341, 1.0, 1e-10), (0.9, 32.24590545296398, 10.0, 1e-10)]
+    accepted = log_space_points = 0
+    for a in args:
+        reference, log_space = _log_space_reference(*a)
+        outcome = _outcome(fracorder.special._ml_alpha_derivative, *a)
+        if reference is None:
+            assert isinstance(outcome, tuple) and outcome[0] is AccuracyError, (a, outcome)
+        else:
+            assert outcome == reference.hex(), (a, outcome, reference)
+            accepted += 1
+        if log_space:
+            assert reference is None, a
+            assert "series terms exceed the double range" in outcome[1], (a, outcome)
+            log_space_points += 1
+    # 1,974 of the 18,632 points take a log-space term and 5,896 are certified
+    assert log_space_points >= 1900 and accepted >= 5800
+    for a in args[-2:]:
+        assert _log_space_reference(*a)[1] > 0, a
+
+
 # ------------------------------------------------ coefficient blocks
 
 def _bits(values):
@@ -607,21 +711,19 @@ def _port_mismatches(port, reference, xs):
 def test_ports_return_scipy_bits():
     # every Gamma/psi argument alpha*j + 1 of the series, j <= 700, at the
     # default scan orders and a map of 19 orders, plus every log Gamma
-    # argument: alpha*k of the tail (orders down to 1e-9) and alpha*j + 1
-    # past Gamma's range, and seeded points in [1e-3, 2e4]
+    # argument: alpha*k of the tail (orders down to 1e-9), and seeded points
+    # in [1e-3, 2e4]
     orders = np.concatenate([np.linspace(1e-3, 1.0 - 1e-3, 99), np.linspace(0.05, 0.95, 19)])
     series = (orders[:, None] * np.arange(1, 701) + 1.0).ravel()
     tail_orders = np.concatenate([orders, np.logspace(-9, -3, 13)])
     tail = (tail_orders[:, None] * np.arange(1, fracorder.special.ASYM_MAX_TERMS + 1)).ravel()
-    log_series = (orders[:, None] * np.arange(1, fracorder.special.DERIV_MAX_TERMS + 1)
-                  + 1.0).ravel()
     seeded = np.random.default_rng(9).uniform(1e-3, 2e4, 20000)
     assert tail.min() <= 1e-9
     for port, reference, xs in (
             (fracorder.special._gamma, scipy.special.gamma, series),
             (fracorder.special._psi, scipy.special.psi, series),
             (fracorder.special._gammaln, scipy.special.gammaln,
-             np.concatenate([tail, log_series[log_series > 170.0], seeded]))):
+             np.concatenate([tail, seeded]))):
         assert _port_mismatches(port, reference, xs) == (0, []), port.__name__
     # Gamma overflows where scipy's does, integers and half-integers included
     edge = [170.0, 171.0, 171.5, 171.6243769563027, 171.62437695630274, 172.0, 500.5,
