@@ -12,23 +12,24 @@ step cannot be trusted.
 
 import math
 
-from fracorder import (Measurement, check_uniqueness_hypothesis, evaluate_solution,
-                       invert_order, make_problem, scan_bracket, sensitivity_profile)
+from fracorder import (Measurement, evaluate_solution, invert_order, make_problem,
+                       residual_derivative, scan_bracket, sinpi)
 
 problem = make_problem(0.05, math.pi, [(1, 2.0), (3, 0.5)], time_horizon=20.0)
 measurement = Measurement(position=math.pi / 6, time=10.0, value=1.0112)
-
-# Sign conditions behind uniqueness: amplitude * sin(n*x0) > 0 per mode.
-hypothesis = check_uniqueness_hypothesis(problem, measurement)
-print("uniqueness hypothesis holds:", hypothesis.holds)
-for term in hypothesis.terms:
-    print(f"  mode {term.index}: amplitude={term.amplitude:+.3f} "
-          f"basis={term.basis_value:+.6f} product={term.product:+.6f}")
+x0, t1 = measurement.position, measurement.time
 
 scan = scan_bracket(problem, measurement)
-print("\nscan: monotone =", scan.monotone, " brackets =", scan.brackets)
+print("scan: monotone =", scan.monotone, " brackets =", scan.brackets)
 
 report = invert_order(problem, measurement)
+# Sign conditions behind uniqueness: amplitude * sin(n*pi*x0/L) > 0 per mode.
+print("\nuniqueness hypothesis holds:", report.uniqueness_hypothesis)
+for n, amplitude in problem.modes:
+    basis = sinpi(n * x0 / problem.length)
+    print(f"  mode {n}: amplitude={amplitude:+.3f} "
+          f"basis={basis:+.6f} product={amplitude * basis:+.6f}")
+
 print("\nrecovered order  :", report.alpha_hat)
 print("residual         :", report.residual)
 print("F'(alpha_hat)    :", report.derivative_at_root)
@@ -38,14 +39,15 @@ print("iterations       :", report.iterations)
 # Self-consistent round trip: simulate a measurement at a known order,
 # then recover it.
 true_alpha = 0.62
-d = evaluate_solution(problem, true_alpha, measurement.position, measurement.time)
-recovered = invert_order(problem, Measurement(measurement.position, measurement.time, d))
+d = evaluate_solution(problem, true_alpha, x0, t1)
+recovered = invert_order(problem, Measurement(x0, t1, d))
 print(f"\nround trip: true={true_alpha}, recovered={recovered.alpha_hat}, "
       f"error={abs(recovered.alpha_hat - true_alpha):.2e}")
 
 # Conditioning along the order axis: |1/F'| is the local amplification of
 # measurement errors into order errors.
 print("\nalpha      F(alpha)    F'(alpha)   |1/F'|")
-for alpha, value, slope, conditioning in sensitivity_profile(
-        problem, measurement, [0.2, 0.4, 0.6, 0.8]):
-    print(f"{alpha:.2f}   {value:10.6f}  {slope:10.6f}  {conditioning:8.3f}")
+for alpha in (0.2, 0.4, 0.6, 0.8):
+    value = evaluate_solution(problem, alpha, x0, t1)
+    slope = residual_derivative(problem, measurement, alpha)
+    print(f"{alpha:.2f}   {value:10.6f}  {slope:10.6f}  {1.0 / abs(slope):8.3f}")

@@ -11,10 +11,9 @@ and bracketing with analytic-derivative Newton acceleration.
 from .errors import AccuracyError, ConfigError, DomainError, NoRootError
 from .forward import (ForwardProblem, evaluate_solution, evaluate_solution_grid,
                       make_problem, sine_coefficient)
-from .inverse import (InverseConfig, InversionReport, Measurement, ModeTerm,
-                      ScanResult, UniquenessReport, check_uniqueness_hypothesis,
+from .inverse import (InverseConfig, InversionReport, Measurement, ScanResult,
                       endpoint_values, invert_order, residual, residual_derivative,
-                      scan_bracket, sensitivity_profile)
+                      scan_bracket)
 from .special import mittag_leffler, ml_alpha_derivative, sinpi
 
 __version__ = "0.1.0"
@@ -23,10 +22,9 @@ __all__ = [
     "AccuracyError", "ConfigError", "DomainError", "NoRootError",
     "ForwardProblem", "make_problem", "evaluate_solution",
     "evaluate_solution_grid", "sine_coefficient",
-    "Measurement", "InverseConfig", "InversionReport", "ModeTerm", "ScanResult",
-    "UniquenessReport", "residual", "residual_derivative",
-    "check_uniqueness_hypothesis", "scan_bracket", "invert_order",
-    "sensitivity_profile", "endpoint_values",
+    "Measurement", "InverseConfig", "InversionReport", "ScanResult",
+    "residual", "residual_derivative", "scan_bracket", "invert_order",
+    "endpoint_values",
     "mittag_leffler", "ml_alpha_derivative", "sinpi",
     "__version__",
 ]

@@ -15,7 +15,7 @@ import operator
 from collections import namedtuple
 
 from .errors import DomainError, _shown
-from .special import (REL_TOL_MAX, REL_TOL_MIN, _finite_float, _mittag_leffler,
+from .special import (REL_TOL_MIN, _check_rel_tol, _finite_float, _mittag_leffler,
                       _ml_alpha_derivative, _real, sinpi)
 
 
@@ -43,7 +43,8 @@ def make_problem(diffusivity, length, modes, time_horizon):
     positive real, `modes` that is not a list or tuple, a repeated mode
     index, an index that is not a positive integer, an amplitude that is not
     a finite real, a nonzero mode whose rate D*(n*pi/length)**2 is not a
-    finite double, or no nonzero mode.
+    finite double, amplitudes whose absolute sum is not a finite double, or
+    no nonzero mode.
     """
     scalars = []
     for name, value in (("diffusivity", diffusivity), ("length", length),
@@ -86,6 +87,10 @@ def make_problem(diffusivity, length, modes, time_horizon):
     for (n1, _), (n2, _) in zip(cleaned, cleaned[1:]):
         if n1 == n2:
             raise DomainError(f"make_problem: duplicate mode index {n1}")
+    # |E| <= 1 and |sin| <= 1, so a finite sum of |a_n| keeps every F finite
+    if not math.isfinite(sum(abs(amplitude) for _, amplitude in cleaned)):
+        raise DomainError(f"make_problem: the amplitudes of modes "
+                          f"{', '.join(str(n) for n, _ in cleaned)} sum past the double range")
     pairs = tuple(cleaned)
     if type(modes) is tuple and len(modes) == len(pairs) and all(map(operator.is_, modes, pairs)):
         pairs = modes
@@ -120,8 +125,7 @@ def _mode_tol(problem, rel_tol, name):
     """max(rel_tol / n_modes, REL_TOL_MIN) for each mode's factor; DomainError
     naming `name` unless rel_tol is a real in [REL_TOL_MIN, REL_TOL_MAX]."""
     rel_tol = _real(rel_tol, name)
-    if not REL_TOL_MIN <= rel_tol <= REL_TOL_MAX:
-        raise DomainError(f"{name} must lie in [{REL_TOL_MIN}, {REL_TOL_MAX}], got {rel_tol!r}")
+    _check_rel_tol(rel_tol, name)
     return max(rel_tol / problem.n_modes, REL_TOL_MIN)
 
 

@@ -19,7 +19,7 @@ from collections import namedtuple
 
 from .errors import AccuracyError, DomainError, NoRootError, _shown
 from .forward import _mode_terms, _mode_tol, _order, _slope, _solution
-from .special import REL_TOL_MAX, REL_TOL_MIN, _finite_float, _not_real, _real
+from .special import _check_rel_tol, _finite_float, _not_real, _real
 
 MONOTONE_VERIFIED = "verified"
 MONOTONE_VIOLATED = "violated"
@@ -84,28 +84,8 @@ class InverseConfig(namedtuple("InverseConfig", "alpha_lo alpha_hi root_tol scan
         if not ROOT_TOL_MIN <= self.root_tol < math.inf:
             raise DomainError(f"InverseConfig: root_tol must be finite and at least "
                               f"{ROOT_TOL_MIN}, got {_shown(self.root_tol)}")
-        if not REL_TOL_MIN <= self.f_rel_tol <= REL_TOL_MAX:
-            raise DomainError(f"InverseConfig: f_rel_tol must lie in "
-                              f"[{REL_TOL_MIN}, {REL_TOL_MAX}], got {_shown(self.f_rel_tol)}")
+        _check_rel_tol(self.f_rel_tol, "InverseConfig: f_rel_tol")
         return self
-
-
-class ModeTerm(namedtuple("ModeTerm", "index amplitude basis_value")):
-    """Sign data of one mode's contribution at the measurement point: the
-    mode `index`, its `amplitude` and `basis_value` = sin(index*pi*x0/length)."""
-
-    __slots__ = ()
-
-    @property
-    def product(self):
-        return self.amplitude * self.basis_value
-
-
-class UniquenessReport(namedtuple("UniquenessReport", "holds terms")):
-    """Outcome of `check_uniqueness_hypothesis`: the verdict `holds` and
-    one ModeTerm per mode in `terms`."""
-
-    __slots__ = ()
 
 
 class ScanResult(namedtuple("ScanResult", "alphas values monotone brackets")):
@@ -120,9 +100,12 @@ class InversionReport(namedtuple("InversionReport", "alpha_hat residual derivati
                                  "monotone uniqueness_hypothesis sensitivity trace roots iterations")):
     """Outcome of `invert_order`; `alpha_hat` is the first of `roots`.
 
-    `residual` is F(alpha_hat) - d, `monotone` and `uniqueness_hypothesis` the
-    scan's and the sign hypothesis' verdicts, `trace` the steps (k, alpha,
-    F - d) that refined `alpha_hat` and `iterations` the count over all roots.
+    `residual` is F(alpha_hat) - d, `monotone` the scan's verdict and
+    `uniqueness_hypothesis` the paper's sign hypothesis, amplitude *
+    sin(n*pi*x0/length) > 0 for every mode.  That hypothesis does not make F
+    monotone: at t1 = 1, 1/Gamma(1 + alpha) peaks near alpha = 0.46 and F can
+    meet d twice.  `trace` holds the steps (k, alpha, F - d) that refined
+    `alpha_hat` and `iterations` the count over all roots.
     `derivative_at_root` and `sensitivity` (|1/F'|) are nan when F'(alpha_hat)
     cannot be certified (AccuracyError); the root stands.
     """
@@ -175,20 +158,6 @@ def residual_derivative(problem, measurement, alpha, rel_tol=1e-10):
     return _slope(terms, alpha, t1, mode_tol)
 
 
-def check_uniqueness_hypothesis(problem, measurement):
-    """Strict positivity of every mode contribution at the measurement point.
-
-    True when amplitude * sin(n*pi*x0/length) > 0 for every mode: the
-    paper's sign hypothesis.  It does not make F monotone; at t1 = 1,
-    1/Gamma(1 + alpha) peaks near alpha = 0.46 and F can meet d twice.  The
-    scan's `monotone` verdict reports what was actually seen.
-    """
-    terms, _ = _measured(problem, measurement, need_value=False)
-    terms = tuple(ModeTerm(n, amplitude, basis) for (n, amplitude), (_, basis, _)
-                  in zip(problem.modes, terms))
-    return UniquenessReport(all(term.product > 0.0 for term in terms), terms)
-
-
 def endpoint_values(problem, measurement):
     """Closed-form limits (F(0), F(1)) of the measurement curve.
 
@@ -212,9 +181,17 @@ def scan_bracket(problem, measurement, config=InverseConfig()):
     included.  An empty bracket tuple is a legal outcome meaning no root in
     range.
     """
+    return _scan(*_inverse_inputs(problem, measurement, config, "scan_bracket"), config)
+
+
+def _inverse_inputs(problem, measurement, config, name):
+    """The checked (`_mode_terms` at x0, t1, d, per-mode tolerance); DomainError
+    naming `name` unless `config` is an InverseConfig."""
     terms, t1 = _measured(problem, measurement)
+    if not isinstance(config, InverseConfig):
+        raise DomainError(f"{name}: config must be an InverseConfig, got {_shown(config)}")
     mode_tol = _mode_tol(problem, config.f_rel_tol, "InverseConfig: f_rel_tol")
-    return _scan(terms, t1, float(measurement.value), mode_tol, config)
+    return terms, t1, float(measurement.value), mode_tol
 
 
 def _scan(terms, t1, d, mode_tol, config):
@@ -291,24 +268,13 @@ def _refine_root(f, fprime, lo, hi, f_lo, root_tol):
     return 0.5 * (a + b), tuple(trace), k
 
 
-def _slope_and_sensitivity(terms, alpha, t1, mode_tol):
-    """(F'(alpha), |1/F'(alpha)|), both nan if F' is not certified (AccuracyError)."""
-    try:
-        slope = _slope(terms, alpha, t1, mode_tol)
-    except AccuracyError:
-        return math.nan, math.nan
-    return slope, math.inf if abs(slope) < DERIVATIVE_FLOOR else 1.0 / abs(slope)
-
-
 def invert_order(problem, measurement, config=InverseConfig()):
     """Recover the order from the measurement; see InversionReport.
 
     Raises NoRootError when the scan finds no sign change.  Multiple
     brackets are all refined and reported, with `unique` False.
     """
-    terms, t1 = _measured(problem, measurement)
-    mode_tol = _mode_tol(problem, config.f_rel_tol, "InverseConfig: f_rel_tol")
-    d = float(measurement.value)
+    terms, t1, d, mode_tol = _inverse_inputs(problem, measurement, config, "invert_order")
     scan = _scan(terms, t1, d, mode_tol, config)
     if not scan.brackets:
         raise NoRootError(f"no root in range: F(alpha)-d has no sign change on "
@@ -326,33 +292,18 @@ def invert_order(problem, measurement, config=InverseConfig()):
     refined = [_refine_root(f, fp, lo, hi, scanned[lo], config.root_tol)
                for lo, hi in scan.brackets]
     alpha_hat = refined[0][0]
-    slope, sensitivity = _slope_and_sensitivity(terms, alpha_hat, t1, mode_tol)
+    try:
+        slope = fp(alpha_hat)
+    except AccuracyError:
+        slope = math.nan
     return InversionReport(
         alpha_hat=alpha_hat,
         residual=f(alpha_hat),
         derivative_at_root=slope,
         monotone=MONOTONE_VERIFIED if scan.monotone else MONOTONE_VIOLATED,
         uniqueness_hypothesis=all(amplitude * basis > 0.0 for amplitude, basis, _ in terms),
-        sensitivity=sensitivity,
+        sensitivity=math.inf if abs(slope) < DERIVATIVE_FLOOR else 1.0 / abs(slope),
         trace=refined[0][1],
         roots=tuple(root for root, _, _ in refined),
         iterations=sum(used for _, _, used in refined),
     )
-
-
-def sensitivity_profile(problem, measurement, alphas, rel_tol=1e-10):
-    """Rows (alpha, F(alpha), F'(alpha), |1/F'(alpha)|) for diagnostics.
-
-    Every order must lie in (0, 1), where F' is defined; `rel_tol` is
-    checked before the first row, so it is checked for an empty `alphas`
-    too.  As in `InversionReport`, the last two are nan at an order where F'
-    cannot be certified; the row and the rest of the profile stand.
-    """
-    terms, t1 = _measured(problem, measurement, need_value=False)
-    mode_tol = _mode_tol(problem, rel_tol, "sensitivity_profile: rel_tol")
-    rows = []
-    for alpha in alphas:
-        alpha = _order(alpha, "sensitivity_profile", below_one=True)
-        rows.append((alpha, _solution(terms, alpha, t1, mode_tol),
-                     *_slope_and_sensitivity(terms, alpha, t1, mode_tol)))
-    return rows

@@ -96,6 +96,14 @@ def _real(value, name):
         raise DomainError(f"{name} lies past the double range") from None
 
 
+def _check_rel_tol(rel_tol, name):
+    """DomainError naming the argument `name` unless the real `rel_tol` lies
+    in [REL_TOL_MIN, REL_TOL_MAX]; nan does not."""
+    if not REL_TOL_MIN <= rel_tol <= REL_TOL_MAX:
+        raise DomainError(f"{name} must lie in [{REL_TOL_MIN}, {REL_TOL_MAX}], "
+                          f"got {_shown(rel_tol)}")
+
+
 def sinpi(u):
     """sin(pi*u), exact 0.0 at integer u and exactly +-1 at half-integers."""
     if type(u) is not float:  # the tail expansion calls this once per term
@@ -416,9 +424,7 @@ def mittag_leffler(alpha, z, rel_tol=1e-12):
         raise DomainError(f"mittag_leffler: need 0 < alpha <= 1, got {alpha!r}")
     if not math.isfinite(z):
         raise DomainError(f"mittag_leffler: need finite z, got {z!r}")
-    if not REL_TOL_MIN <= rel_tol <= REL_TOL_MAX:
-        raise DomainError(f"mittag_leffler: rel_tol must lie in [{REL_TOL_MIN}, {REL_TOL_MAX}], "
-                          f"got {rel_tol!r}")
+    _check_rel_tol(rel_tol, "mittag_leffler: rel_tol")
     if z > 0.0:
         raise DomainError(f"mittag_leffler: z must be <= 0, got {z!r}")
     return _mittag_leffler(alpha, z, rel_tol)
@@ -501,9 +507,7 @@ def ml_alpha_derivative(alpha, c, t, rel_tol=1e-10):
         raise DomainError(f"ml_alpha_derivative: need c > 0, got {c!r}")
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"ml_alpha_derivative: need t > 0, got {t!r}")
-    if not REL_TOL_MIN <= rel_tol <= REL_TOL_MAX:
-        raise DomainError(f"ml_alpha_derivative: rel_tol must lie in "
-                          f"[{REL_TOL_MIN}, {REL_TOL_MAX}], got {rel_tol!r}")
+    _check_rel_tol(rel_tol, "ml_alpha_derivative: rel_tol")
     return _ml_alpha_derivative(alpha, c, t, rel_tol)
 
 

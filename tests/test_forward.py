@@ -92,6 +92,20 @@ def test_make_problem_rejects_bad_indices():
     assert all(type(n) is int and type(a) is float for n, a in problem.modes)
 
 
+def test_make_problem_rejects_amplitude_sum_past_double_range():
+    # each amplitude is finite but their sum is not: F came back as inf and
+    # invert_order raised a misleading NoRootError
+    with pytest.raises(DomainError, match="^make_problem: the amplitudes of modes 1, 2 sum "
+                                          "past the double range$"):
+        make_problem(1e-3, PI, [(1, 1.7e308), (2, 1.7e308)], 1.0)
+    with pytest.raises(DomainError, match="modes 1, 2, 3 sum past"):
+        make_problem(1e-3, PI, [(3, 1e308), (1, -1e308), (2, 1e0)], 1.0)
+    # a finite sum of |a_n| at the edge of the range keeps F and the grid finite
+    big = make_problem(1e-3, PI, [(1, 1.7e308), (2, -9e306)], 1.0)
+    assert math.isfinite(evaluate_solution(big, 0.5, 0.5, 1.0, 1e-9))
+    assert np.isfinite(evaluate_solution_grid(big, 0.5, [0.0, 0.5, PI], [0.5, 1.0])).all()
+
+
 def test_make_problem_shares_canonical_modes():
     # a tuple of (int, float) pairs, sorted, nonzero: kept, not copied
     canonical = ((2, 1.0), (3, 0.5))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ import fracorder.forward
 import fracorder.inverse
 import fracorder.special
 from fracorder import (AccuracyError, DomainError, InverseConfig, Measurement, NoRootError,
-                       check_uniqueness_hypothesis, endpoint_values, evaluate_solution,
-                       evaluate_solution_grid, invert_order, make_problem, residual,
-                       residual_derivative, scan_bracket, sensitivity_profile)
+                       endpoint_values, evaluate_solution, evaluate_solution_grid,
+                       invert_order, make_problem, residual, residual_derivative,
+                       scan_bracket)
 
 PI = math.pi
 
@@ -142,22 +143,18 @@ def test_orders_and_tolerances_must_be_real(single_mode):
             residual(problem, measurement, bad)
         with pytest.raises(DomainError, match="^residual_derivative: alpha "):
             residual_derivative(problem, measurement, bad)
-        with pytest.raises(DomainError, match="^sensitivity_profile: alpha "):
-            sensitivity_profile(problem, measurement, [0.5, bad])
         with pytest.raises(DomainError, match="^residual: rel_tol "):
             residual(problem, measurement, 0.5, rel_tol=bad)
         with pytest.raises(DomainError, match="^residual_derivative: rel_tol "):
             residual_derivative(problem, measurement, 0.5, rel_tol=bad)
-        with pytest.raises(DomainError, match="^sensitivity_profile: rel_tol "):
-            sensitivity_profile(problem, measurement, [0.5], rel_tol=bad)
-    # an order out of range too, and for the profile 1.0 as well, where F'
-    # is not defined
+    # an order out of range too, and for the derivative 1.0 as well, where
+    # F' is not defined
     for bad in (0.0, 2.0, math.nan):
         with pytest.raises(DomainError, match="^residual: need 0 < alpha <= 1"):
             residual(problem, measurement, bad)
     for bad in (0.0, 1.0, 2.0, math.nan):
-        with pytest.raises(DomainError, match="^sensitivity_profile: need 0 < alpha < 1"):
-            sensitivity_profile(problem, measurement, [0.5, bad])
+        with pytest.raises(DomainError, match="^residual_derivative: need 0 < alpha < 1"):
+            residual_derivative(problem, measurement, bad)
 
 
 def test_rel_tol_out_of_range_refused(single_mode):
@@ -169,32 +166,32 @@ def test_rel_tol_out_of_range_refused(single_mode):
             residual(problem, measurement, 0.5, rel_tol=bad)
         with pytest.raises(DomainError, match="^residual_derivative: rel_tol must lie in"):
             residual_derivative(problem, measurement, 0.5, rel_tol=bad)
-        # checked once, before the rows, so also when there are none
-        for alphas in ([0.5], []):
-            with pytest.raises(DomainError, match="^sensitivity_profile: rel_tol must lie in"):
-                sensitivity_profile(problem, measurement, alphas, rel_tol=bad)
     assert math.isfinite(residual_derivative(problem, measurement, 0.5, rel_tol=1e-3))
 
 
-# ------------------------------------------- check_uniqueness_hypothesis
+# ------------------------------------------------------- sign hypothesis
 
 def test_hypothesis_holds_on_reference_setups(single_mode, two_mode):
     for problem, measurement in (single_mode, two_mode):
-        report = check_uniqueness_hypothesis(problem, measurement)
-        assert report.holds
-        assert all(term.product > 0 for term in report.terms)
+        assert invert_order(problem, measurement).uniqueness_hypothesis
+        assert all(amplitude * basis > 0.0 for amplitude, basis, _ in
+                   fracorder.forward._mode_terms(problem, measurement.position))
 
 
-def test_hypothesis_fails_at_basis_node(single_mode):
-    problem, _ = single_mode
-    report = check_uniqueness_hypothesis(problem, Measurement(PI / 2, 2.0, 0.1))
-    assert not report.holds
-    assert report.terms[0].basis_value == 0.0
+def test_hypothesis_fails_at_basis_node():
+    # mode 2 has a node at pi/2: its product a_2 * sin(pi) is 0, not positive,
+    # while mode 1 still carries an order to recover
+    problem = make_problem(0.1, PI, [(1, 1.0), (2, 0.5)], 4.0)
+    measurement = Measurement(PI / 2, 2.0, evaluate_solution(problem, 0.5, PI / 2, 2.0))
+    assert fracorder.forward._mode_terms(problem, PI / 2)[1][1] == 0.0
+    report = invert_order(problem, measurement)
+    assert not report.uniqueness_hypothesis
+    assert abs(report.alpha_hat - 0.5) <= 1e-9
 
 
 def test_hypothesis_fails_for_mixed_signs(mixed_sign):
     problem, measurement = mixed_sign
-    assert not check_uniqueness_hypothesis(problem, measurement).holds
+    assert not invert_order(problem, measurement).uniqueness_hypothesis
 
 
 # --------------------------------------------------------- scan_bracket
@@ -557,8 +554,8 @@ def test_newton_refinement_takes_few_iterations(setup, request, monkeypatch):
     assert report.iterations <= 4 * len(report.roots)
     assert len(orders) == report.iterations + 1  # the iterates, then alpha_hat
     assert orders[-1] == report.alpha_hat
-    scale = sum(abs(term.product)
-                for term in check_uniqueness_hypothesis(problem, measurement).terms)
+    scale = sum(abs(amplitude * basis) for amplitude, basis, _ in
+                fracorder.forward._mode_terms(problem, measurement.position))
     assert abs(report.residual) <= 1e-14 * scale
 
 
@@ -583,10 +580,10 @@ def test_residual_bound_at_root(single_mode, two_mode):
 def test_hypothesis_soundness(single_mode, two_mode):
     # positive hypothesis + verified monotone scan => exactly one root
     for problem, measurement in (single_mode, two_mode):
-        assert check_uniqueness_hypothesis(problem, measurement).holds
         scan = scan_bracket(problem, measurement)
         assert scan.monotone
         report = invert_order(problem, measurement)
+        assert report.uniqueness_hypothesis
         assert len(report.roots) == 1
 
 
@@ -637,48 +634,6 @@ def test_kernel_work_counts(two_mode, monkeypatch):
     assert len(builds) == 1
 
 
-# --------------------------------------------------- sensitivity_profile
-
-def test_sensitivity_profile_rows(single_mode):
-    problem, measurement = single_mode
-    rows = sensitivity_profile(problem, measurement, [0.25, 0.5, 0.75])
-    assert len(rows) == 3
-    values = [value for _, value, _, _ in rows]
-    assert values[0] > values[1] > values[2]
-    for alpha, value, slope, conditioning in rows:
-        assert math.isfinite(value) and math.isfinite(slope)
-        assert conditioning == pytest.approx(1.0 / abs(slope))
-        assert value == evaluate_solution(problem, alpha, measurement.position,
-                                          measurement.time)
-        assert slope == residual_derivative(problem, measurement, alpha)
-
-
-@pytest.mark.parametrize("diffusivity,alphas,refused", [
-    (4.923882631706737, [0.5, 0.6, 0.7], [0.5, 0.6, 0.7]),
-    (1.2, [0.3, 0.5, 0.7], [0.3]),
-])
-def test_sensitivity_profile_keeps_rows_with_refused_slope(diffusivity, alphas, refused):
-    # a slope that cannot be certified reads nan, as in InversionReport
-    problem = make_problem(diffusivity, PI, [(1, 1.0)], 5.0)
-    measurement = Measurement(PI / 2, 3.0)
-    rows = sensitivity_profile(problem, measurement, alphas)
-    assert [alpha for alpha, _, _, _ in rows] == alphas
-    for alpha, value, slope, conditioning in rows:
-        assert value == evaluate_solution(problem, alpha, PI / 2, 3.0)
-        if alpha in refused:
-            with pytest.raises(AccuracyError):
-                residual_derivative(problem, measurement, alpha)
-            assert math.isnan(slope) and math.isnan(conditioning)
-        else:
-            assert slope == residual_derivative(problem, measurement, alpha)
-            assert conditioning == 1.0 / abs(slope)
-
-
-def test_sensitivity_profile_empty(single_mode):
-    problem, measurement = single_mode
-    assert sensitivity_profile(problem, measurement, []) == []
-
-
 # -------------------------------------------------------- InverseConfig
 
 def test_inverse_config_validation():
@@ -694,6 +649,20 @@ def test_inverse_config_validation():
         InverseConfig(root_tol=0.0)
     with pytest.raises(DomainError):
         InverseConfig(f_rel_tol=1.0)
+
+
+@pytest.mark.parametrize("call", [invert_order, scan_bracket], ids=lambda call: call.__name__)
+def test_config_must_be_an_inverse_config(single_mode, call):
+    # a plain tuple of the five fields, a dict or None is refused by name,
+    # not read until an AttributeError; the measurement is checked first
+    problem, measurement = single_mode
+    name = call.__name__
+    for bad in ((1e-3, 0.999, 1e-10, 99, 1e-10), {"scan_points": 99}, None):
+        with pytest.raises(DomainError, match=f"^{name}: config must be an InverseConfig, "
+                                              f"got {re.escape(repr(bad))}$"):
+            call(problem, measurement, bad)
+    with pytest.raises(DomainError, match="^measurement position"):
+        call(problem, Measurement(0.0, 2.0, 0.1), None)
 
 
 def test_inverse_config_root_tol_floor():

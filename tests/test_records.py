@@ -3,9 +3,9 @@ import pickle
 
 import pytest
 
-from fracorder import (DomainError, InverseConfig, InversionReport, Measurement, ModeTerm,
-                       ScanResult, UniquenessReport, check_uniqueness_hypothesis,
-                       invert_order, make_problem)
+import fracorder
+from fracorder import (DomainError, InverseConfig, InversionReport, Measurement, ScanResult,
+                       invert_order, make_problem, scan_bracket)
 from fracorder.cli import RunConfig
 
 PI = math.pi
@@ -53,10 +53,6 @@ def test_record_reprs_pinned():
     assert repr(measurement) == "Measurement(position=1.0, time=2.0, value=None)"
     assert repr(config) == ("InverseConfig(alpha_lo=0.001, alpha_hi=0.999, root_tol=1e-10, "
                             "scan_points=99, f_rel_tol=1e-10)")
-    assert repr(ModeTerm(2, 0.5, 1.0)) == "ModeTerm(index=2, amplitude=0.5, basis_value=1.0)"
-    assert repr(UniquenessReport(True, (ModeTerm(2, 0.5, 1.0),))) == (
-        "UniquenessReport(holds=True, terms=(ModeTerm(index=2, amplitude=0.5, "
-        "basis_value=1.0),))")
     assert repr(ScanResult((0.1, 0.9), (1.0, -1.0), True, ((0.1, 0.9),))) == (
         "ScanResult(alphas=(0.1, 0.9), values=(1.0, -1.0), monotone=True, "
         "brackets=((0.1, 0.9),))")
@@ -74,8 +70,7 @@ def test_records_pickle_round_trip(single_mode):
     problem, measurement = single_mode
     report = invert_order(problem, measurement)
     config = InverseConfig(scan_points=33, root_tol=1e-12)
-    for record in (report, config, problem, measurement,
-                   check_uniqueness_hypothesis(problem, measurement)):
+    for record in (report, config, problem, measurement, scan_bracket(problem, measurement)):
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             copy = pickle.loads(pickle.dumps(record, protocol))
             assert type(copy) is type(record)
@@ -100,4 +95,18 @@ def test_records_are_immutable_named_tuples(single_mode):
     assert measurement._asdict() == {"position": PI / 4, "time": 2.0, "value": 0.25818}
     assert InverseConfig._fields == ("alpha_lo", "alpha_hi", "root_tol", "scan_points",
                                      "f_rel_tol")
-    assert ModeTerm(1, 2.0, -0.5).product == -1.0
+
+
+# ------------------------------------------------------------- public names
+
+def test_public_names_pinned():
+    # the records, the solver functions and the errors; helpers that only
+    # tests or a demo called are not part of the API
+    assert sorted(fracorder.__all__) == sorted([
+        "AccuracyError", "ConfigError", "DomainError", "NoRootError",
+        "ForwardProblem", "make_problem", "evaluate_solution", "evaluate_solution_grid",
+        "sine_coefficient", "Measurement", "InverseConfig", "InversionReport", "ScanResult",
+        "residual", "residual_derivative", "scan_bracket", "invert_order", "endpoint_values",
+        "mittag_leffler", "ml_alpha_derivative", "sinpi", "__version__"])
+    assert len(set(fracorder.__all__)) == len(fracorder.__all__)
+    assert all(hasattr(fracorder, name) for name in fracorder.__all__)
