@@ -217,6 +217,12 @@ def sine_coefficient(xs, fs, n):
     if xs.size < 64:
         raise DomainError(f"sine_coefficient: need at least 64 samples, got {xs.size}")
     n = _mode_index(n, "sine_coefficient")
+    try:
+        frequency = n * math.pi
+    except OverflowError:  # an int index past the double range
+        frequency = math.inf
+    if not math.isfinite(frequency):
+        raise DomainError(f"sine_coefficient: index {_shown(n)}: n*pi lies past the double range")
     length = float(xs[-1])
     if not (xs[0] == 0.0 and length > 0.0):
         raise DomainError("sine_coefficient: grid must start at 0 and end at the interval length")

@@ -7,19 +7,24 @@ Each public function checks its inputs once, builds the per-mode terms at x0
 once and evaluates F and its analytic derivative in alpha through the
 forward kernel.  A uniform scan over the orders finds the sign-change
 brackets and reports whether the sampled curve is monotone (a verdict on
-the samples, not a proof).  A bracketed, safeguarded Newton iteration
-refines each bracket to a root, starting from the scan's value at its left
-end: it bisects instead when a Newton step leaves the bracket, stops
-shrinking or would overrun the iteration budget set by root_tol, and ends
-when a step falls below root_tol/2 or the bracket narrows to root_tol.
+the samples, not a proof).  `invert_order` reads the same brackets and
+verdict from a Chebyshev interpolant of F through 33 nodes, evaluating F
+only at the scan orders whose sign the interpolant cannot certify, and
+splits a scan cell that hides two roots.  A bracketed, safeguarded Newton
+iteration refines each bracket to a root, starting from F at its left end:
+it bisects instead when a Newton step leaves the bracket, stops shrinking
+or would overrun the iteration budget set by root_tol, and ends when a step
+falls below root_tol/2 or the bracket narrows to root_tol.
 """
 
+import functools
 import math
+import operator
 from collections import namedtuple
 
 from .errors import AccuracyError, DomainError, NoRootError, _shown
 from .forward import _mode_terms, _mode_tol, _order, _slope, _solution
-from .special import _check_rel_tol, _finite_float, _not_real, _real
+from .special import _EPS, _check_rel_tol, _finite_float, _not_real, _real
 
 MONOTONE_VERIFIED = "verified"
 MONOTONE_VIOLATED = "violated"
@@ -31,6 +36,16 @@ DERIVATIVE_FLOOR = 1e-14
 # Neighbouring doubles in (0, 1) lie at most 2**-53 apart, so a bracket wider
 # than this holds at least 9 of them and its midpoint lies strictly inside.
 ROOT_TOL_MIN = 1e-15
+
+# Nodes of the Chebyshev proxy of F that finds the brackets of a scan with
+# more orders than this: F is analytic in the order, and at 33 nodes the
+# interpolant's last coefficients are at round-off on the bundled configs.
+_PROXY_NODES = 33
+
+# The golden-section search for an extremum of the proxy inside two scan
+# cells narrows them to 0.618**24 = 1e-5 of their width.
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+_GOLDEN_STEPS = 24
 
 
 class Measurement(namedtuple("Measurement", "position time value", defaults=(None,))):
@@ -49,10 +64,13 @@ class InverseConfig(namedtuple("InverseConfig", "alpha_lo alpha_hi root_tol scan
 
     The scan takes `scan_points` >= 9 orders from `alpha_lo` to `alpha_hi` in
     (0, 1); every construction, `_make` and `_replace` included, checks them.
-    `f_rel_tol` is the relative accuracy asked of F(alpha); each mode's
-    Mittag-Leffler factor is asked for `f_rel_tol / n_modes`.  A request
-    below the power series' round-off floor, `6*EPS*sum|term|` relative to
-    the factor, at any scanned or refined order raises `AccuracyError`.  The
+    They set the cells in which `invert_order` brackets roots; past 33
+    orders it evaluates F at 33 Chebyshev nodes and at the scan orders their
+    interpolant cannot certify, not at every scan order.  `f_rel_tol` is the
+    relative accuracy asked of F(alpha); each mode's Mittag-Leffler factor
+    is asked for `f_rel_tol / n_modes`.  A request below the power series'
+    round-off floor, `6*EPS*sum|term|` relative to the factor, at any
+    evaluated order raises `AccuracyError`.  The
     floor grows with |z| = D lambda_n t1**alpha, so it is highest at
     `alpha_hi`: the bundled two-mode config is refused at 2e-11 and accepted
     at 3e-11.  `root_tol` ends the refinement of a bracket once a Newton step
@@ -194,11 +212,16 @@ def _inverse_inputs(problem, measurement, config, name):
     return terms, t1, float(measurement.value), mode_tol
 
 
+def _scan_orders(lo, hi, n):
+    """numpy.linspace(lo, hi, n) to the bit, as a tuple of floats."""
+    step = (hi - lo) / (n - 1)
+    return tuple([i * step + lo for i in range(n - 1)] + [hi])  # linspace's arithmetic
+
+
 def _scan(terms, t1, d, mode_tol, config):
     """`scan_bracket` on checked inputs."""
     lo, hi, n = float(config.alpha_lo), float(config.alpha_hi), config.scan_points
-    step = (hi - lo) / (n - 1)
-    alphas = tuple([i * step + lo for i in range(n - 1)] + [hi])  # linspace's arithmetic
+    alphas = _scan_orders(lo, hi, n)
     values = tuple([_solution(terms, alpha, t1, mode_tol) - d for alpha in alphas])
     diffs = [b - a for a, b in zip(values, values[1:])]
     monotone = all(diff > 0.0 for diff in diffs) or all(diff < 0.0 for diff in diffs)
@@ -208,6 +231,168 @@ def _scan(terms, t1, d, mode_tol, config):
     brackets = tuple((a, a) if fa == 0.0 else (a, b) for a, b, fa, fb in cells
                      if fa == 0.0 or fb != 0.0 and (fa < 0.0) != (fb < 0.0))
     return ScanResult(alphas, values, monotone, brackets)
+
+
+def _barycentric_row(x, nodes, weights):
+    """The weights whose dot product with the values at `nodes` is their
+    interpolant at x (Berrut & Trefethen, SIAM Review 46 (2004) 501)."""
+    if x in nodes:
+        return tuple(float(node == x) for node in nodes)
+    quotients = [weight / (x - node) for weight, node in zip(weights, nodes)]
+    total = sum(quotients)
+    return tuple(q / total for q in quotients)
+
+
+@functools.lru_cache(maxsize=4)
+def _proxy_rows(lo, hi, n):
+    """(orders, nodes, weights, rows, tail) of the proxy for the n-order scan
+    on [lo, hi], or None where its _PROXY_NODES nodes are not distinct.
+
+    The nodes are the Chebyshev points of the second kind on [lo, hi] in
+    ascending order, both ends exact; `rows` holds one barycentric row per
+    scan order, and `tail` the DCT-I rows that give the interpolant's last
+    three Chebyshev coefficients from the node values.
+    """
+    m = _PROXY_NODES - 1
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    # sin((2k - m) pi / 2m) = -cos(k pi / m), exactly odd about the middle node
+    nodes = tuple([lo] + [mid + half * math.sin(math.pi * (2 * k - m) / (2 * m))
+                          for k in range(1, m)] + [hi])
+    if any(a >= b for a, b in zip(nodes, nodes[1:])):
+        return None
+    ends = [0.5] + [1.0] * (m - 1) + [0.5]
+    weights = tuple((-1.0) ** k * end for k, end in enumerate(ends))
+    orders = _scan_orders(lo, hi, n)
+    rows = tuple(_barycentric_row(alpha, nodes, weights) for alpha in orders)
+    tail = tuple(tuple(2.0 / m * (0.5 if j == m else 1.0) * end
+                       * math.cos(math.pi * (j * k % (2 * m)) / m)
+                       for k, end in enumerate(ends))
+                 for j in range(m - 2, m + 1))
+    return orders, nodes, weights, rows, tail
+
+
+def _brackets(terms, t1, d, mode_tol, config):
+    """([(lo, hi, F(lo) - d)], monotone) for the sign-change cells and the
+    verdict of `_scan`, read from a Chebyshev proxy of F where it can be.
+
+    Past _PROXY_NODES scan orders, F is evaluated at the proxy's nodes and
+    the interpolant p stands in for F - d at each scan order: |p| above the
+    margin fixes the sign of F - d there, and a step of p above twice the
+    margin fixes the sign of the scan's step.  F is evaluated exactly at the
+    other orders and at each bracket's left end, and a cell that hides two
+    roots is split (`_hidden_pairs`).  Trailing coefficients that have not
+    decayed, or an order that F refuses on this path, hand the search to
+    `_scan`, so every refusal is the scan's.
+    """
+    lo, hi, n = float(config.alpha_lo), float(config.alpha_hi), config.scan_points
+    proxy = _proxy_rows(lo, hi, n) if n > _PROXY_NODES else None
+    if proxy is not None:
+        try:
+            found = _proxy_brackets(terms, t1, d, mode_tol, proxy)
+        except (AccuracyError, DomainError):
+            found = None
+        if found is not None:
+            return found
+    scan = _scan(terms, t1, d, mode_tol, config)
+    scanned = dict(zip(scan.alphas, scan.values))
+    return [(a, b, scanned[a]) for a, b in scan.brackets], scan.monotone
+
+
+def _proxy_brackets(terms, t1, d, mode_tol, proxy):
+    """`_brackets` from the rows of `_proxy_rows`."""
+    orders, nodes, weights, rows, tail = proxy
+    known = {alpha: _solution(terms, alpha, t1, mode_tol) - d for alpha in nodes}
+    f = [known[alpha] for alpha in nodes]
+
+    def exact(alpha):
+        if alpha not in known:
+            known[alpha] = _solution(terms, alpha, t1, mode_tol) - d
+        return known[alpha]
+
+    # The interpolant misses F by at most twice the sum of the coefficients
+    # it drops.  With the last three below 1e-6 of F's spread over the nodes,
+    # geometric decay falls by at least 1.38 a step, so that bound is under 3
+    # times the largest of the three; otherwise the scan runs.  F's
+    # certified error at each node (mode_tol per unit of sum |a_n sin_n|)
+    # reaches the interpolant times its Lebesgue constant, below 3.3 at 33
+    # nodes; 8 times the sum covers both with the sums' round-off.
+    trailing = max(abs(sum(map(operator.mul, row, f))) for row in tail)
+    if trailing > 1e-6 * (max(f) - min(f)):
+        return None
+    scale = sum(abs(amplitude * basis) for amplitude, basis, _ in terms)
+    margin = 8.0 * (trailing + mode_tol * scale + 64.0 * _EPS * (scale + abs(d)))
+    p = [sum(map(operator.mul, row, f)) for row in rows]
+
+    signs = []
+    for alpha, value in zip(orders, p):
+        if abs(value) <= margin:
+            value = exact(alpha)
+        signs.append((value > 0.0) - (value < 0.0))
+
+    steps = [b - a for a, b in zip(p, p[1:])]
+    rising = any(step > 2.0 * margin for step in steps)
+    falling = any(step < -2.0 * margin for step in steps)
+    for a, b, step in zip(orders, orders[1:], steps):
+        if rising and falling:
+            break
+        if abs(step) <= 2.0 * margin:
+            step = exact(b) - exact(a)
+            rising |= not step < 0.0  # an exact zero step is neither
+            falling |= not step > 0.0
+
+    def proxy_at(x):
+        return sum(map(operator.mul, _barycentric_row(x, nodes, weights), f))
+
+    splits = _hidden_pairs(orders, steps, signs, margin, proxy_at, exact)
+    brackets = []
+    for i, (a, sign) in enumerate(zip(orders, signs)):
+        if i in splits:
+            x = splits[i]
+            brackets += [(a, x, exact(a)), (x, orders[i + 1], known[x])]
+        elif sign == 0:
+            brackets.append((a, a, exact(a)))
+        elif i + 1 < len(orders) and signs[i + 1] == -sign:
+            brackets.append((a, orders[i + 1], exact(a)))
+    return brackets, not (rising and falling)
+
+
+def _hidden_pairs(orders, steps, signs, margin, proxy_at, exact):
+    """{i: x} for the scan cells [orders[i], orders[i + 1]] whose ends share a
+    sign while F - d takes the other sign at x inside: two roots in one cell.
+
+    Such a pair sits at an extremum of the proxy that turns towards zero
+    between three scan orders of one sign.  A golden-section search finds
+    the extremum; where the proxy there lies beyond the margin on the other
+    side, F is evaluated exactly at it, and the cell is split when F - d
+    agrees.
+    """
+    splits = {}
+    for j in range(1, len(orders) - 1):
+        side = signs[j]
+        if (side == 0 or signs[j - 1] != side or signs[j + 1] != side
+                or not side * steps[j - 1] < 0.0 < side * steps[j]):
+            continue
+        x, g = _golden_min(lambda x: side * proxy_at(x), orders[j - 1], orders[j + 1])
+        if g < -margin and x != orders[j] and side * exact(x) < 0.0:
+            splits[j - 1 if x < orders[j] else j] = x
+    return splits
+
+
+def _golden_min(g, a, b):
+    """(x, g(x)) at the smallest value of g that a golden-section search of
+    _GOLDEN_STEPS steps on [a, b] finds."""
+    c, e = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    gc, ge = g(c), g(e)
+    for _ in range(_GOLDEN_STEPS):
+        if gc < ge:
+            b, e, ge = e, c, gc
+            c = b - _GOLDEN * (b - a)
+            gc = g(c)
+        else:
+            a, c, gc = c, e, ge
+            e = a + _GOLDEN * (b - a)
+            ge = g(e)
+    return (c, gc) if gc < ge else (e, ge)
 
 
 def _refine_root(f, fprime, lo, hi, f_lo, root_tol):
@@ -271,12 +456,13 @@ def _refine_root(f, fprime, lo, hi, f_lo, root_tol):
 def invert_order(problem, measurement, config=InverseConfig()):
     """Recover the order from the measurement; see InversionReport.
 
-    Raises NoRootError when the scan finds no sign change.  Multiple
-    brackets are all refined and reported, with `unique` False.
+    Raises NoRootError when the bracket search finds no sign change, and
+    AccuracyError when F cannot be certified at an order it evaluates.
+    Multiple brackets are all refined and reported, with `unique` False.
     """
     terms, t1, d, mode_tol = _inverse_inputs(problem, measurement, config, "invert_order")
-    scan = _scan(terms, t1, d, mode_tol, config)
-    if not scan.brackets:
+    brackets, monotone = _brackets(terms, t1, d, mode_tol, config)
+    if not brackets:
         raise NoRootError(f"no root in range: F(alpha)-d has no sign change on "
                           f"[{config.alpha_lo:g}, {config.alpha_hi:g}]")
 
@@ -286,11 +472,7 @@ def invert_order(problem, measurement, config=InverseConfig()):
     def fp(a):
         return _slope(terms, a, t1, mode_tol)
 
-    # the scan's values are f's bits at its orders: each bracket's left end
-    # needs no new evaluation
-    scanned = dict(zip(scan.alphas, scan.values))
-    refined = [_refine_root(f, fp, lo, hi, scanned[lo], config.root_tol)
-               for lo, hi in scan.brackets]
+    refined = [_refine_root(f, fp, lo, hi, f_lo, config.root_tol) for lo, hi, f_lo in brackets]
     alpha_hat = refined[0][0]
     try:
         slope = fp(alpha_hat)
@@ -300,7 +482,7 @@ def invert_order(problem, measurement, config=InverseConfig()):
         alpha_hat=alpha_hat,
         residual=f(alpha_hat),
         derivative_at_root=slope,
-        monotone=MONOTONE_VERIFIED if scan.monotone else MONOTONE_VIOLATED,
+        monotone=MONOTONE_VERIFIED if monotone else MONOTONE_VIOLATED,
         uniqueness_hypothesis=all(amplitude * basis > 0.0 for amplitude, basis, _ in terms),
         sensitivity=math.inf if abs(slope) < DERIVATIVE_FLOOR else 1.0 / abs(slope),
         trace=refined[0][1],

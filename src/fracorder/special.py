@@ -57,9 +57,9 @@ _S_ASYM_ONLY = 30.0
 # Series coefficients Gamma(alpha*j + 1) and psi(alpha*j + 1) come in
 # per-order blocks of _BLOCK terms; each cache keeps its most recently used
 # blocks, so its memory stays fixed however many orders are evaluated.  512
-# Gamma blocks hold the default 99-order scan's between inversions; the scan
-# reads no psi, so the psi cache only serves refinement iterates, whose
-# orders no later inversion reads again.
+# Gamma blocks hold those of the default 99-order scan and of an inversion's
+# 33 proxy nodes between calls; neither reads psi, so the psi cache only
+# serves refinement iterates, whose orders no later inversion reads again.
 _BLOCK = 32
 _BLOCKS_KEPT = 512
 _PSI_BLOCKS_KEPT = 128

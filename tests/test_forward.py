@@ -376,3 +376,12 @@ def test_sine_coefficient_rejects_bad_grids():
     for n in (0, math.nan, math.inf, True):
         with pytest.raises(DomainError, match="sine_coefficient"):
             sine_coefficient(xs, np.sin(xs), n)
+
+
+def test_sine_coefficient_refuses_index_past_double_range():
+    # make_problem refuses the same indices; numpy's n*pi would raise a raw
+    # OverflowError or turn every sample into nan
+    xs = np.linspace(0.0, PI, 64)
+    for n in (10**400, 10**308):
+        with pytest.raises(DomainError, match=r"^sine_coefficient: index .*past the double range"):
+            sine_coefficient(xs, np.sin(xs), n)

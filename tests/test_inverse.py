@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 import fracorder.forward
 import fracorder.inverse
 import fracorder.special
-from fracorder import (AccuracyError, DomainError, InverseConfig, Measurement, NoRootError,
-                       endpoint_values, evaluate_solution, evaluate_solution_grid,
+from fracorder import (AccuracyError, DomainError, InverseConfig, InversionReport, Measurement,
+                       NoRootError, endpoint_values, evaluate_solution, evaluate_solution_grid,
                        invert_order, make_problem, residual, residual_derivative,
                        scan_bracket)
 
@@ -355,12 +356,18 @@ def test_scan_orders_equal_linspace(single_mode, bounds):
 
 
 def test_scan_blocks_stay_cached_between_inversions(two_mode, port_calls):
-    # the scan reads whole Gamma blocks, each built once, and the cache
-    # keeps them: after an inversion, scanning again builds none
+    # the series read whole Gamma blocks, each built once, and the cache
+    # keeps them: a second identical inversion builds none, and neither does
+    # a second scan
     problem, measurement = two_mode
     invert_order(problem, measurement)
     builds = port_calls["_gamma"]
     assert builds and all(np.ndim(args) == 1 for args in builds)
+    assert len({tuple(args) for args in builds}) == len(builds)
+    builds.clear()
+    invert_order(problem, measurement)
+    assert builds == []
+    scan_bracket(problem, measurement)
     assert len({tuple(args) for args in builds}) == len(builds)
     builds.clear()
     scan_bracket(problem, measurement)
@@ -543,14 +550,22 @@ def test_newton_trace_stays_in_bracket(single_mode):
 def test_newton_refinement_takes_few_iterations(setup, request, monkeypatch):
     # each bracket ends once a Newton step is below root_tol/2: a few
     # iterations of one evaluation of F each, none at a bracket's left end,
-    # whose value the scan holds, and alpha_hat's residual at F's rounding level
+    # whose value the bracket search holds, and alpha_hat's residual at F's
+    # rounding level
     problem, measurement = request.getfixturevalue(setup)
-    calls = []
-    real = fracorder.inverse._solution
+    calls, searched = [], []
+    real, real_brackets = fracorder.inverse._solution, fracorder.inverse._brackets
     monkeypatch.setattr(fracorder.inverse, "_solution",
                         lambda *args: calls.append(args[1]) or real(*args))
+
+    def brackets(*args):
+        found = real_brackets(*args)
+        searched.append(len(calls))
+        return found
+
+    monkeypatch.setattr(fracorder.inverse, "_brackets", brackets)
     report = invert_order(problem, measurement)
-    orders = calls[InverseConfig().scan_points:]  # the scan's orders come first
+    orders = calls[searched[0]:]  # the bracket search's orders come first
     assert report.iterations <= 4 * len(report.roots)
     assert len(orders) == report.iterations + 1  # the iterates, then alpha_hat
     assert orders[-1] == report.alpha_hat
@@ -632,6 +647,146 @@ def test_kernel_work_counts(two_mode, monkeypatch):
     builds.clear()
     invert_order(*two_mode)
     assert len(builds) == 1
+
+
+# -------------------------------------------------------- bracket search
+
+def _full_scan_inversion(problem, measurement, config=InverseConfig()):
+    """`invert_order`'s report from the full uniform scan: F at every scan
+    order, each bracket refined from the scan's value at its left end."""
+    scan = scan_bracket(problem, measurement, config)
+    if not scan.brackets:
+        raise NoRootError(f"no root in range: F(alpha)-d has no sign change on "
+                          f"[{config.alpha_lo:g}, {config.alpha_hi:g}]")
+
+    def f(alpha):
+        return residual(problem, measurement, alpha, config.f_rel_tol)
+
+    def fp(alpha):
+        return residual_derivative(problem, measurement, alpha, config.f_rel_tol)
+
+    scanned = dict(zip(scan.alphas, scan.values))
+    refined = [fracorder.inverse._refine_root(f, fp, lo, hi, scanned[lo], config.root_tol)
+               for lo, hi in scan.brackets]
+    alpha_hat = refined[0][0]
+    try:
+        slope = fp(alpha_hat)
+    except AccuracyError:
+        slope = math.nan
+    terms = fracorder.forward._mode_terms(problem, measurement.position)
+    return InversionReport(
+        alpha_hat, f(alpha_hat), slope, "verified" if scan.monotone else "violated",
+        all(amplitude * basis > 0.0 for amplitude, basis, _ in terms),
+        math.inf if abs(slope) < 1e-14 else 1.0 / abs(slope), refined[0][1],
+        tuple(root for root, _, _ in refined), sum(used for _, _, used in refined))
+
+
+def _report_or_refusal(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (ArithmeticError, DomainError, NoRootError) as exc:
+        return type(exc), str(exc)
+
+
+def _seeded_inversions(seed, count):
+    """Benchmark-like inversions: 1-3 modes of one sign at x0 or two opposed
+    ones, the largest rate at most min(0.5, 4/t1), d taken at a drawn order."""
+    rng = random.Random(seed)
+    drawn = []
+    for k in range(count):
+        t1 = rng.uniform(2.0, 10.0)
+        indices = sorted(rng.sample(range(1, 6), 2 if k % 2 else rng.randint(1, 3)))
+        diffusivity = rng.uniform(0.25, 1.0) * min(0.5, 4.0 / t1) / indices[-1] ** 2
+        x0 = rng.uniform(0.2, PI - 0.2)
+        signs = (1.0, -1.0) if k % 2 else (1.0,) * len(indices)
+        problem = make_problem(diffusivity, PI, [(n, s * math.copysign(rng.uniform(0.2, 2.0),
+                                                                        math.sin(n * x0)))
+                                                 for n, s in zip(indices, signs)], t1)
+        d = evaluate_solution(problem, rng.uniform(0.1, 0.9), x0, t1)
+        drawn.append((problem, Measurement(x0, t1, d)))
+    return drawn
+
+
+@pytest.mark.parametrize("config", [
+    InverseConfig(), InverseConfig(f_rel_tol=1e-3), InverseConfig(scan_points=33),
+    InverseConfig(scan_points=34, root_tol=1e-15),
+    InverseConfig(alpha_lo=0.05, alpha_hi=0.95, scan_points=400, f_rel_tol=1e-12),
+    InverseConfig(alpha_lo=0.3, alpha_hi=0.7, scan_points=57, root_tol=1e-6, f_rel_tol=1e-7),
+    InverseConfig(alpha_lo=0.5, alpha_hi=0.5 + 4e-16)])  # too narrow for 33 distinct nodes
+def test_report_matches_full_scan(single_mode, two_mode, mixed_sign, config):
+    # every report bit, and every refusal, is the full scan's: at f_rel_tol
+    # 1e-3 the margin is wide and most scan orders take F itself; a flat
+    # curve, whose trailing coefficients are round-off, takes the scan; and
+    # a d taken at the default scan's 49th order, which is no node, makes
+    # F - d exactly 0 there
+    problem, measurement = two_mode
+    on_order = float(np.linspace(1e-3, 1.0 - 1e-3, 99)[48])
+    special = [single_mode, two_mode, mixed_sign,
+               (problem, measurement._replace(value=evaluate_solution(
+                   problem, on_order, measurement.position, measurement.time))),
+               (make_problem(0.2, PI, [(1, 1.0)], 1.0), Measurement(PI / 2, 1.0, 0.8)),
+               (make_problem(1e-12, PI, [(1, 1.0)], 1.0), Measurement(PI / 2, 1.0, 1.0 - 1e-13)),
+               (make_problem(0.1, PI, [(1, 1e-200)], 10.0), Measurement(1.0, 5.0, 5e-201))]
+    for problem, measurement in special + _seeded_inversions(5, 24):
+        assert (_report_or_refusal(invert_order, problem, measurement, config)
+                == _report_or_refusal(_full_scan_inversion, problem, measurement, config))
+
+
+def test_inversion_evaluates_a_third_of_the_scan(two_mode, monkeypatch):
+    # F at the proxy's 33 nodes in ascending order, at the few scan orders
+    # the proxy cannot certify, among them the bracket's left end, then at
+    # the refinement's iterates and alpha_hat; the full scan takes 99 + 4
+    orders = []
+    real = fracorder.inverse._solution
+    monkeypatch.setattr(fracorder.inverse, "_solution",
+                        lambda *args: orders.append(args[1]) or real(*args))
+    report = invert_order(*two_mode)
+    assert len(orders) <= 33 + 3 + report.iterations + 1
+    nodes = orders[:33]
+    assert nodes == sorted(set(nodes))
+    assert (nodes[0], nodes[-1]) == (InverseConfig().alpha_lo, InverseConfig().alpha_hi)
+
+
+def test_bracket_search_hands_over_to_the_scan(two_mode, monkeypatch):
+    # a scan of at most 33 orders, a refusal at a node and trailing
+    # coefficients above 1e-6 of F's spread each run the full scan, whose
+    # refusal text stands
+    scans = []
+    real = fracorder.inverse._scan
+    monkeypatch.setattr(fracorder.inverse, "_scan",
+                        lambda *args: scans.append(args[-1].scan_points) or real(*args))
+    invert_order(*two_mode)
+    invert_order(*two_mode, InverseConfig(scan_points=40))
+    assert scans == []
+    invert_order(*two_mode, InverseConfig(scan_points=33))
+    assert scans == [33]
+    flat = make_problem(1e-12, PI, [(1, 1.0)], 1.0)
+    invert_order(flat, Measurement(PI / 2, 1.0, evaluate_solution(flat, 0.5, PI / 2, 1.0)))
+    assert scans == [33, 99]
+    refusing = (make_problem(1.0, PI, [(1, 1.0)], 20.0), Measurement(PI / 2, 10.0, 0.1))
+    with pytest.raises(AccuracyError) as inverted:
+        invert_order(*refusing)
+    assert scans == [33, 99, 99]
+    with pytest.raises(AccuracyError) as scanned:
+        scan_bracket(*refusing)
+    assert str(inverted.value) == str(scanned.value)
+
+
+def test_two_roots_inside_one_scan_cell():
+    # F - d has two simple roots 0.0037 apart inside the scan cell
+    # [0.40835, 0.41853], whose ends are both negative, and peaks at +2.6e-7
+    # between them: the uniform scan sees no sign change, the proxy's
+    # extremum inside the cell does, and F confirms its sign
+    alpha, x0, t1 = 0.41597965601616194, 1.7674655632682383, 4.8793236812777065
+    problem = make_problem(0.01616371352710967, PI,
+                           [(3, -1.474059766702691), (5, -1.4133489825594436)], t1)
+    measurement = Measurement(x0, t1, evaluate_solution(problem, alpha, x0, t1))
+    assert scan_bracket(problem, measurement).brackets == ()
+    report = invert_order(problem, measurement)
+    assert not report.unique
+    assert len(report.roots) == 2
+    assert abs(report.roots[0] - 0.4123) <= 1e-4
+    assert abs(report.roots[1] - alpha) <= 1e-7
 
 
 # -------------------------------------------------------- InverseConfig
