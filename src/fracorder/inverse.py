@@ -8,13 +8,14 @@ once and evaluates F and its analytic derivative in alpha through the
 forward kernel.  A uniform scan over the orders finds the sign-change
 brackets and reports whether the sampled curve is monotone (a verdict on
 the samples, not a proof).  `invert_order` reads the same brackets and
-verdict from a Chebyshev interpolant of F through 33 nodes, evaluating F
-only at the scan orders whose sign the interpolant cannot certify, and
-splits a scan cell that hides two roots.  A bracketed, safeguarded Newton
-iteration refines each bracket to a root, starting from F at its left end:
-it bisects instead when a Newton step leaves the bracket, stops shrinking
-or would overrun the iteration budget set by root_tol, and ends when a step
-falls below root_tol/2 or the bracket narrows to root_tol.
+verdict from a Chebyshev interpolant of F through 17 nodes, or through 33
+where the 17-node one has not decayed, evaluating F only at the scan
+orders whose sign the interpolant cannot certify, and splits a scan cell
+that hides two roots.  A bracketed, safeguarded Newton iteration refines
+each bracket to a root, starting from F at its left end: it bisects
+instead when a Newton step leaves the bracket, stops shrinking or would
+overrun the iteration budget set by root_tol, and ends when a step falls
+below root_tol/2 or the bracket narrows to root_tol.
 """
 
 import functools
@@ -37,10 +38,12 @@ DERIVATIVE_FLOOR = 1e-14
 # than this holds at least 9 of them and its midpoint lies strictly inside.
 ROOT_TOL_MIN = 1e-15
 
-# Nodes of the Chebyshev proxy of F that finds the brackets of a scan with
-# more orders than this: F is analytic in the order, and at 33 nodes the
-# interpolant's last coefficients are at round-off on the bundled configs.
-_PROXY_NODES = 33
+# Node counts of the Chebyshev proxy of F that finds the brackets of a scan
+# of more than 33 orders.  F is analytic in the order, and at 17 nodes the
+# interpolant's last coefficients are at round-off on the bundled configs;
+# where they have not decayed, F is evaluated at the 16 nodes that 33 adds,
+# as the 17 nodes are the 33's even-indexed ones, bit for bit.
+_PROXY_NODES = (17, 33)
 
 # The golden-section search for an extremum of the proxy inside two scan
 # cells narrows them to 0.618**24 = 1e-5 of their width.
@@ -65,8 +68,9 @@ class InverseConfig(namedtuple("InverseConfig", "alpha_lo alpha_hi root_tol scan
     The scan takes `scan_points` >= 9 orders from `alpha_lo` to `alpha_hi` in
     (0, 1); every construction, `_make` and `_replace` included, checks them.
     They set the cells in which `invert_order` brackets roots; past 33
-    orders it evaluates F at 33 Chebyshev nodes and at the scan orders their
-    interpolant cannot certify, not at every scan order.  `f_rel_tol` is the
+    orders it evaluates F at 17 Chebyshev nodes, at 16 more where their
+    interpolant has not decayed, and at the scan orders the interpolant
+    cannot certify, not at every scan order.  `f_rel_tol` is the
     relative accuracy asked of F(alpha); each mode's Mittag-Leffler factor
     is asked for `f_rel_tol / n_modes`.  A request below the power series'
     round-off floor, `6*EPS*sum|term|` relative to the factor, at any
@@ -243,19 +247,21 @@ def _barycentric_row(x, nodes, weights):
     return tuple(q / total for q in quotients)
 
 
-@functools.lru_cache(maxsize=4)
-def _proxy_rows(lo, hi, n):
-    """(orders, nodes, weights, rows, tail) of the proxy for the n-order scan
-    on [lo, hi], or None where its _PROXY_NODES nodes are not distinct.
+@functools.lru_cache(maxsize=8)
+def _proxy_rows(lo, hi, n, size):
+    """(orders, nodes, weights, rows, tail) of the `size`-node proxy for the
+    n-order scan on [lo, hi], or None where its nodes are not distinct.
 
     The nodes are the Chebyshev points of the second kind on [lo, hi] in
     ascending order, both ends exact; `rows` holds one barycentric row per
     scan order, and `tail` the DCT-I rows that give the interpolant's last
     three Chebyshev coefficients from the node values.
     """
-    m = _PROXY_NODES - 1
+    m = size - 1
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    # sin((2k - m) pi / 2m) = -cos(k pi / m), exactly odd about the middle node
+    # sin((2k - m) pi / 2m) = -cos(k pi / m), exactly odd about the middle
+    # node; doubling k and m doubles pi * (2k - m) and 2m exactly, so each
+    # node is the node 2k of the proxy with twice the intervals
     nodes = tuple([lo] + [mid + half * math.sin(math.pi * (2 * k - m) / (2 * m))
                           for k in range(1, m)] + [hi])
     if any(a >= b for a, b in zip(nodes, nodes[1:])):
@@ -275,22 +281,27 @@ def _brackets(terms, t1, d, mode_tol, config):
     """([(lo, hi, F(lo) - d)], monotone) for the sign-change cells and the
     verdict of `_scan`, read from a Chebyshev proxy of F where it can be.
 
-    Past _PROXY_NODES scan orders, F is evaluated at the proxy's nodes and
-    the interpolant p stands in for F - d at each scan order: |p| above the
-    margin fixes the sign of F - d there, and a step of p above twice the
-    margin fixes the sign of the scan's step.  F is evaluated exactly at the
-    other orders and at each bracket's left end, and a cell that hides two
-    roots is split (`_hidden_pairs`).  Trailing coefficients that have not
-    decayed, or an order that F refuses on this path, hand the search to
+    Past _PROXY_NODES[-1] scan orders, F is evaluated at the 17 proxy
+    nodes, and at the 16 more of 33 only where the 17-node interpolant's
+    trailing coefficients have not decayed.  The interpolant p stands in
+    for F - d at each scan order: |p| above the margin fixes the sign of
+    F - d there, and a step of p above twice the margin fixes the sign of
+    the scan's step.  F is evaluated exactly at the other orders and at each
+    bracket's left end, and a cell that hides two roots is split
+    (`_hidden_pairs`).  Trailing coefficients that have not decayed at 33
+    nodes, or an order that F refuses on this path, hand the search to
     `_scan`, so every refusal is the scan's.
     """
     lo, hi, n = float(config.alpha_lo), float(config.alpha_hi), config.scan_points
-    proxy = _proxy_rows(lo, hi, n) if n > _PROXY_NODES else None
-    if proxy is not None:
+    known = {}  # F - d at each order evaluated, shared by both node counts
+    for size in _PROXY_NODES:
+        proxy = _proxy_rows(lo, hi, n, size) if n > _PROXY_NODES[-1] else None
+        if proxy is None:
+            break
         try:
-            found = _proxy_brackets(terms, t1, d, mode_tol, proxy)
+            found = _proxy_brackets(terms, t1, d, mode_tol, proxy, known)
         except (AccuracyError, DomainError):
-            found = None
+            break
         if found is not None:
             return found
     scan = _scan(terms, t1, d, mode_tol, config)
@@ -298,24 +309,33 @@ def _brackets(terms, t1, d, mode_tol, config):
     return [(a, b, scanned[a]) for a, b in scan.brackets], scan.monotone
 
 
-def _proxy_brackets(terms, t1, d, mode_tol, proxy):
-    """`_brackets` from the rows of `_proxy_rows`."""
+def _proxy_brackets(terms, t1, d, mode_tol, proxy, known):
+    """`_brackets` from the rows of `_proxy_rows`, or None where the
+    trailing coefficients have not decayed; `known` maps each order already
+    evaluated to F - d and takes the orders evaluated here."""
     orders, nodes, weights, rows, tail = proxy
-    known = {alpha: _solution(terms, alpha, t1, mode_tol) - d for alpha in nodes}
-    f = [known[alpha] for alpha in nodes]
 
     def exact(alpha):
         if alpha not in known:
             known[alpha] = _solution(terms, alpha, t1, mode_tol) - d
         return known[alpha]
 
+    # the ends first, then ascending: most refusals happen at an end, the
+    # round-off floor peaking at alpha_hi, and hand over after 2 evaluations
+    for alpha in (nodes[0], nodes[-1]) + nodes[1:-1]:
+        exact(alpha)
+    f = [known[alpha] for alpha in nodes]
+
     # The interpolant misses F by at most twice the sum of the coefficients
-    # it drops.  With the last three below 1e-6 of F's spread over the nodes,
-    # geometric decay falls by at least 1.38 a step, so that bound is under 3
-    # times the largest of the three; otherwise the scan runs.  F's
-    # certified error at each node (mode_tol per unit of sum |a_n sin_n|)
-    # reaches the interpolant times its Lebesgue constant, below 3.3 at 33
-    # nodes; 8 times the sum covers both with the sums' round-off.
+    # it drops.  With the last three below 1e-6 of F's spread over the
+    # nodes, geometric decay falls by at least (1e6)**(1/16) > 2.37 a step
+    # at 17 nodes and (1e6)**(1/32) > 1.53 at 33, so that bound is under 1.5
+    # times the largest of the three at 17 nodes and under 3.8 at 33;
+    # otherwise the next node count, or the scan, runs.  F's certified error
+    # at each node (mode_tol per unit of sum |a_n sin_n|) reaches the
+    # interpolant times its Lebesgue constant, below 2.8 at 17 nodes and 3.2
+    # at 33, and the exact F at a scan order once more; 8 times the sum
+    # covers all three with the sums' round-off.
     trailing = max(abs(sum(map(operator.mul, row, f))) for row in tail)
     if trailing > 1e-6 * (max(f) - min(f)):
         return None

@@ -58,7 +58,7 @@ _S_ASYM_ONLY = 30.0
 # per-order blocks of _BLOCK terms; each cache keeps its most recently used
 # blocks, so its memory stays fixed however many orders are evaluated.  512
 # Gamma blocks hold those of the default 99-order scan and of an inversion's
-# 33 proxy nodes between calls; neither reads psi, so the psi cache only
+# 17 or 33 proxy nodes between calls; neither reads psi, so the psi cache only
 # serves refinement iterates, whose orders no later inversion reads again.
 _BLOCK = 32
 _BLOCKS_KEPT = 512

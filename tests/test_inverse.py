@@ -707,18 +707,34 @@ def _seeded_inversions(seed, count):
     return drawn
 
 
+CLIMBING_CONFIG = InverseConfig(alpha_lo=0.05, f_rel_tol=1e-6)
+
+
+@pytest.fixture
+def climbing():
+    """A curve whose 17-node interpolant on [0.05, 0.999] keeps a tail 2.3e-6
+    of F's spread and the 33-node one 1.2e-9: at CLIMBING_CONFIG the proxy
+    climbs to 33 nodes."""
+    x0, t1 = 2.6202948653579257, 0.1457934626604866
+    problem = make_problem(0.9121899044754839, PI,
+                           [(4, 1.0380322875933077), (5, -0.5448834529400755)], t1)
+    return problem, Measurement(x0, t1, evaluate_solution(problem, 0.3, x0, t1))
+
+
 @pytest.mark.parametrize("config", [
     InverseConfig(), InverseConfig(f_rel_tol=1e-3), InverseConfig(scan_points=33),
     InverseConfig(scan_points=34, root_tol=1e-15),
     InverseConfig(alpha_lo=0.05, alpha_hi=0.95, scan_points=400, f_rel_tol=1e-12),
     InverseConfig(alpha_lo=0.3, alpha_hi=0.7, scan_points=57, root_tol=1e-6, f_rel_tol=1e-7),
-    InverseConfig(alpha_lo=0.5, alpha_hi=0.5 + 4e-16)])  # too narrow for 33 distinct nodes
-def test_report_matches_full_scan(single_mode, two_mode, mixed_sign, config):
+    InverseConfig(alpha_lo=0.5, alpha_hi=0.5 + 4e-16),  # too narrow for 33 distinct nodes
+    CLIMBING_CONFIG])
+def test_report_matches_full_scan(single_mode, two_mode, mixed_sign, climbing, config):
     # every report bit, and every refusal, is the full scan's: at f_rel_tol
     # 1e-3 the margin is wide and most scan orders take F itself; a flat
-    # curve, whose trailing coefficients are round-off, takes the scan; and
-    # a d taken at the default scan's 49th order, which is no node, makes
-    # F - d exactly 0 there
+    # curve, whose trailing coefficients are round-off, takes the scan; a d
+    # taken at the default scan's 49th order, which is no node, makes F - d
+    # exactly 0 there; and a curve whose 17-node tail has not decayed climbs
+    # to 33 nodes where its f_rel_tol allows
     problem, measurement = two_mode
     on_order = float(np.linspace(1e-3, 1.0 - 1e-3, 99)[48])
     special = [single_mode, two_mode, mixed_sign,
@@ -726,25 +742,76 @@ def test_report_matches_full_scan(single_mode, two_mode, mixed_sign, config):
                    problem, on_order, measurement.position, measurement.time))),
                (make_problem(0.2, PI, [(1, 1.0)], 1.0), Measurement(PI / 2, 1.0, 0.8)),
                (make_problem(1e-12, PI, [(1, 1.0)], 1.0), Measurement(PI / 2, 1.0, 1.0 - 1e-13)),
-               (make_problem(0.1, PI, [(1, 1e-200)], 10.0), Measurement(1.0, 5.0, 5e-201))]
+               (make_problem(0.1, PI, [(1, 1e-200)], 10.0), Measurement(1.0, 5.0, 5e-201)),
+               climbing]
     for problem, measurement in special + _seeded_inversions(5, 24):
         assert (_report_or_refusal(invert_order, problem, measurement, config)
                 == _report_or_refusal(_full_scan_inversion, problem, measurement, config))
 
 
 def test_inversion_evaluates_a_third_of_the_scan(two_mode, monkeypatch):
-    # F at the proxy's 33 nodes in ascending order, at the few scan orders
-    # the proxy cannot certify, among them the bracket's left end, then at
-    # the refinement's iterates and alpha_hat; the full scan takes 99 + 4
+    # F at the proxy's 17 nodes, alpha_lo and alpha_hi first and the others
+    # ascending, at the few scan orders the proxy cannot certify, among them
+    # the bracket's left end, then at the refinement's iterates and
+    # alpha_hat; the full scan takes 99 + 4
     orders = []
     real = fracorder.inverse._solution
     monkeypatch.setattr(fracorder.inverse, "_solution",
                         lambda *args: orders.append(args[1]) or real(*args))
     report = invert_order(*two_mode)
-    assert len(orders) <= 33 + 3 + report.iterations + 1
-    nodes = orders[:33]
-    assert nodes == sorted(set(nodes))
-    assert (nodes[0], nodes[-1]) == (InverseConfig().alpha_lo, InverseConfig().alpha_hi)
+    assert len(orders) <= 17 + 3 + report.iterations + 1
+    config = InverseConfig()
+    assert orders[:2] == [config.alpha_lo, config.alpha_hi]
+    inner = orders[2:17]
+    assert inner == sorted(set(inner)) and config.alpha_lo < inner[0] < inner[-1] < config.alpha_hi
+
+
+@pytest.mark.parametrize("lo,hi", [(1e-3, 1.0 - 1e-3), (0.05, 0.95), (0.3, 0.7),
+                                   (0.123456789, 0.987654321), (0.5, 0.5 + 1e-9)])
+def test_proxy_nodes_nest(lo, hi):
+    # the 17 nodes are the 33 nodes of even index, bit for bit, so a climb
+    # from 17 to 33 evaluates only the 16 new ones
+    nodes = {size: fracorder.inverse._proxy_rows(lo, hi, 99, size)[1] for size in (17, 33)}
+    assert len(nodes[17]) == 17 and len(nodes[33]) == 33
+    assert nodes[17] == nodes[33][::2]
+
+
+def test_proxy_climbs_to_33_nodes(climbing, monkeypatch):
+    # the 17-node tail fails the decay test, the 33-node one passes: F is
+    # evaluated at the 16 new nodes only, at no order twice, no scan runs,
+    # and the report is the full scan's
+    inverse = fracorder.inverse
+    orders, sizes = [], []
+    real, real_proxy, real_scan = inverse._solution, inverse._proxy_brackets, inverse._scan
+    monkeypatch.setattr(inverse, "_solution", lambda *args: orders.append(args[1]) or real(*args))
+    monkeypatch.setattr(inverse, "_proxy_brackets",
+                        lambda *args: sizes.append(len(args[4][1])) or real_proxy(*args))
+    monkeypatch.setattr(inverse, "_scan", lambda *args: pytest.fail("the scan ran"))
+    report = invert_order(*climbing, CLIMBING_CONFIG)
+    assert sizes == [17, 33]
+    assert len(orders) == len(set(orders))
+    nodes = inverse._proxy_rows(0.05, 0.999, 99, 33)[1]
+    assert orders[:33] == [nodes[0], nodes[-1]] + list(nodes[2:-1:2]) + list(nodes[1::2])
+    assert abs(report.alpha_hat - 0.3) <= 1e-8
+    monkeypatch.setattr(inverse, "_scan", real_scan)
+    assert repr(report) == repr(_full_scan_inversion(*climbing, CLIMBING_CONFIG))
+
+
+def test_refusal_at_an_end_node_hands_over_at_once(two_mode, monkeypatch):
+    # at f_rel_tol 2e-11 the round-off floor is missed at alpha_hi, the
+    # second order evaluated, so the scan starts after at most 2 orders and
+    # its refusal text stands
+    orders, started = [], []
+    real, real_scan = fracorder.inverse._solution, fracorder.inverse._scan
+    monkeypatch.setattr(fracorder.inverse, "_solution",
+                        lambda *args: orders.append(args[1]) or real(*args))
+    monkeypatch.setattr(fracorder.inverse, "_scan",
+                        lambda *args: started.append(len(orders)) or real_scan(*args))
+    with pytest.raises(AccuracyError) as refused:
+        invert_order(*two_mode, InverseConfig(f_rel_tol=2e-11))
+    assert started and started[0] <= 2
+    assert str(refused.value) == ("mittag_leffler: achievable relative accuracy "
+                                  "~1.1e-11 at alpha=0.999, z=-4.48965 misses rel_tol=1e-11")
 
 
 def test_bracket_search_hands_over_to_the_scan(two_mode, monkeypatch):
