@@ -4,8 +4,9 @@ the Caputo order from a single space-time measurement.
 The forward problem (subdiffusion on an interval, Dirichlet walls, finite
 sine-mode initial data) is evaluated through Mittag-Leffler time factors;
 the inverse problem reduces to the scalar equation F(alpha) = d, which the
-paper's sign hypothesis does not make monotone, and is solved by scanning
-and bracketing with analytic-derivative Newton acceleration.
+paper's sign hypothesis does not make monotone, and is solved by bracketing
+on a Chebyshev interpolant of F (or a uniform scan) and a safeguarded Newton
+iteration that starts at the interpolant's root and steps with its slope.
 """
 
 from .errors import AccuracyError, ConfigError, DomainError, NoRootError

@@ -15,7 +15,12 @@ that hides two roots.  A bracketed, safeguarded Newton iteration refines
 each bracket to a root, starting from F at its left end: it bisects
 instead when a Newton step leaves the bracket, stops shrinking or would
 overrun the iteration budget set by root_tol, and ends when a step falls
-below root_tol/2 or the bracket narrows to root_tol.
+below root_tol/2 or the bracket narrows to root_tol.  Where the
+interpolant found the brackets, the iteration first finds its root on the
+interpolant, then starts on F from there with the interpolant's slope, so
+that one evaluation of F usually ends it; the analytic F' is then taken
+once, at the reported root.  Where the scan ran, the iteration starts at
+each bracket's midpoint and takes its Newton steps from the analytic F'.
 """
 
 import functools
@@ -126,8 +131,10 @@ class InversionReport(namedtuple("InversionReport", "alpha_hat residual derivati
     `uniqueness_hypothesis` the paper's sign hypothesis, amplitude *
     sin(n*pi*x0/length) > 0 for every mode.  That hypothesis does not make F
     monotone: at t1 = 1, 1/Gamma(1 + alpha) peaks near alpha = 0.46 and F can
-    meet d twice.  `trace` holds the steps (k, alpha, F - d) that refined
-    `alpha_hat` and `iterations` the count over all roots.
+    meet d twice.  `trace` holds the steps (k, alpha, F - d) on F that
+    refined `alpha_hat` and `iterations` their count over all roots; the
+    search on the interpolant that precedes them, where the interpolant
+    found the brackets, evaluates no F and is in neither.
     `derivative_at_root` and `sensitivity` (|1/F'|) are nan when F'(alpha_hat)
     cannot be certified (AccuracyError); the root stands.
     """
@@ -277,9 +284,38 @@ def _proxy_rows(lo, hi, n, size):
     return orders, nodes, weights, rows, tail
 
 
+def _interpolant_at(x, nodes, weights, f):
+    """The barycentric interpolant of the values `f` at `nodes`, at x."""
+    return sum(map(operator.mul, _barycentric_row(x, nodes, weights), f))
+
+
+def _interpolant_slope(x, nodes, weights, f):
+    """The derivative at x of the barycentric interpolant p of the values `f`
+    at `nodes` (Berrut & Trefethen, SIAM Review 46 (2004) 501, section 9).
+
+    At a node x_j it is row j of the differentiation matrix,
+    sum_{k != j} (w_k / w_j) (f_k - f_j) / (x_j - x_k); elsewhere, with
+    q_k = w_k / (x - x_k), it is sum_k q_k (p(x) - f_k) / (x - x_k) / sum_k q_k.
+    There p(x) - f_j at the nearest node x_j is summed from the differences
+    f_k - f_j: a p(x) rounded near f_j, divided by a tiny x - x_j, would
+    swamp the sum.
+    """
+    j = min(range(len(nodes)), key=lambda k: abs(x - nodes[k]))
+    if x == nodes[j]:
+        return sum(weight / weights[j] * (value - f[j]) / (x - node)
+                   for k, (node, weight, value) in enumerate(zip(nodes, weights, f)) if k != j)
+    quotients = [weight / (x - node) for weight, node in zip(weights, nodes)]
+    total = sum(quotients)
+    above = sum(q * (value - f[j]) for q, value in zip(quotients, f)) / total  # p(x) - f_j
+    return sum(q * (f[j] - value + above) / (x - node)
+               for q, value, node in zip(quotients, f, nodes)) / total
+
+
 def _brackets(terms, t1, d, mode_tol, config):
-    """([(lo, hi, F(lo) - d)], monotone) for the sign-change cells and the
-    verdict of `_scan`, read from a Chebyshev proxy of F where it can be.
+    """([(lo, hi, F(lo) - d)], monotone, interpolant) for the sign-change
+    cells and the verdict of `_scan`, read from a Chebyshev proxy of F where
+    it can be; `interpolant` is the proxy's (nodes, weights, F - d at the
+    nodes), or None where `_scan` ran.
 
     Past _PROXY_NODES[-1] scan orders, F is evaluated at the 17 proxy
     nodes, and at the 16 more of 33 only where the 17-node interpolant's
@@ -306,7 +342,7 @@ def _brackets(terms, t1, d, mode_tol, config):
             return found
     scan = _scan(terms, t1, d, mode_tol, config)
     scanned = dict(zip(scan.alphas, scan.values))
-    return [(a, b, scanned[a]) for a, b in scan.brackets], scan.monotone
+    return [(a, b, scanned[a]) for a, b in scan.brackets], scan.monotone, None
 
 
 def _proxy_brackets(terms, t1, d, mode_tol, proxy, known):
@@ -361,7 +397,7 @@ def _proxy_brackets(terms, t1, d, mode_tol, proxy, known):
             falling |= not step > 0.0
 
     def proxy_at(x):
-        return sum(map(operator.mul, _barycentric_row(x, nodes, weights), f))
+        return _interpolant_at(x, nodes, weights, f)
 
     splits = _hidden_pairs(orders, steps, signs, margin, proxy_at, exact)
     brackets = []
@@ -373,7 +409,7 @@ def _proxy_brackets(terms, t1, d, mode_tol, proxy, known):
             brackets.append((a, a, exact(a)))
         elif i + 1 < len(orders) and signs[i + 1] == -sign:
             brackets.append((a, orders[i + 1], exact(a)))
-    return brackets, not (rising and falling)
+    return brackets, not (rising and falling), (nodes, weights, f)
 
 
 def _hidden_pairs(orders, steps, signs, margin, proxy_at, exact):
@@ -415,21 +451,23 @@ def _golden_min(g, a, b):
     return (c, gc) if gc < ge else (e, ge)
 
 
-def _refine_root(f, fprime, lo, hi, f_lo, root_tol):
+def _refine_root(f, fprime, lo, hi, f_lo, root_tol, start=None):
     """Bracketed, safeguarded Newton iteration on a sign bracket [lo, hi],
     f(lo) = f_lo (rtsafe, Press et al., Numerical Recipes, section 9.4).
 
-    Each iteration evaluates f at the iterate, keeps the side of the bracket
-    that holds the sign change, and forms the Newton candidate from fprime
-    there.  The search stops when the candidate lies in the bracket and its
-    step is below root_tol/2, returning the candidate, or when the bracket is
-    at most root_tol wide, returning its midpoint.  Otherwise the candidate
-    becomes the next iterate when it lies strictly inside the bracket, its
-    step is at most half the step before last, and enough of the budget of
+    The first iterate is `start`, which must lie in [lo, hi], or else the
+    bracket's midpoint.  Each iteration evaluates f at the iterate, keeps
+    the side of the bracket that holds the sign change, and forms the
+    Newton candidate from fprime there.  The search stops when the
+    candidate lies in the bracket and its step is below root_tol/2,
+    returning the candidate, or when the bracket is at most root_tol wide,
+    returning its midpoint.  Otherwise the candidate becomes the next
+    iterate when it lies strictly inside the bracket, its step is at most
+    half the step before last, and enough of the budget of
     3*ceil(log2((hi - lo) / root_tol)) iterations remains to bisect the
-    bracket down to root_tol afterwards; else the bracket midpoint does.  So
-    the search takes at most that many iterations; rounded midpoints can add
-    one.  `InverseConfig` keeps root_tol >= ROOT_TOL_MIN, where a midpoint
+    bracket down to root_tol afterwards; else the bracket midpoint does.
+    So the search takes at most that many iterations; rounded midpoints can
+    add one.  `InverseConfig` keeps root_tol >= ROOT_TOL_MIN, where a midpoint
     still lies strictly inside the bracket, so the loop always ends.
     Returns (root, trace, iterations).
     """
@@ -438,7 +476,7 @@ def _refine_root(f, fprime, lo, hi, f_lo, root_tol):
     a, b = lo, hi
     positive_left = f_lo > 0.0
     budget = 3 * math.ceil(math.log2((b - a) / root_tol))
-    x = 0.5 * (a + b)
+    x = 0.5 * (a + b) if start is None else start
     step_before_last = step = b - a
     trace = []
     k = 0
@@ -481,7 +519,7 @@ def invert_order(problem, measurement, config=InverseConfig()):
     Multiple brackets are all refined and reported, with `unique` False.
     """
     terms, t1, d, mode_tol = _inverse_inputs(problem, measurement, config, "invert_order")
-    brackets, monotone = _brackets(terms, t1, d, mode_tol, config)
+    brackets, monotone, interpolant = _brackets(terms, t1, d, mode_tol, config)
     if not brackets:
         raise NoRootError(f"no root in range: F(alpha)-d has no sign change on "
                           f"[{config.alpha_lo:g}, {config.alpha_hi:g}]")
@@ -492,7 +530,22 @@ def invert_order(problem, measurement, config=InverseConfig()):
     def fp(a):
         return _slope(terms, a, t1, mode_tol)
 
-    refined = [_refine_root(f, fp, lo, hi, f_lo, config.root_tol) for lo, hi, f_lo in brackets]
+    if interpolant is None:
+        refined = [_refine_root(f, fp, lo, hi, f_lo, config.root_tol)
+                   for lo, hi, f_lo in brackets]
+    else:
+        # the interpolant's own root starts each search on F, and its slope
+        # takes each Newton step: F runs about once per root, and F' only at
+        # alpha_hat, below
+        def p(a):
+            return _interpolant_at(a, *interpolant)
+
+        def p_slope(a):
+            return _interpolant_slope(a, *interpolant)
+
+        refined = [_refine_root(f, p_slope, lo, hi, f_lo, config.root_tol,
+                                _refine_root(p, p_slope, lo, hi, f_lo, config.root_tol)[0])
+                   for lo, hi, f_lo in brackets]
     alpha_hat = refined[0][0]
     try:
         slope = fp(alpha_hat)

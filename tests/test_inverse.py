@@ -452,22 +452,27 @@ def test_refinement_bound_holds_for_adversarial_slopes():
 @pytest.mark.parametrize("root_tol", [1e-10, 1e-15])
 @pytest.mark.parametrize("scan_points", [9, 99])
 def test_refinement_within_iteration_bound(setup, root_tol, scan_points, request, monkeypatch):
-    # the budget of bisections still needed bounds the search by root_tol
+    # the budget of bisections still needed bounds the search on F by
+    # root_tol; past 33 scan orders a search on the interpolant comes first
+    # and hands its root to the search on F as the first iterate
     problem, measurement = request.getfixturevalue(setup)
     refined = []
     real = fracorder.inverse._refine_root
 
-    def recording(f, fprime, lo, hi, f_lo, tol):
-        out = real(f, fprime, lo, hi, f_lo, tol)
-        refined.append((lo, hi, out[2]))
+    def recording(f, fprime, lo, hi, f_lo, tol, start=None):
+        out = real(f, fprime, lo, hi, f_lo, tol, start)
+        refined.append((lo, hi, start, out[2]))
         return out
 
     monkeypatch.setattr(fracorder.inverse, "_refine_root", recording)
     invert_order(problem, measurement,
                  InverseConfig(root_tol=root_tol, scan_points=scan_points))
-    assert len(refined) == (2 if setup == "mixed_sign" else 1)
-    for lo, hi, iterations in refined:
+    on_f = [search for search in refined if search[2] is not None] or refined
+    assert len(on_f) == (2 if setup == "mixed_sign" else 1)
+    assert len(refined) == len(on_f) * (2 if scan_points > 33 else 1)
+    for lo, hi, start, iterations in on_f:
         assert lo < hi
+        assert start is None or lo <= start <= hi
         assert 1 <= iterations <= 3 * math.ceil(math.log2((hi - lo) / root_tol))
 
 
@@ -548,10 +553,10 @@ def test_newton_trace_stays_in_bracket(single_mode):
 
 @pytest.mark.parametrize("setup", ["single_mode", "two_mode", "mixed_sign"])
 def test_newton_refinement_takes_few_iterations(setup, request, monkeypatch):
-    # each bracket ends once a Newton step is below root_tol/2: a few
-    # iterations of one evaluation of F each, none at a bracket's left end,
-    # whose value the bracket search holds, and alpha_hat's residual at F's
-    # rounding level
+    # each search on F starts at the interpolant's root and ends once a
+    # Newton step is below root_tol/2: one or two iterations of one
+    # evaluation of F each, none at a bracket's left end, whose value the
+    # bracket search holds, and alpha_hat's residual at F's rounding level
     problem, measurement = request.getfixturevalue(setup)
     calls, searched = [], []
     real, real_brackets = fracorder.inverse._solution, fracorder.inverse._brackets
@@ -566,7 +571,7 @@ def test_newton_refinement_takes_few_iterations(setup, request, monkeypatch):
     monkeypatch.setattr(fracorder.inverse, "_brackets", brackets)
     report = invert_order(problem, measurement)
     orders = calls[searched[0]:]  # the bracket search's orders come first
-    assert report.iterations <= 4 * len(report.roots)
+    assert report.iterations <= 2 * len(report.roots)
     assert len(orders) == report.iterations + 1  # the iterates, then alpha_hat
     assert orders[-1] == report.alpha_hat
     scale = sum(abs(amplitude * basis) for amplitude, basis, _ in
@@ -683,9 +688,69 @@ def _full_scan_inversion(problem, measurement, config=InverseConfig()):
 
 def _report_or_refusal(fn, *args):
     try:
-        return repr(fn(*args))
+        return fn(*args)
     except (ArithmeticError, DomainError, NoRootError) as exc:
         return type(exc), str(exc)
+
+
+def _cells_of_the_bracket_search(problem, measurement, config):
+    """`invert_order`'s (cells with F - d at each left end, verdict)."""
+    inverse = fracorder.inverse
+    inputs = inverse._inverse_inputs(problem, measurement, config, "invert_order")
+    return inverse._brackets(*inputs, config)[:2]
+
+
+def _cells_of_the_full_scan(problem, measurement, config):
+    scan = scan_bracket(problem, measurement, config)
+    scanned = dict(zip(scan.alphas, scan.values))
+    return [(a, b, scanned[a]) for a, b in scan.brackets], scan.monotone
+
+
+def _assert_as_full_scan(problem, measurement, config, scans):
+    """Brackets, verdict and every refusal are the full scan's, byte for
+    byte; where `_scan` runs, which appends to `scans`, the whole report is.
+
+    On the proxy path the report agrees with the full scan's, whose
+    refinement starts at the cell midpoints and takes F' at each iterate:
+    each root lies in its cell, within root_tol of the full scan's or where
+    F - d is at its rounding level, 1e-14 of sum |a_n sin_n| (at root_tol
+    1e-15 that level holds on a wider interval than root_tol), and the
+    residual is at most the full scan's, that level, or, as for a search
+    that ends on a bracket at most root_tol wide, root_tol/2 times |F'|.
+    """
+    cells = _report_or_refusal(_cells_of_the_bracket_search, problem, measurement, config)
+    assert repr(cells) == repr(_report_or_refusal(_cells_of_the_full_scan, problem,
+                                                  measurement, config))
+    expected = _report_or_refusal(_full_scan_inversion, problem, measurement, config)
+    scans.clear()
+    report = _report_or_refusal(invert_order, problem, measurement, config)
+    if scans or not isinstance(expected, InversionReport):
+        assert repr(report) == repr(expected)
+        return
+    assert isinstance(report, InversionReport)
+    assert len(report.roots) == len(expected.roots) == len(cells[0])
+    scale = sum(abs(amplitude * basis) for amplitude, basis, _ in
+                fracorder.forward._mode_terms(problem, measurement.position))
+    for root, reference, (lo, hi, _) in zip(report.roots, expected.roots, cells[0]):
+        assert lo <= root <= hi
+        assert (abs(root - reference) <= config.root_tol
+                or abs(residual(problem, measurement, root, config.f_rel_tol)) <= 1e-14 * scale)
+    assert report.monotone == expected.monotone
+    assert report.uniqueness_hypothesis == expected.uniqueness_hypothesis
+    bound = max(abs(expected.residual), 1e-14 * scale)
+    if math.isfinite(report.derivative_at_root):
+        bound = max(bound, 0.5 * config.root_tol * abs(report.derivative_at_root))
+    assert abs(report.residual) <= bound
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The scan_points of each `_scan` run, from here on."""
+    runs = []
+    real = fracorder.inverse._scan
+    monkeypatch.setattr(fracorder.inverse, "_scan",
+                        lambda *args: runs.append(args[-1].scan_points) or real(*args))
+    return runs
 
 
 def _seeded_inversions(seed, count):
@@ -728,13 +793,14 @@ def climbing():
     InverseConfig(alpha_lo=0.3, alpha_hi=0.7, scan_points=57, root_tol=1e-6, f_rel_tol=1e-7),
     InverseConfig(alpha_lo=0.5, alpha_hi=0.5 + 4e-16),  # too narrow for 33 distinct nodes
     CLIMBING_CONFIG])
-def test_report_matches_full_scan(single_mode, two_mode, mixed_sign, climbing, config):
-    # every report bit, and every refusal, is the full scan's: at f_rel_tol
-    # 1e-3 the margin is wide and most scan orders take F itself; a flat
-    # curve, whose trailing coefficients are round-off, takes the scan; a d
-    # taken at the default scan's 49th order, which is no node, makes F - d
-    # exactly 0 there; and a curve whose 17-node tail has not decayed climbs
-    # to 33 nodes where its f_rel_tol allows
+def test_report_matches_full_scan(single_mode, two_mode, mixed_sign, climbing, config, scans):
+    # the brackets, the verdict and every refusal are the full scan's, and
+    # so is every report bit where the scan runs: at f_rel_tol 1e-3 the
+    # margin is wide and most scan orders take F itself; a flat curve, whose
+    # trailing coefficients are round-off, takes the scan; a d taken at the
+    # default scan's 49th order, which is no node, makes F - d exactly 0
+    # there; and a curve whose 17-node tail has not decayed climbs to 33
+    # nodes where its f_rel_tol allows
     problem, measurement = two_mode
     on_order = float(np.linspace(1e-3, 1.0 - 1e-3, 99)[48])
     special = [single_mode, two_mode, mixed_sign,
@@ -745,8 +811,7 @@ def test_report_matches_full_scan(single_mode, two_mode, mixed_sign, climbing, c
                (make_problem(0.1, PI, [(1, 1e-200)], 10.0), Measurement(1.0, 5.0, 5e-201)),
                climbing]
     for problem, measurement in special + _seeded_inversions(5, 24):
-        assert (_report_or_refusal(invert_order, problem, measurement, config)
-                == _report_or_refusal(_full_scan_inversion, problem, measurement, config))
+        _assert_as_full_scan(problem, measurement, config, scans)
 
 
 def test_inversion_evaluates_a_third_of_the_scan(two_mode, monkeypatch):
@@ -779,7 +844,7 @@ def test_proxy_nodes_nest(lo, hi):
 def test_proxy_climbs_to_33_nodes(climbing, monkeypatch):
     # the 17-node tail fails the decay test, the 33-node one passes: F is
     # evaluated at the 16 new nodes only, at no order twice, no scan runs,
-    # and the report is the full scan's
+    # and the brackets and the roots are the full scan's
     inverse = fracorder.inverse
     orders, sizes = [], []
     real, real_proxy, real_scan = inverse._solution, inverse._proxy_brackets, inverse._scan
@@ -793,8 +858,51 @@ def test_proxy_climbs_to_33_nodes(climbing, monkeypatch):
     nodes = inverse._proxy_rows(0.05, 0.999, 99, 33)[1]
     assert orders[:33] == [nodes[0], nodes[-1]] + list(nodes[2:-1:2]) + list(nodes[1::2])
     assert abs(report.alpha_hat - 0.3) <= 1e-8
-    monkeypatch.setattr(inverse, "_scan", real_scan)
-    assert repr(report) == repr(_full_scan_inversion(*climbing, CLIMBING_CONFIG))
+    scans = []
+    monkeypatch.setattr(inverse, "_scan", lambda *args: scans.append(1) or real_scan(*args))
+    _assert_as_full_scan(*climbing, CLIMBING_CONFIG, scans)
+
+
+@pytest.mark.parametrize("sizes", [(17, 33), (33,)], ids=["17 nodes", "33 nodes"])
+@pytest.mark.parametrize("setup", ["single_mode", "two_mode", "mixed_sign"])
+def test_proxy_slope_matches_analytic_slope(setup, sizes, request, monkeypatch):
+    # the slope of the certified interpolant, which takes the Newton steps
+    # on the proxy path, agrees with the analytic F' between the nodes and,
+    # through the differentiation-matrix row, at them
+    inverse = fracorder.inverse
+    monkeypatch.setattr(inverse, "_PROXY_NODES", sizes)
+    config = InverseConfig()
+    terms, t1, d, mode_tol = inverse._inverse_inputs(*request.getfixturevalue(setup), config,
+                                                     "invert_order")
+    interpolant = inverse._brackets(terms, t1, d, mode_tol, config)[2]
+    nodes = interpolant[0]
+    assert len(nodes) == sizes[0]
+    for alpha in [0.05 + 0.0225 * k for k in range(41)] + list(nodes[1:-1]):
+        exact = inverse._slope(terms, alpha, t1, mode_tol)
+        assert abs(inverse._interpolant_slope(alpha, *interpolant) - exact) <= 1e-8 * abs(exact)
+
+
+@pytest.mark.parametrize("scan_points", [99, 33])
+def test_slope_evaluated_once_per_inversion(single_mode, two_mode, mixed_sign, scan_points,
+                                            monkeypatch):
+    # past 33 scan orders the Newton steps take the interpolant's slope, and
+    # F' runs once, at alpha_hat, for the report; the scan's refinement
+    # takes F' at its iterates, as the full scan's does
+    slopes = []
+    real = fracorder.inverse._slope
+    monkeypatch.setattr(fracorder.inverse, "_slope",
+                        lambda *args: slopes.append(args[1]) or real(*args))
+    config = InverseConfig(scan_points=scan_points)
+    for problem, measurement in (single_mode, two_mode, mixed_sign):
+        slopes.clear()
+        report = invert_order(problem, measurement, config)
+        if scan_points > 33:
+            assert slopes == [report.alpha_hat]
+            continue
+        on_scan = list(slopes)
+        slopes.clear()
+        _full_scan_inversion(problem, measurement, config)
+        assert on_scan == slopes and len(on_scan) > 1
 
 
 def test_refusal_at_an_end_node_hands_over_at_once(two_mode, monkeypatch):
@@ -814,14 +922,10 @@ def test_refusal_at_an_end_node_hands_over_at_once(two_mode, monkeypatch):
                                   "~1.1e-11 at alpha=0.999, z=-4.48965 misses rel_tol=1e-11")
 
 
-def test_bracket_search_hands_over_to_the_scan(two_mode, monkeypatch):
+def test_bracket_search_hands_over_to_the_scan(two_mode, scans):
     # a scan of at most 33 orders, a refusal at a node and trailing
     # coefficients above 1e-6 of F's spread each run the full scan, whose
     # refusal text stands
-    scans = []
-    real = fracorder.inverse._scan
-    monkeypatch.setattr(fracorder.inverse, "_scan",
-                        lambda *args: scans.append(args[-1].scan_points) or real(*args))
     invert_order(*two_mode)
     invert_order(*two_mode, InverseConfig(scan_points=40))
     assert scans == []
