@@ -19,8 +19,9 @@ below root_tol/2 or the bracket narrows to root_tol.  Where the
 interpolant found the brackets, the iteration first finds its root on the
 interpolant, then starts on F from there with the interpolant's slope, so
 that one evaluation of F usually ends it; the analytic F' is then taken
-once, at the reported root.  Where the scan ran, the iteration starts at
-each bracket's midpoint and takes its Newton steps from the analytic F'.
+once, at the reported root.  Where the scan ran, or where a step of
+root_tol moves F by less than its round-off, the iteration starts at each
+bracket's midpoint and takes its Newton steps from the analytic F'.
 """
 
 import functools
@@ -84,8 +85,9 @@ class InverseConfig(namedtuple("InverseConfig", "alpha_lo alpha_hi root_tol scan
     `alpha_hi`: the bundled two-mode config is refused at 2e-11 and accepted
     at 3e-11.  `root_tol` ends the refinement of a bracket once a Newton step
     is below root_tol/2 or the bracket is at most root_tol wide, within
-    3*ceil(log2(cell / root_tol)) iterations for a scan cell of width `cell`
-    (rounded midpoints can add one); it may not go below ROOT_TOL_MIN = 1e-15.
+    3*ceil(log2(cell / root_tol)) iterations for a scan cell of width `cell`,
+    one more where the search starts at the interpolant's root (rounded
+    midpoints can add one); it may not go below ROOT_TOL_MIN = 1e-15.
     """
 
     __slots__ = ()
@@ -284,14 +286,17 @@ def _proxy_rows(lo, hi, n, size):
     return orders, nodes, weights, rows, tail
 
 
-def _interpolant_at(x, nodes, weights, f):
-    """The barycentric interpolant of the values `f` at `nodes`, at x."""
+def _interpolant_at(interpolant, x):
+    """The barycentric interpolant (nodes, weights, f) of the values `f` at
+    `nodes`, at x."""
+    nodes, weights, f = interpolant
     return sum(map(operator.mul, _barycentric_row(x, nodes, weights), f))
 
 
-def _interpolant_slope(x, nodes, weights, f):
-    """The derivative at x of the barycentric interpolant p of the values `f`
-    at `nodes` (Berrut & Trefethen, SIAM Review 46 (2004) 501, section 9).
+def _interpolant_slope(interpolant, x):
+    """The derivative at x of the barycentric interpolant p = (nodes,
+    weights, f) of the values `f` at `nodes` (Berrut & Trefethen, SIAM
+    Review 46 (2004) 501, section 9).
 
     At a node x_j it is row j of the differentiation matrix,
     sum_{k != j} (w_k / w_j) (f_k - f_j) / (x_j - x_k); elsewhere, with
@@ -300,6 +305,7 @@ def _interpolant_slope(x, nodes, weights, f):
     f_k - f_j: a p(x) rounded near f_j, divided by a tiny x - x_j, would
     swamp the sum.
     """
+    nodes, weights, f = interpolant
     j = min(range(len(nodes)), key=lambda k: abs(x - nodes[k]))
     if x == nodes[j]:
         return sum(weight / weights[j] * (value - f[j]) / (x - node)
@@ -396,10 +402,9 @@ def _proxy_brackets(terms, t1, d, mode_tol, proxy, known):
             rising |= not step < 0.0  # an exact zero step is neither
             falling |= not step > 0.0
 
-    def proxy_at(x):
-        return _interpolant_at(x, nodes, weights, f)
-
-    splits = _hidden_pairs(orders, steps, signs, margin, proxy_at, exact)
+    interpolant = (nodes, weights, f)
+    splits = _hidden_pairs(orders, steps, signs, margin,
+                           functools.partial(_interpolant_at, interpolant), exact)
     brackets = []
     for i, (a, sign) in enumerate(zip(orders, signs)):
         if i in splits:
@@ -409,7 +414,7 @@ def _proxy_brackets(terms, t1, d, mode_tol, proxy, known):
             brackets.append((a, a, exact(a)))
         elif i + 1 < len(orders) and signs[i + 1] == -sign:
             brackets.append((a, orders[i + 1], exact(a)))
-    return brackets, not (rising and falling), (nodes, weights, f)
+    return brackets, not (rising and falling), interpolant
 
 
 def _hidden_pairs(orders, steps, signs, margin, proxy_at, exact):
@@ -461,14 +466,17 @@ def _refine_root(f, fprime, lo, hi, f_lo, root_tol, start=None):
     Newton candidate from fprime there.  The search stops when the
     candidate lies in the bracket and its step is below root_tol/2,
     returning the candidate, or when the bracket is at most root_tol wide,
-    returning its midpoint.  Otherwise the candidate becomes the next
+    returning its midpoint; from a `start`, one more iteration evaluates f
+    at that midpoint, and the last iterate is returned instead where its
+    |f| is smaller.  Otherwise the candidate becomes the next
     iterate when it lies strictly inside the bracket, its step is at most
     half the step before last, and enough of the budget of
     3*ceil(log2((hi - lo) / root_tol)) iterations remains to bisect the
     bracket down to root_tol afterwards; else the bracket midpoint does.
-    So the search takes at most that many iterations; rounded midpoints can
-    add one.  `InverseConfig` keeps root_tol >= ROOT_TOL_MIN, where a midpoint
-    still lies strictly inside the bracket, so the loop always ends.
+    So the search takes at most that many iterations, and one more from a
+    `start`; rounded midpoints can add one.  `InverseConfig` keeps
+    root_tol >= ROOT_TOL_MIN, where a midpoint still lies strictly inside
+    the bracket, so the loop always ends.
     Returns (root, trace, iterations).
     """
     if lo == hi:
@@ -508,7 +516,18 @@ def _refine_root(f, fprime, lo, hi, f_lo, root_tol, start=None):
                 nxt = candidate
         step_before_last, step = step, abs(nxt - x)
         x = nxt
-    return 0.5 * (a + b), tuple(trace), k
+    root = 0.5 * (a + b)
+    if start is not None and trace:
+        # from a start near the root the search can end on the width test
+        # with its last iterate at f's rounding level, nearer the root than
+        # the midpoint
+        f_root = f(root)
+        k += 1
+        trace.append((k, root, f_root))
+        _, x, fx = trace[-2]
+        if abs(fx) < abs(f_root):
+            root = x
+    return root, tuple(trace), k
 
 
 def invert_order(problem, measurement, config=InverseConfig()):
@@ -536,16 +555,21 @@ def invert_order(problem, measurement, config=InverseConfig()):
     else:
         # the interpolant's own root starts each search on F, and its slope
         # takes each Newton step: F runs about once per root, and F' only at
-        # alpha_hat, below
-        def p(a):
-            return _interpolant_at(a, *interpolant)
-
-        def p_slope(a):
-            return _interpolant_slope(a, *interpolant)
-
-        refined = [_refine_root(f, p_slope, lo, hi, f_lo, config.root_tol,
-                                _refine_root(p, p_slope, lo, hi, f_lo, config.root_tol)[0])
-                   for lo, hi, f_lo in brackets]
+        # alpha_hat, below.  Where a step of root_tol moves F by no more
+        # than its round-off allowance (as in _proxy_brackets' margin), a
+        # start near the root gains nothing and noise-size Newton steps
+        # stall it, so the search runs as where the scan ran
+        p = functools.partial(_interpolant_at, interpolant)
+        p_slope = functools.partial(_interpolant_slope, interpolant)
+        scale = sum(abs(amplitude * basis) for amplitude, basis, _ in terms)
+        rounding = 64.0 * _EPS * (scale + abs(d))
+        refined = []
+        for lo, hi, f_lo in brackets:
+            start = _refine_root(p, p_slope, lo, hi, f_lo, config.root_tol)[0]
+            if config.root_tol * abs(p_slope(start)) > rounding:
+                refined.append(_refine_root(f, p_slope, lo, hi, f_lo, config.root_tol, start))
+            else:
+                refined.append(_refine_root(f, fp, lo, hi, f_lo, config.root_tol))
     alpha_hat = refined[0][0]
     try:
         slope = fp(alpha_hat)

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import re
@@ -448,28 +449,45 @@ def test_refinement_bound_holds_for_adversarial_slopes():
     assert len(trace) == iterations
 
 
+def test_refinement_from_a_start_keeps_the_better_end():
+    # from a start just above the root a slightly long Newton step lands an
+    # ulp below it and leaves a bracket narrower than root_tol: f is taken
+    # at the midpoint too, and the iterate at the root, not the midpoint
+    # 3.5e-11 away, is returned
+    root = 0.3
+    alpha, trace, iterations = fracorder.inverse._refine_root(
+        lambda x: x - root, lambda x: 1.0 - 1e-6, 0.0, 1.0, -root, 1e-10, root + 7e-11)
+    assert iterations == len(trace) == 3
+    assert trace[2][1] == 0.5 * (trace[0][1] + trace[1][1])
+    assert alpha == trace[1][1] and abs(alpha - root) <= 1e-16
+
+
 @pytest.mark.parametrize("setup", ["single_mode", "two_mode", "mixed_sign"])
 @pytest.mark.parametrize("root_tol", [1e-10, 1e-15])
 @pytest.mark.parametrize("scan_points", [9, 99])
 def test_refinement_within_iteration_bound(setup, root_tol, scan_points, request, monkeypatch):
     # the budget of bisections still needed bounds the search on F by
     # root_tol; past 33 scan orders a search on the interpolant comes first
-    # and hands its root to the search on F as the first iterate
+    # and hands its root to the search on F as the first iterate, unless
+    # root_tol is within F's rounding level
+    inverse = fracorder.inverse
     problem, measurement = request.getfixturevalue(setup)
     refined = []
-    real = fracorder.inverse._refine_root
+    real = inverse._refine_root
 
     def recording(f, fprime, lo, hi, f_lo, tol, start=None):
         out = real(f, fprime, lo, hi, f_lo, tol, start)
-        refined.append((lo, hi, start, out[2]))
+        on_p = isinstance(f, functools.partial) and f.func is inverse._interpolant_at
+        refined.append((on_p, lo, hi, start, out[2]))
         return out
 
-    monkeypatch.setattr(fracorder.inverse, "_refine_root", recording)
+    monkeypatch.setattr(inverse, "_refine_root", recording)
     invert_order(problem, measurement,
                  InverseConfig(root_tol=root_tol, scan_points=scan_points))
-    on_f = [search for search in refined if search[2] is not None] or refined
+    on_f = [search[1:] for search in refined if not search[0]]
     assert len(on_f) == (2 if setup == "mixed_sign" else 1)
     assert len(refined) == len(on_f) * (2 if scan_points > 33 else 1)
+    assert all(start is None for _, _, start, _ in on_f) == (scan_points <= 33 or root_tol < 1e-14)
     for lo, hi, start, iterations in on_f:
         assert lo < hi
         assert start is None or lo <= start <= hi
@@ -712,11 +730,8 @@ def _assert_as_full_scan(problem, measurement, config, scans):
 
     On the proxy path the report agrees with the full scan's, whose
     refinement starts at the cell midpoints and takes F' at each iterate:
-    each root lies in its cell, within root_tol of the full scan's or where
-    F - d is at its rounding level, 1e-14 of sum |a_n sin_n| (at root_tol
-    1e-15 that level holds on a wider interval than root_tol), and the
-    residual is at most the full scan's, that level, or, as for a search
-    that ends on a bracket at most root_tol wide, root_tol/2 times |F'|.
+    each root lies in its cell and within root_tol of the full scan's, and
+    the residual is at most the full scan's or 1e-14 of sum |a_n sin_n|.
     """
     cells = _report_or_refusal(_cells_of_the_bracket_search, problem, measurement, config)
     assert repr(cells) == repr(_report_or_refusal(_cells_of_the_full_scan, problem,
@@ -729,18 +744,14 @@ def _assert_as_full_scan(problem, measurement, config, scans):
         return
     assert isinstance(report, InversionReport)
     assert len(report.roots) == len(expected.roots) == len(cells[0])
-    scale = sum(abs(amplitude * basis) for amplitude, basis, _ in
-                fracorder.forward._mode_terms(problem, measurement.position))
     for root, reference, (lo, hi, _) in zip(report.roots, expected.roots, cells[0]):
         assert lo <= root <= hi
-        assert (abs(root - reference) <= config.root_tol
-                or abs(residual(problem, measurement, root, config.f_rel_tol)) <= 1e-14 * scale)
+        assert abs(root - reference) <= config.root_tol
     assert report.monotone == expected.monotone
     assert report.uniqueness_hypothesis == expected.uniqueness_hypothesis
-    bound = max(abs(expected.residual), 1e-14 * scale)
-    if math.isfinite(report.derivative_at_root):
-        bound = max(bound, 0.5 * config.root_tol * abs(report.derivative_at_root))
-    assert abs(report.residual) <= bound
+    scale = sum(abs(amplitude * basis) for amplitude, basis, _ in
+                fracorder.forward._mode_terms(problem, measurement.position))
+    assert abs(report.residual) <= max(abs(expected.residual), 1e-14 * scale)
 
 
 @pytest.fixture
@@ -879,7 +890,7 @@ def test_proxy_slope_matches_analytic_slope(setup, sizes, request, monkeypatch):
     assert len(nodes) == sizes[0]
     for alpha in [0.05 + 0.0225 * k for k in range(41)] + list(nodes[1:-1]):
         exact = inverse._slope(terms, alpha, t1, mode_tol)
-        assert abs(inverse._interpolant_slope(alpha, *interpolant) - exact) <= 1e-8 * abs(exact)
+        assert abs(inverse._interpolant_slope(interpolant, alpha) - exact) <= 1e-8 * abs(exact)
 
 
 @pytest.mark.parametrize("scan_points", [99, 33])
@@ -903,6 +914,16 @@ def test_slope_evaluated_once_per_inversion(single_mode, two_mode, mixed_sign, s
         slopes.clear()
         _full_scan_inversion(problem, measurement, config)
         assert on_scan == slopes and len(on_scan) > 1
+
+
+def test_refinement_within_rounding_level_runs_as_the_scan(single_mode, two_mode, mixed_sign):
+    # at root_tol 1e-15 a step of root_tol moves F by less than its
+    # round-off, so each root is refined from its cell's midpoint with F',
+    # as the full scan's is, and the report is the full scan's bit for bit
+    config = InverseConfig(root_tol=1e-15)
+    for problem, measurement in (single_mode, two_mode, mixed_sign):
+        assert (repr(invert_order(problem, measurement, config))
+                == repr(_full_scan_inversion(problem, measurement, config)))
 
 
 def test_refusal_at_an_end_node_hands_over_at_once(two_mode, monkeypatch):
