@@ -59,8 +59,9 @@ _S_ASYM_ONLY = 30.0
 # blocks, so its memory stays fixed however many orders are evaluated.  512
 # Gamma blocks hold those of the default 99-order scan and of an inversion's
 # 17 or 33 proxy nodes between calls.  Neither reads psi: it serves F' at an
-# inversion's reported root, at the scan path's refinement iterates and in
-# residual_derivative, at orders no later inversion reads again.
+# inversion's reported root, at the iterates of refinements that run as the
+# scan path's and in residual_derivative, at orders no later inversion reads
+# again.
 _BLOCK = 32
 _BLOCKS_KEPT = 512
 _PSI_BLOCKS_KEPT = 128
