@@ -18,16 +18,20 @@ overrun the iteration budget set by root_tol, and ends when a step falls
 below root_tol/2 or the bracket narrows to root_tol.  Where the
 interpolant found the brackets, the iteration first finds its root on the
 interpolant, then starts on F from there with the interpolant's slope, so
-that one evaluation of F usually ends it; the analytic F' is then taken
-once, at the reported root.  Where the scan ran, or where a step of
-root_tol moves F by less than its round-off, the iteration starts at each
-bracket's midpoint and takes its Newton steps from the analytic F'.
+that one evaluation of F usually ends it; the reported F' is the
+interpolant's slope at the root where a bound on its error is at most 1e-6
+of it.  Where the scan ran, or where a step of root_tol moves F by less
+than its round-off, the iteration starts at each bracket's midpoint and
+takes its Newton steps from the analytic F'.  The report takes the
+analytic F' there and wherever the bound fails.
 """
 
+import bisect
 import functools
 import math
 import operator
 from collections import namedtuple
+from itertools import chain, compress, islice, repeat
 
 from .errors import AccuracyError, DomainError, NoRootError, _shown
 from .forward import _mode_terms, _mode_tol, _order, _slope, _solution
@@ -55,6 +59,10 @@ _PROXY_NODES = (17, 33)
 # cells narrows them to 0.618**24 = 1e-5 of their width.
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 _GOLDEN_STEPS = 24
+
+# The report takes the interpolant's slope at alpha_hat for F' where a
+# bound on their difference is at most this share of it.
+_SLOPE_REL_TOL = 1e-6
 
 
 class Measurement(namedtuple("Measurement", "position time value", defaults=(None,))):
@@ -137,8 +145,11 @@ class InversionReport(namedtuple("InversionReport", "alpha_hat residual derivati
     refined `alpha_hat` and `iterations` their count over all roots; the
     search on the interpolant that precedes them, where the interpolant
     found the brackets, evaluates no F and is in neither.
-    `derivative_at_root` and `sensitivity` (|1/F'|) are nan when F'(alpha_hat)
-    cannot be certified (AccuracyError); the root stands.
+    `derivative_at_root` is F'(alpha_hat) and `sensitivity` |1/F'|.  Where
+    the interpolant's root started the search for `alpha_hat`, F' is the
+    interpolant's slope there, when a bound on its distance from F' is at
+    most 1e-6 of it; otherwise it is the analytic series, and both fields
+    are nan when that cannot be certified (AccuracyError).  The root stands.
     """
 
     __slots__ = ()
@@ -286,42 +297,116 @@ def _proxy_rows(lo, hi, n, size):
     return orders, nodes, weights, rows, tail
 
 
-def _interpolant_at(interpolant, x):
-    """The barycentric interpolant (nodes, weights, f) of the values `f` at
-    `nodes`, at x."""
-    nodes, weights, f = interpolant
-    return sum(map(operator.mul, _barycentric_row(x, nodes, weights), f))
+class _Interpolant:
+    """The barycentric interpolant p of the values `f` at the ascending
+    `nodes` with `weights`, and `trailing`, the largest of its last three
+    Chebyshev coefficients (Berrut & Trefethen, SIAM Review 46 (2004) 501,
+    section 9).
 
-
-def _interpolant_slope(interpolant, x):
-    """The derivative at x of the barycentric interpolant p = (nodes,
-    weights, f) of the values `f` at `nodes` (Berrut & Trefethen, SIAM
-    Review 46 (2004) 501, section 9).
-
-    At a node x_j it is row j of the differentiation matrix,
-    sum_{k != j} (w_k / w_j) (f_k - f_j) / (x_j - x_k); elsewhere, with
-    q_k = w_k / (x - x_k), it is sum_k q_k (p(x) - f_k) / (x - x_k) / sum_k q_k.
-    There p(x) - f_j at the nearest node x_j is summed from the differences
-    f_k - f_j: a p(x) rounded near f_j, divided by a tiny x - x_j, would
-    swamp the sum.
+    `value` and `slope` read one set of differences x - x_k, quotients
+    q_k = w_k / (x - x_k) and their sum, kept for the last x asked, so a
+    value and a slope at one x cost one pass.  p(x) is sum_k (q_k / sum q)
+    f_k, the rows of `_barycentric_row`, and p'(x) is sum_k q_k (p(x) - f_k)
+    / (x - x_k) / sum q, with p(x) - f_j at the nearest node x_j summed from
+    the differences f_k - f_j: a p(x) rounded near f_j, divided by a tiny
+    x - x_j, would swamp the sum.  At a node x_j, p' is row j of the
+    differentiation matrix, sum_{k != j} (w_k / w_j) (f_k - f_j) / (x_j - x_k).
     """
-    nodes, weights, f = interpolant
-    j = min(range(len(nodes)), key=lambda k: abs(x - nodes[k]))
-    if x == nodes[j]:
-        return sum(weight / weights[j] * (value - f[j]) / (x - node)
-                   for k, (node, weight, value) in enumerate(zip(nodes, weights, f)) if k != j)
-    quotients = [weight / (x - node) for weight, node in zip(weights, nodes)]
-    total = sum(quotients)
-    above = sum(q * (value - f[j]) for q, value in zip(quotients, f)) / total  # p(x) - f_j
-    return sum(q * (f[j] - value + above) / (x - node)
-               for q, value, node in zip(quotients, f, nodes)) / total
+
+    __slots__ = ("nodes", "weights", "f", "trailing",
+                 "_x", "_j", "_diffs", "_quotients", "_total", "_p", "_dp")
+
+    def __init__(self, nodes, weights, f, trailing):
+        self.nodes, self.weights, self.f, self.trailing = nodes, weights, f, trailing
+        self._x = None
+
+    def _take(self, x):
+        """Make x the last x: its nearest node j, the first of a tie as
+        min() picks it, and, off the nodes, the differences and quotients."""
+        nodes = self.nodes
+        i = bisect.bisect_left(nodes, x)
+        self._x, self._p, self._dp = x, None, None
+        if i < len(nodes) and nodes[i] == x:
+            self._j, self._diffs = i, None
+            return
+        # |x - x_k| rounds monotonically on each side of x, so the nearest
+        # node is a neighbour of x, or a node left of it that ties with it
+        if i == 0 or i < len(nodes) and abs(x - nodes[i]) < abs(x - nodes[i - 1]):
+            j = i
+        else:
+            j = i - 1
+            while j > 0 and abs(x - nodes[j - 1]) == abs(x - nodes[j]):
+                j -= 1
+        self._j = j
+        self._diffs = list(map(x.__sub__, nodes))
+        self._quotients = list(map(operator.truediv, self.weights, self._diffs))
+        self._total = sum(self._quotients)
+
+    def value(self, x):
+        """p(x)."""
+        if x != self._x:
+            self._take(x)
+        if self._p is None:
+            if self._diffs is None:
+                row = map(float, map(x.__eq__, self.nodes))
+            else:
+                row = map(self._total.__rtruediv__, self._quotients)
+            self._p = sum(map(operator.mul, row, self.f))
+        return self._p
+
+    def slope(self, x):
+        """p'(x)."""
+        if x != self._x:
+            self._take(x)
+        if self._dp is None:
+            f, j = self.f, self._j
+            fj = f[j]
+            if self._diffs is None:
+                weights = self.weights
+                self._dp = sum(weight / weights[j] * (value - fj) / (x - node)
+                               for k, (node, weight, value)
+                               in enumerate(zip(self.nodes, weights, f)) if k != j)
+            else:
+                quotients, total = self._quotients, self._total
+                above = sum(map(operator.mul, quotients, map(fj.__rsub__, f))) / total  # p(x) - f_j
+                terms = map(operator.mul, quotients, map(above.__add__, map(fj.__sub__, f)))
+                self._dp = sum(map(operator.truediv, terms, self._diffs)) / total
+        return self._dp
+
+    def slope_error(self, x, node_error):
+        """A bound on |p'(x) - F'(x)| for values `f` within `node_error` of
+        F - d, or inf at a node.
+
+        The node errors reach p' through sum_k |l_k'(x)| for the Lagrange
+        basis l_k = q_k / sum q, whose derivative is (q_k / sum q) (r - 1 /
+        (x - x_k)) with r = sum_m q_m / (x - x_m) / sum q.  The interpolation
+        error F - p is the sum over k > m = n - 1 of c_k (T_k - T_a(k)), each
+        dropped Chebyshev coefficient c_k times T_k less the alias a(k) <= m
+        it folds onto, where |T_k'| <= k**2 on [-1, 1], stretched by 2 / (hi
+        - lo) on [lo, hi].  Under the geometric decay that `_proxy_brackets`'
+        margin assumes, c_{m+j} <= trailing * r**-j with r >= (1e6)**(1/m),
+        so that derivative is at most m**2 * 2 / (hi - lo) * trailing times
+        sum_j r**-j ((1 + j/m)**2 + 1), under 1.7 at 17 nodes and under 4.1
+        at 33.
+        """
+        if x != self._x:
+            self._take(x)
+        diffs = self._diffs
+        if diffs is None:
+            return math.inf
+        quotients, total = self._quotients, self._total
+        r = sum(map(operator.truediv, quotients, diffs)) / total
+        lebesgue = sum(abs(q / total * (r - 1.0 / diff)) for q, diff in zip(quotients, diffs))
+        m = len(self.nodes) - 1
+        return (lebesgue * node_error
+                + 4.1 * m * m * 2.0 / (self.nodes[-1] - self.nodes[0]) * self.trailing)
 
 
 def _brackets(terms, t1, d, mode_tol, config):
     """([(lo, hi, F(lo) - d)], monotone, interpolant) for the sign-change
     cells and the verdict of `_scan`, read from a Chebyshev proxy of F where
-    it can be; `interpolant` is the proxy's (nodes, weights, F - d at the
-    nodes), or None where `_scan` ran.
+    it can be; `interpolant` is the proxy's `_Interpolant` of F - d, with
+    its trailing coefficient, or None where `_scan` ran.
 
     Past _PROXY_NODES[-1] scan orders, F is evaluated at the 17 proxy
     nodes, and at the 16 more of 33 only where the 17-node interpolant's
@@ -385,35 +470,46 @@ def _proxy_brackets(terms, t1, d, mode_tol, proxy, known):
     margin = 8.0 * (trailing + mode_tol * scale + 64.0 * _EPS * (scale + abs(d)))
     p = [sum(map(operator.mul, row, f)) for row in rows]
 
-    signs = []
-    for alpha, value in zip(orders, p):
-        if abs(value) <= margin:
-            value = exact(alpha)
-        signs.append((value > 0.0) - (value < 0.0))
+    # The bookkeeping over the scan orders runs as passes of map, compress,
+    # max and min; a Python loop visits only the orders they single out.
+    # F - d itself fixes the sign where |p| is within the margin
+    zeros = repeat(0.0)
+    signs = list(map(operator.sub, map(operator.gt, p, zeros), map(operator.lt, p, zeros)))
+    for i in compress(range(len(p)), map(operator.le, map(abs, p), repeat(margin))):
+        value = exact(orders[i])
+        signs[i] = (value > 0.0) - (value < 0.0)
 
-    steps = [b - a for a, b in zip(p, p[1:])]
-    rising = any(step > 2.0 * margin for step in steps)
-    falling = any(step < -2.0 * margin for step in steps)
-    for a, b, step in zip(orders, orders[1:], steps):
-        if rising and falling:
-            break
-        if abs(step) <= 2.0 * margin:
-            step = exact(b) - exact(a)
+    # and the sign of a step within twice the margin, until the steps have
+    # taken both signs; there is no such step where all clear it on one side
+    twice = 2.0 * margin
+    steps = list(map(operator.sub, islice(p, 1, None), p))
+    top, bottom = max(steps), min(steps)
+    rising, falling = top > twice, bottom < -twice
+    if bottom <= twice and top >= -twice:
+        for i in compress(range(len(steps)), map(operator.le, map(abs, steps), repeat(twice))):
+            if rising and falling:
+                break
+            step = exact(orders[i + 1]) - exact(orders[i])
             rising |= not step < 0.0  # an exact zero step is neither
             falling |= not step > 0.0
 
-    interpolant = (nodes, weights, f)
-    splits = _hidden_pairs(orders, steps, signs, margin,
-                           functools.partial(_interpolant_at, interpolant), exact)
+    interpolant = _Interpolant(nodes, weights, f, trailing)
+    splits = (_hidden_pairs(orders, steps, signs, margin, interpolant.value, exact)
+              if bottom < 0.0 < top else {})
+    # an exact zero is its own bracket, else a cell whose ends differ in
+    # sign: sign * (sign + next sign) vanishes for both, the last order's
+    # next sign taken as 0
+    nexts = chain(islice(signs, 1, None), (0,))
+    ends = map(operator.mul, signs, map(operator.add, signs, nexts))
+    cells = compress(range(len(signs)), map(operator.not_, ends))
     brackets = []
-    for i, (a, sign) in enumerate(zip(orders, signs)):
+    for i in sorted(chain(cells, splits)):
+        a = orders[i]
         if i in splits:
             x = splits[i]
             brackets += [(a, x, exact(a)), (x, orders[i + 1], known[x])]
-        elif sign == 0:
-            brackets.append((a, a, exact(a)))
-        elif i + 1 < len(orders) and signs[i + 1] == -sign:
-            brackets.append((a, orders[i + 1], exact(a)))
+        else:
+            brackets.append((a, a if signs[i] == 0 else orders[i + 1], exact(a)))
     return brackets, not (rising and falling), interpolant
 
 
@@ -427,8 +523,10 @@ def _hidden_pairs(orders, steps, signs, margin, proxy_at, exact):
     side, F is evaluated exactly at it, and the cell is split when F - d
     agrees.
     """
+    # the steps turn only where one falls and the next does not, or the reverse
+    falls = list(map(operator.lt, steps, repeat(0.0)))
     splits = {}
-    for j in range(1, len(orders) - 1):
+    for j in compress(range(1, len(orders) - 1), map(operator.ne, falls, islice(falls, 1, None))):
         side = signs[j]
         if (side == 0 or signs[j - 1] != side or signs[j + 1] != side
                 or not side * steps[j - 1] < 0.0 < side * steps[j]):
@@ -549,32 +647,42 @@ def invert_order(problem, measurement, config=InverseConfig()):
     def fp(a):
         return _slope(terms, a, t1, mode_tol)
 
+    slope = None
     if interpolant is None:
         refined = [_refine_root(f, fp, lo, hi, f_lo, config.root_tol)
                    for lo, hi, f_lo in brackets]
     else:
         # the interpolant's own root starts each search on F, and its slope
-        # takes each Newton step: F runs about once per root, and F' only at
-        # alpha_hat, below.  Where a step of root_tol moves F by no more
-        # than its round-off allowance (as in _proxy_brackets' margin), a
-        # start near the root gains nothing and noise-size Newton steps
-        # stall it, so the search runs as where the scan ran
-        p = functools.partial(_interpolant_at, interpolant)
-        p_slope = functools.partial(_interpolant_slope, interpolant)
+        # takes each Newton step: F runs about once per root.  Where a step
+        # of root_tol moves F by no more than its round-off allowance (as in
+        # _proxy_brackets' margin), a start near the root gains nothing and
+        # noise-size Newton steps stall it, so the search runs as where the
+        # scan ran
+        p, p_slope = interpolant.value, interpolant.slope
         scale = sum(abs(amplitude * basis) for amplitude, basis, _ in terms)
         rounding = 64.0 * _EPS * (scale + abs(d))
-        refined = []
+        refined, started = [], []
         for lo, hi, f_lo in brackets:
             start = _refine_root(p, p_slope, lo, hi, f_lo, config.root_tol)[0]
-            if config.root_tol * abs(p_slope(start)) > rounding:
+            started.append(config.root_tol * abs(p_slope(start)) > rounding)
+            if started[-1]:
                 refined.append(_refine_root(f, p_slope, lo, hi, f_lo, config.root_tol, start))
             else:
                 refined.append(_refine_root(f, fp, lo, hi, f_lo, config.root_tol))
+        if started[0]:
+            # the report reads F' from the interpolant too where a bound on
+            # their difference, from the node error of _proxy_brackets'
+            # margin, certifies it
+            slope = p_slope(refined[0][0])
+            if (interpolant.slope_error(refined[0][0], mode_tol * scale + rounding)
+                    > _SLOPE_REL_TOL * abs(slope)):
+                slope = None
     alpha_hat = refined[0][0]
-    try:
-        slope = fp(alpha_hat)
-    except AccuracyError:
-        slope = math.nan
+    if slope is None:
+        try:
+            slope = fp(alpha_hat)
+        except AccuracyError:
+            slope = math.nan
     return InversionReport(
         alpha_hat=alpha_hat,
         residual=f(alpha_hat),

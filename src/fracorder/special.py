@@ -58,10 +58,11 @@ _S_ASYM_ONLY = 30.0
 # per-order blocks of _BLOCK terms; each cache keeps its most recently used
 # blocks, so its memory stays fixed however many orders are evaluated.  512
 # Gamma blocks hold those of the default 99-order scan and of an inversion's
-# 17 or 33 proxy nodes between calls.  Neither reads psi: it serves F' at an
-# inversion's reported root, at the iterates of refinements that run as the
-# scan path's and in residual_derivative, at orders no later inversion reads
-# again.
+# 17 or 33 proxy nodes between calls.  Neither reads psi: it serves F' at
+# the iterates of refinements that run as the scan path's, at a reported
+# root whose slope the proxy cannot certify and in residual_derivative, at
+# orders no later inversion reads again; an inversion on the proxy's path
+# whose slope it certifies builds no psi block.
 _BLOCK = 32
 _BLOCKS_KEPT = 512
 _PSI_BLOCKS_KEPT = 128

@@ -1,5 +1,5 @@
-import functools
 import math
+import operator
 import random
 import re
 
@@ -477,7 +477,7 @@ def test_refinement_within_iteration_bound(setup, root_tol, scan_points, request
 
     def recording(f, fprime, lo, hi, f_lo, tol, start=None):
         out = real(f, fprime, lo, hi, f_lo, tol, start)
-        on_p = isinstance(f, functools.partial) and f.func is inverse._interpolant_at
+        on_p = isinstance(getattr(f, "__self__", None), inverse._Interpolant)
         refined.append((on_p, lo, hi, start, out[2]))
         return out
 
@@ -518,14 +518,40 @@ def test_sign_hypothesis_does_not_imply_monotone():
     assert abs(report.roots[1] - 0.8) <= 1e-9
 
 
-def test_root_kept_when_final_slope_refused():
-    # the order-derivative series overflows at the root, so the final slope
-    # is refused; the root found by refinement must still be reported
+def _refused_slope_case():
+    """An inversion whose order-derivative series overflows at the root."""
     alpha = 0.4049633901505699
     x0, t1 = 2.705805723398215, 15.504882985935527
     problem = make_problem(0.121, PI, [(1, 0.255), (5, 0.2458)], 20)
-    d = evaluate_solution(problem, alpha, x0, t1)
-    report = invert_order(problem, Measurement(x0, t1, d))
+    return alpha, problem, Measurement(x0, t1, evaluate_solution(problem, alpha, x0, t1))
+
+
+def test_root_kept_when_final_slope_refused(monkeypatch):
+    # the order-derivative series overflows at the root, where the report
+    # used to read nan; the interpolant's slope there is certified instead,
+    # and the analytic one is never asked for
+    alpha, problem, measurement = _refused_slope_case()
+    with pytest.raises(AccuracyError):
+        residual_derivative(problem, measurement, alpha)
+    monkeypatch.setattr(fracorder.inverse, "_slope", lambda *args: pytest.fail("F' ran"))
+    report = invert_order(problem, measurement)
+    assert len(report.roots) == 1
+    assert abs(report.alpha_hat - alpha) <= 1e-9
+    assert math.isfinite(report.derivative_at_root) and report.derivative_at_root < 0.0
+    assert report.sensitivity == 1.0 / abs(report.derivative_at_root)
+
+
+def test_root_kept_when_the_slope_bound_fails_and_f_prime_is_refused(monkeypatch):
+    # with the bound failing, the analytic F' runs once, at alpha_hat; its
+    # refusal makes the slope and the sensitivity nan, and the root stands
+    alpha, problem, measurement = _refused_slope_case()
+    slopes = []
+    real = fracorder.inverse._slope
+    monkeypatch.setattr(fracorder.inverse, "_slope",
+                        lambda *args: slopes.append(args[1]) or real(*args))
+    monkeypatch.setattr(fracorder.inverse, "_SLOPE_REL_TOL", -1.0)
+    report = invert_order(problem, measurement)
+    assert slopes == [report.alpha_hat]
     assert len(report.roots) == 1
     assert abs(report.alpha_hat - alpha) <= 1e-9
     assert math.isnan(report.derivative_at_root)
@@ -632,13 +658,19 @@ def test_alpha_hat_within_search_interval(single_mode):
     assert config.alpha_lo <= report.alpha_hat <= config.alpha_hi
 
 
-def test_invert_with_underflowed_rate():
+def test_invert_with_underflowed_rate(monkeypatch):
     # D*(pi/length)**2 underflows to 0.0: the factor is identically 1, so
     # F(alpha) = d at every order and F' = 0, not a refusal that names
-    # ml_alpha_derivative's c, which the caller never passed
+    # ml_alpha_derivative's c, which the caller never passed; alpha_hat is
+    # alpha_lo, a node, where the report takes the analytic F'
+    slopes = []
+    real = fracorder.inverse._slope
+    monkeypatch.setattr(fracorder.inverse, "_slope",
+                        lambda *args: slopes.append(args[1]) or real(*args))
     problem = make_problem(1.0, 1e200, [(1, 1.0)], 2.0)
     measurement = Measurement(5e199, 1.0, 1.0)
     report = invert_order(problem, measurement)
+    assert slopes == [report.alpha_hat]
     assert report.residual == 0.0 and report.derivative_at_root == 0.0
     assert report.sensitivity == math.inf
     assert len(report.roots) == InverseConfig().scan_points
@@ -886,19 +918,19 @@ def test_proxy_slope_matches_analytic_slope(setup, sizes, request, monkeypatch):
     terms, t1, d, mode_tol = inverse._inverse_inputs(*request.getfixturevalue(setup), config,
                                                      "invert_order")
     interpolant = inverse._brackets(terms, t1, d, mode_tol, config)[2]
-    nodes = interpolant[0]
+    nodes = interpolant.nodes
     assert len(nodes) == sizes[0]
     for alpha in [0.05 + 0.0225 * k for k in range(41)] + list(nodes[1:-1]):
         exact = inverse._slope(terms, alpha, t1, mode_tol)
-        assert abs(inverse._interpolant_slope(interpolant, alpha) - exact) <= 1e-8 * abs(exact)
+        assert abs(interpolant.slope(alpha) - exact) <= 1e-8 * abs(exact)
 
 
 @pytest.mark.parametrize("scan_points", [99, 33])
 def test_slope_evaluated_once_per_inversion(single_mode, two_mode, mixed_sign, scan_points,
                                             monkeypatch):
     # past 33 scan orders the Newton steps take the interpolant's slope, and
-    # F' runs once, at alpha_hat, for the report; the scan's refinement
-    # takes F' at its iterates, as the full scan's does
+    # so does the report, where its bound certifies it: F' does not run; the
+    # scan's refinement takes F' at its iterates, as the full scan's does
     slopes = []
     real = fracorder.inverse._slope
     monkeypatch.setattr(fracorder.inverse, "_slope",
@@ -908,7 +940,7 @@ def test_slope_evaluated_once_per_inversion(single_mode, two_mode, mixed_sign, s
         slopes.clear()
         report = invert_order(problem, measurement, config)
         if scan_points > 33:
-            assert slopes == [report.alpha_hat]
+            assert slopes == []
             continue
         on_scan = list(slopes)
         slopes.clear()
@@ -964,21 +996,236 @@ def test_bracket_search_hands_over_to_the_scan(two_mode, scans):
     assert str(inverted.value) == str(scanned.value)
 
 
-def test_two_roots_inside_one_scan_cell():
-    # F - d has two simple roots 0.0037 apart inside the scan cell
-    # [0.40835, 0.41853], whose ends are both negative, and peaks at +2.6e-7
-    # between them: the uniform scan sees no sign change, the proxy's
-    # extremum inside the cell does, and F confirms its sign
+def _two_close_roots():
+    """(alpha, problem, measurement) where F - d has two simple roots 0.0037
+    apart inside the scan cell [0.40835, 0.41853], whose ends are both
+    negative, and peaks at +2.6e-7 between them."""
     alpha, x0, t1 = 0.41597965601616194, 1.7674655632682383, 4.8793236812777065
     problem = make_problem(0.01616371352710967, PI,
                            [(3, -1.474059766702691), (5, -1.4133489825594436)], t1)
-    measurement = Measurement(x0, t1, evaluate_solution(problem, alpha, x0, t1))
+    return alpha, problem, Measurement(x0, t1, evaluate_solution(problem, alpha, x0, t1))
+
+
+def test_two_roots_inside_one_scan_cell():
+    # the uniform scan sees no sign change, the proxy's extremum inside the
+    # cell does, and F confirms its sign
+    alpha, problem, measurement = _two_close_roots()
     assert scan_bracket(problem, measurement).brackets == ()
     report = invert_order(problem, measurement)
     assert not report.unique
     assert len(report.roots) == 2
     assert abs(report.roots[0] - 0.4123) <= 1e-4
     assert abs(report.roots[1] - alpha) <= 1e-7
+
+
+# ----------------------------------------------- the interpolant's reference
+#
+# The proxy's arithmetic as the straightforward loops wrote it: the
+# interpolant's value and slope each from their own pass, and the signs,
+# steps, hidden pairs and brackets over the scan orders one order at a time.
+# The fused evaluator and the bookkeeping passes must give their bits.
+
+def _reference_value(nodes, weights, f, x):
+    row = fracorder.inverse._barycentric_row(x, nodes, weights)
+    return sum(map(operator.mul, row, f))
+
+
+def _reference_slope(nodes, weights, f, x):
+    j = min(range(len(nodes)), key=lambda k: abs(x - nodes[k]))
+    if x == nodes[j]:
+        return sum(weight / weights[j] * (value - f[j]) / (x - node)
+                   for k, (node, weight, value) in enumerate(zip(nodes, weights, f)) if k != j)
+    quotients = [weight / (x - node) for weight, node in zip(weights, nodes)]
+    total = sum(quotients)
+    above = sum(q * (value - f[j]) for q, value in zip(quotients, f)) / total
+    return sum(q * (f[j] - value + above) / (x - node)
+               for q, value, node in zip(quotients, f, nodes)) / total
+
+
+def _reference_proxy_brackets(terms, t1, d, mode_tol, proxy, known):
+    """`_proxy_brackets` as four loops over the scan orders; the
+    interpolant is returned as (nodes, weights, f)."""
+    inverse = fracorder.inverse
+    orders, nodes, weights, rows, tail = proxy
+
+    def exact(alpha):
+        if alpha not in known:
+            known[alpha] = inverse._solution(terms, alpha, t1, mode_tol) - d
+        return known[alpha]
+
+    for alpha in (nodes[0], nodes[-1]) + nodes[1:-1]:
+        exact(alpha)
+    f = [known[alpha] for alpha in nodes]
+    trailing = max(abs(sum(map(operator.mul, row, f))) for row in tail)
+    if trailing > 1e-6 * (max(f) - min(f)):
+        return None
+    scale = sum(abs(amplitude * basis) for amplitude, basis, _ in terms)
+    margin = 8.0 * (trailing + mode_tol * scale + 64.0 * inverse._EPS * (scale + abs(d)))
+    p = [sum(map(operator.mul, row, f)) for row in rows]
+
+    signs = []
+    for alpha, value in zip(orders, p):
+        if abs(value) <= margin:
+            value = exact(alpha)
+        signs.append((value > 0.0) - (value < 0.0))
+
+    steps = [b - a for a, b in zip(p, p[1:])]
+    rising = any(step > 2.0 * margin for step in steps)
+    falling = any(step < -2.0 * margin for step in steps)
+    for a, b, step in zip(orders, orders[1:], steps):
+        if rising and falling:
+            break
+        if abs(step) <= 2.0 * margin:
+            step = exact(b) - exact(a)
+            rising |= not step < 0.0
+            falling |= not step > 0.0
+
+    splits = {}
+    for j in range(1, len(orders) - 1):
+        side = signs[j]
+        if (side == 0 or signs[j - 1] != side or signs[j + 1] != side
+                or not side * steps[j - 1] < 0.0 < side * steps[j]):
+            continue
+        x, g = inverse._golden_min(lambda x: side * _reference_value(nodes, weights, f, x),
+                                   orders[j - 1], orders[j + 1])
+        if g < -margin and x != orders[j] and side * exact(x) < 0.0:
+            splits[j - 1 if x < orders[j] else j] = x
+    brackets = []
+    for i, (a, sign) in enumerate(zip(orders, signs)):
+        if i in splits:
+            x = splits[i]
+            brackets += [(a, x, exact(a)), (x, orders[i + 1], known[x])]
+        elif sign == 0:
+            brackets.append((a, a, exact(a)))
+        elif i + 1 < len(orders) and signs[i + 1] == -sign:
+            brackets.append((a, orders[i + 1], exact(a)))
+    return brackets, not (rising and falling), (nodes, weights, f)
+
+
+def _underflowed_rate():
+    return make_problem(1.0, 1e200, [(1, 1.0)], 2.0), Measurement(5e199, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("size", [17, 33])
+@pytest.mark.parametrize("setup", ["single_mode", "two_mode", "mixed_sign", "underflowed"])
+def test_fused_evaluator_matches_the_reference_bits(setup, size, request):
+    # p and p' at 400 seeded orders, at every node and an ulp either side
+    # of it, and midway between nodes, where the two nearest can tie; asked
+    # in either order at each x and then again from the cache
+    inverse = fracorder.inverse
+    problem, measurement = (_underflowed_rate() if setup == "underflowed"
+                            else request.getfixturevalue(setup))
+    config = InverseConfig()
+    terms, t1, d, mode_tol = inverse._inverse_inputs(problem, measurement, config, "")
+    _, nodes, weights, _, _ = inverse._proxy_rows(config.alpha_lo, config.alpha_hi,
+                                                  config.scan_points, size)
+    f = [inverse._solution(terms, alpha, t1, mode_tol) - d for alpha in nodes]
+    interpolant = inverse._Interpolant(nodes, weights, f, 0.0)
+    rng = random.Random(size)
+    orders = [rng.uniform(config.alpha_lo, config.alpha_hi) for _ in range(400)]
+    orders += [x for node in nodes
+               for x in (math.nextafter(node, 0.0), node, math.nextafter(node, 1.0))]
+    orders += [0.5 * (a + b) for a, b in zip(nodes, nodes[1:])]
+    for k, x in enumerate(orders):
+        value, slope = _reference_value(nodes, weights, f, x), _reference_slope(nodes, weights, f, x)
+        if k % 2:
+            got = interpolant.value(x), interpolant.slope(x)
+        else:
+            got = tuple(reversed((interpolant.slope(x), interpolant.value(x))))
+        assert repr(got) == repr((value, slope)) == repr((interpolant.value(x),
+                                                          interpolant.slope(x)))
+
+
+def _proxy_brackets_cases(single_mode, two_mode, mixed_sign):
+    return ([single_mode, two_mode, mixed_sign, _two_close_roots()[1:], _underflowed_rate()]
+            + _seeded_inversions(5, 24))
+
+
+@pytest.mark.parametrize("size", [17, 33])
+def test_proxy_brackets_match_the_reference_loops(single_mode, two_mode, mixed_sign, climbing,
+                                                  size):
+    # brackets, verdict, interpolant and the set of orders F is evaluated
+    # at, or the refusal, are the reference's, at 17 nodes and at 33
+    inverse = fracorder.inverse
+    for problem, measurement, config in (
+            [(*case, InverseConfig()) for case in
+             _proxy_brackets_cases(single_mode, two_mode, mixed_sign)]
+            + [(*climbing, CLIMBING_CONFIG)]):
+        inputs = inverse._inverse_inputs(problem, measurement, config, "")
+        proxy = inverse._proxy_rows(config.alpha_lo, config.alpha_hi, config.scan_points, size)
+        known, reference_known = {}, {}
+        found = _report_or_refusal(inverse._proxy_brackets, *inputs, proxy, known)
+        expected = _report_or_refusal(_reference_proxy_brackets, *inputs, proxy,
+                                      reference_known)
+        if isinstance(expected, tuple) and len(expected) == 3:
+            interpolant = found[2]
+            found = found[:2] + ((interpolant.nodes, interpolant.weights, interpolant.f),)
+        assert repr(found) == repr(expected)
+        assert known.keys() == reference_known.keys()
+
+
+@pytest.mark.parametrize("setup, config", [
+    ("single_mode", InverseConfig()), ("two_mode", InverseConfig()),
+    ("mixed_sign", InverseConfig()), ("climbing", CLIMBING_CONFIG)])
+def test_slope_error_bounds_the_distance_to_the_analytic_slope(setup, config, request):
+    # at 41 orders in [0.05, 0.95], wherever the analytic F' is certified;
+    # the climbing curve's proxy has 33 nodes
+    inverse = fracorder.inverse
+    terms, t1, d, mode_tol = inverse._inverse_inputs(*request.getfixturevalue(setup), config, "")
+    interpolant = inverse._brackets(terms, t1, d, mode_tol, config)[2]
+    assert len(interpolant.nodes) == (33 if setup == "climbing" else 17)
+    scale = sum(abs(amplitude * basis) for amplitude, basis, _ in terms)
+    node_error = mode_tol * scale + 64.0 * inverse._EPS * (scale + abs(d))
+    checked = 0
+    for alpha in [0.05 + 0.0225 * k for k in range(41)]:
+        try:
+            exact = inverse._slope(terms, alpha, t1, mode_tol)
+        except AccuracyError:
+            continue
+        checked += 1
+        assert abs(interpolant.slope(alpha) - exact) <= interpolant.slope_error(alpha, node_error)
+    assert checked >= 11
+    assert interpolant.slope_error(interpolant.nodes[3], node_error) == math.inf
+
+
+@pytest.mark.parametrize("size, c", [(17, 1.0), (17, 2.0), (33, 8.0), (33, 16.0)])
+def test_slope_error_tail_term_bounds_the_interpolation_error(size, c):
+    # exact values of 1/(1 + c (x - 0.3)**2), whose trailing coefficients
+    # lie between 1e-9 and 1e-6 of its spread: with no node error, the
+    # trailing-coefficient term alone bounds |p' - g'|
+    inverse = fracorder.inverse
+    _, nodes, weights, _, tail = inverse._proxy_rows(1e-3, 1.0 - 1e-3, 99, size)
+    f = [1.0 / (1.0 + c * (x - 0.3) ** 2) for x in nodes]
+    trailing = max(abs(sum(map(operator.mul, row, f))) for row in tail)
+    assert 1e-9 < trailing / (max(f) - min(f)) <= 1e-6
+    interpolant = inverse._Interpolant(nodes, weights, f, trailing)
+    for x in [0.05 + 0.0225 * k for k in range(41)]:
+        slope = -2.0 * c * (x - 0.3) / (1.0 + c * (x - 0.3) ** 2) ** 2
+        assert abs(interpolant.slope(x) - slope) <= interpolant.slope_error(x, 0.0)
+
+
+def test_proxy_path_work_counts(port_calls, monkeypatch):
+    # on the proxy path the report's slope comes from the interpolant: no
+    # analytic F', so no psi block, and F at the orders the bracket search
+    # evaluates, at each iterate and at alpha_hat, as before
+    inverse = fracorder.inverse
+    orders, slopes = [], []
+    real_solution, real_slope = inverse._solution, inverse._slope
+    monkeypatch.setattr(inverse, "_solution",
+                        lambda *args: orders.append(args[1]) or real_solution(*args))
+    monkeypatch.setattr(inverse, "_slope", lambda *args: slopes.append(args[1]) or real_slope(*args))
+    config = InverseConfig()
+    for problem, measurement in _seeded_inversions(5, 24):
+        inputs = inverse._inverse_inputs(problem, measurement, config, "")
+        reference_known = {}
+        proxy = inverse._proxy_rows(config.alpha_lo, config.alpha_hi, config.scan_points, 17)
+        assert _reference_proxy_brackets(*inputs, proxy, reference_known) is not None
+        orders.clear()
+        report = invert_order(problem, measurement, config)
+        assert len(orders) == len(reference_known) + report.iterations + 1
+        assert set(orders[:len(reference_known)]) == reference_known.keys()
+    assert slopes == []
+    assert port_calls["_psi"] == []
 
 
 # -------------------------------------------------------- InverseConfig
