@@ -11,7 +11,10 @@ the samples, not a proof).  `invert_order` reads the same brackets and
 verdict from a Chebyshev interpolant of F through 17 nodes, or through 33
 where the 17-node one has not decayed, evaluating F only at the scan
 orders whose sign the interpolant cannot certify, and splits a scan cell
-that hides two roots.  A bracketed, safeguarded Newton iteration refines
+that hides two roots.  Where the interpolant's Chebyshev coefficients
+certify its slope one-signed, it is read only at the scan's ends and at
+the orders a bisection for its one sign change visits; elsewhere at every
+scan order.  A bracketed, safeguarded Newton iteration refines
 each bracket to a root, starting from F at its left end: it bisects
 instead when a Newton step leaves the bracket, stops shrinking or would
 overrun the iteration budget set by root_tol, and ends when a step falls
@@ -84,7 +87,9 @@ class InverseConfig(namedtuple("InverseConfig", "alpha_lo alpha_hi root_tol scan
     They set the cells in which `invert_order` brackets roots; past 33
     orders it evaluates F at 17 Chebyshev nodes, at 16 more where their
     interpolant has not decayed, and at the scan orders the interpolant
-    cannot certify, not at every scan order.  `f_rel_tol` is the
+    cannot certify, not at every scan order; where the interpolant's
+    coefficients certify it monotone, it is read at the two ends and at
+    about log2(scan_points) orders of a bisection.  `f_rel_tol` is the
     relative accuracy asked of F(alpha); each mode's Mittag-Leffler factor
     is asked for `f_rel_tol / n_modes`.  A request below the power series'
     round-off floor, `6*EPS*sum|term|` relative to the factor, at any
@@ -269,13 +274,16 @@ def _barycentric_row(x, nodes, weights):
 
 @functools.lru_cache(maxsize=8)
 def _proxy_rows(lo, hi, n, size):
-    """(orders, nodes, weights, rows, tail) of the `size`-node proxy for the
+    """(orders, nodes, weights, rows, dct) of the `size`-node proxy for the
     n-order scan on [lo, hi], or None where its nodes are not distinct.
 
     The nodes are the Chebyshev points of the second kind on [lo, hi] in
     ascending order, both ends exact; `rows` holds one barycentric row per
-    scan order, and `tail` the DCT-I rows that give the interpolant's last
-    three Chebyshev coefficients from the node values.
+    scan order, and `dct` the DCT-I rows, rows 0 and m = size - 1 halved,
+    that give all m + 1 Chebyshev coefficients of the interpolant from the
+    node values.  Node k lies at mid - half * cos(k pi / m), so the rows
+    take cos(pi j k / m) with no (-1)**j: the coefficients are the
+    interpolant's in the reflected variable y = (mid - alpha) / half.
     """
     m = size - 1
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -290,11 +298,11 @@ def _proxy_rows(lo, hi, n, size):
     weights = tuple((-1.0) ** k * end for k, end in enumerate(ends))
     orders = _scan_orders(lo, hi, n)
     rows = tuple(_barycentric_row(alpha, nodes, weights) for alpha in orders)
-    tail = tuple(tuple(2.0 / m * (0.5 if j == m else 1.0) * end
-                       * math.cos(math.pi * (j * k % (2 * m)) / m)
-                       for k, end in enumerate(ends))
-                 for j in range(m - 2, m + 1))
-    return orders, nodes, weights, rows, tail
+    dct = tuple(tuple(2.0 / m * (0.5 if j in (0, m) else 1.0) * end
+                      * math.cos(math.pi * (j * k % (2 * m)) / m)
+                      for k, end in enumerate(ends))
+                for j in range(m + 1))
+    return orders, nodes, weights, rows, dct
 
 
 class _Interpolant:
@@ -415,9 +423,13 @@ def _brackets(terms, t1, d, mode_tol, config):
     F - d there, and a step of p above twice the margin fixes the sign of
     the scan's step.  F is evaluated exactly at the other orders and at each
     bracket's left end, and a cell that hides two roots is split
-    (`_hidden_pairs`).  Trailing coefficients that have not decayed at 33
-    nodes, or an order that F refuses on this path, hand the search to
-    `_scan`, so every refusal is the scan's.
+    (`_hidden_pairs`).  Where the Chebyshev coefficients of p certify that
+    each scan step of p exceeds 4 times the margin with one sign, p is read
+    only at the two ends and at the orders a bisection for its sign change
+    visits: the brackets, the verdict and the orders evaluated are those of
+    the read at every scan order.  Trailing coefficients that have not
+    decayed at 33 nodes, or an order that F refuses on this path, hand the
+    search to `_scan`, so every refusal is the scan's.
     """
     lo, hi, n = float(config.alpha_lo), float(config.alpha_hi), config.scan_points
     known = {}  # F - d at each order evaluated, shared by both node counts
@@ -439,8 +451,16 @@ def _brackets(terms, t1, d, mode_tol, config):
 def _proxy_brackets(terms, t1, d, mode_tol, proxy, known):
     """`_brackets` from the rows of `_proxy_rows`, or None where the
     trailing coefficients have not decayed; `known` maps each order already
-    evaluated to F - d and takes the orders evaluated here."""
-    orders, nodes, weights, rows, tail = proxy
+    evaluated to F - d and takes the orders evaluated here.
+
+    Where the interpolant's coefficients certify that each scan step of p
+    exceeds 4 times the margin with one sign (`_slope_floor`), p is read at
+    the two ends and at the orders a bisection for its sign change visits
+    (`_bisected_signs`), and the verdict is monotone; elsewhere p is read
+    at every scan order (`_scanned_signs`).  Both give the same brackets,
+    verdict and exactly evaluated orders where the certificate holds.
+    """
+    orders, nodes, weights, rows, dct = proxy
 
     def exact(alpha):
         if alpha not in known:
@@ -463,11 +483,112 @@ def _proxy_brackets(terms, t1, d, mode_tol, proxy, known):
     # interpolant times its Lebesgue constant, below 2.8 at 17 nodes and 3.2
     # at 33, and the exact F at a scan order once more; 8 times the sum
     # covers all three with the sums' round-off.
-    trailing = max(abs(sum(map(operator.mul, row, f))) for row in tail)
+    coefficients = [sum(map(operator.mul, row, f)) for row in dct]
+    trailing = max(map(abs, coefficients[-3:]))
     if trailing > 1e-6 * (max(f) - min(f)):
         return None
     scale = sum(abs(amplitude * basis) for amplitude, basis, _ in terms)
     margin = 8.0 * (trailing + mode_tol * scale + 64.0 * _EPS * (scale + abs(d)))
+    interpolant = _Interpolant(nodes, weights, f, trailing)
+
+    # A scan step of p is at least the smallest one times the floor of |p'|
+    # (mean value theorem); the 1e-9 covers the rounding of the step and
+    # of the floor's scaling.  Above 4 margins, every computed step clears
+    # twice the margin with one sign, the margin's round-off term taking
+    # the rows' own rounding of p, so the full read would find the steps
+    # of one sign, no step to check on F and no hidden pair
+    floor = _slope_floor(coefficients, f, orders[-1] - orders[0])
+    if (floor > 0.0 and (1.0 - 1e-9) * floor
+            * min(map(operator.sub, islice(orders, 1, None), orders)) > 4.0 * margin):
+        signs, monotone, splits = _bisected_signs(orders, rows, f, margin, exact), True, {}
+    else:
+        signs, monotone, splits = _scanned_signs(orders, rows, f, margin, interpolant.value,
+                                                 exact)
+    # an exact zero is its own bracket, else a cell whose ends differ in
+    # sign: sign * (sign + next sign) vanishes for both, the last order's
+    # next sign taken as 0
+    nexts = chain(islice(signs, 1, None), (0,))
+    ends = map(operator.mul, signs, map(operator.add, signs, nexts))
+    cells = compress(range(len(signs)), map(operator.not_, ends))
+    brackets = []
+    for i in sorted(chain(cells, splits)):
+        a = orders[i]
+        if i in splits:
+            x = splits[i]
+            brackets += [(a, x, exact(a)), (x, orders[i + 1], known[x])]
+        else:
+            brackets.append((a, a if signs[i] == 0 else orders[i + 1], exact(a)))
+    return brackets, monotone, interpolant
+
+
+def _slope_floor(coefficients, f, width):
+    """A lower bound on |p'| over the proxy's interval, `width` wide, from
+    the Chebyshev coefficients c_0..c_m of p that the DCT-I rows of
+    `_proxy_rows` give from the node values `f`; positive only where p'
+    keeps one sign there (Boyd, SIAM J. Numer. Anal. 40 (2002) 1666;
+    Battles & Trefethen, SIAM J. Sci. Comput. 25 (2004) 1743).
+
+    In the reflected variable y, p' = sum_k d_k T_k, with d_{k-1} = d_{k+1}
+    + 2k c_k from d_m = d_{m+1} = 0 and d_0 then halved; as |T_k| <= 1,
+    |p'| >= |d_0| - sum_{k>=1} |d_k| on [-1, 1], and |dp/dalpha| is that
+    times 2 / width.
+    """
+    m = len(coefficients) - 1
+    derivative = [0.0] * (m + 2)
+    for k in range(m, 0, -1):
+        derivative[k - 1] = derivative[k + 1] + 2 * k * coefficients[k]
+    # Round-off, in units of EPS max|f|.  A row entry misses its exact value
+    # by at most 10 EPS 2/m and weighs at most 2/m, so each c_j misses p's
+    # by at most m + 23 (the dot product's m + 1 roundings of terms summing
+    # to at most 2 max|f|), and that moves p' by sum_j j**2 |dc_j|, below
+    # (m + 23) (m + 1)**3 / 3.  As |c_j| <= 2 max|f|, the recurrence's
+    # chains of m/2 + 1 roundings add at most (m + 1)**2 m (m + 2) / 2 over
+    # all d_k, and the sum of the m terms |d_k| at most m**3 (m + 1).  The
+    # three stay under 3 (m + 1)**4 for m >= 16; 4 (m + 1)**4 is allowed.
+    allowance = 4.0 * (m + 1) ** 4 * _EPS * max(map(abs, f))
+    lower = 0.5 * abs(derivative[0]) - sum(map(abs, islice(derivative, 1, m))) - allowance
+    return lower * 2.0 / width
+
+
+def _bisected_signs(orders, rows, f, margin, exact):
+    """The bracket pass's signs over the scan orders where each step of p,
+    the dot product of a row of `rows` with `f`, clears twice the margin
+    with one sign, from p at the two ends and at the orders a bisection for
+    its sign change visits.
+
+    p is then strictly monotone over the scan orders, so every order before
+    its sign change lies more than the margin on the side p leaves, every
+    order after it more than the margin on the side p climbs to, and at most
+    one order lies within the margin: one of the pair that borders the
+    change, which the bisection has read.  F - d is taken exactly there
+    alone, as the full read takes it.
+    """
+    n = len(orders)
+    p = {i: sum(map(operator.mul, rows[i], f)) for i in (0, n - 1)}
+    side = 1 if p[n - 1] > p[0] else -1
+    # side * p <= 0 up to `below` and > 0 from `first`, the sign change,
+    # with -1 and n standing for the orders beyond the ends
+    below, first = -1, n
+    while first - below > 1:
+        i = (below + first) // 2
+        if i not in p:
+            p[i] = sum(map(operator.mul, rows[i], f))
+        if side * p[i] > 0.0:
+            first = i
+        else:
+            below = i
+    signs = [-side] * first + [side] * (n - first)
+    for i in (below, first):
+        if i in p:
+            value = p[i] if abs(p[i]) > margin else exact(orders[i])
+            signs[i] = (value > 0.0) - (value < 0.0)
+    return signs
+
+
+def _scanned_signs(orders, rows, f, margin, proxy_at, exact):
+    """(signs, monotone, splits) of the bracket pass from p at every scan
+    order: the signs of F - d, the verdict on the scan's steps and the
+    `_hidden_pairs` splits."""
     p = [sum(map(operator.mul, row, f)) for row in rows]
 
     # The bookkeeping over the scan orders runs as passes of map, compress,
@@ -493,24 +614,9 @@ def _proxy_brackets(terms, t1, d, mode_tol, proxy, known):
             rising |= not step < 0.0  # an exact zero step is neither
             falling |= not step > 0.0
 
-    interpolant = _Interpolant(nodes, weights, f, trailing)
-    splits = (_hidden_pairs(orders, steps, signs, margin, interpolant.value, exact)
+    splits = (_hidden_pairs(orders, steps, signs, margin, proxy_at, exact)
               if bottom < 0.0 < top else {})
-    # an exact zero is its own bracket, else a cell whose ends differ in
-    # sign: sign * (sign + next sign) vanishes for both, the last order's
-    # next sign taken as 0
-    nexts = chain(islice(signs, 1, None), (0,))
-    ends = map(operator.mul, signs, map(operator.add, signs, nexts))
-    cells = compress(range(len(signs)), map(operator.not_, ends))
-    brackets = []
-    for i in sorted(chain(cells, splits)):
-        a = orders[i]
-        if i in splits:
-            x = splits[i]
-            brackets += [(a, x, exact(a)), (x, orders[i + 1], known[x])]
-        else:
-            brackets.append((a, a if signs[i] == 0 else orders[i + 1], exact(a)))
-    return brackets, not (rising and falling), interpolant
+    return signs, not (rising and falling), splits
 
 
 def _hidden_pairs(orders, steps, signs, margin, proxy_at, exact):

@@ -1046,7 +1046,7 @@ def _reference_proxy_brackets(terms, t1, d, mode_tol, proxy, known):
     """`_proxy_brackets` as four loops over the scan orders; the
     interpolant is returned as (nodes, weights, f)."""
     inverse = fracorder.inverse
-    orders, nodes, weights, rows, tail = proxy
+    orders, nodes, weights, rows, dct = proxy
 
     def exact(alpha):
         if alpha not in known:
@@ -1056,7 +1056,7 @@ def _reference_proxy_brackets(terms, t1, d, mode_tol, proxy, known):
     for alpha in (nodes[0], nodes[-1]) + nodes[1:-1]:
         exact(alpha)
     f = [known[alpha] for alpha in nodes]
-    trailing = max(abs(sum(map(operator.mul, row, f))) for row in tail)
+    trailing = max(abs(sum(map(operator.mul, row, f))) for row in dct[-3:])
     if trailing > 1e-6 * (max(f) - min(f)):
         return None
     scale = sum(abs(amplitude * basis) for amplitude, basis, _ in terms)
@@ -1194,9 +1194,9 @@ def test_slope_error_tail_term_bounds_the_interpolation_error(size, c):
     # lie between 1e-9 and 1e-6 of its spread: with no node error, the
     # trailing-coefficient term alone bounds |p' - g'|
     inverse = fracorder.inverse
-    _, nodes, weights, _, tail = inverse._proxy_rows(1e-3, 1.0 - 1e-3, 99, size)
+    _, nodes, weights, _, dct = inverse._proxy_rows(1e-3, 1.0 - 1e-3, 99, size)
     f = [1.0 / (1.0 + c * (x - 0.3) ** 2) for x in nodes]
-    trailing = max(abs(sum(map(operator.mul, row, f))) for row in tail)
+    trailing = max(abs(sum(map(operator.mul, row, f))) for row in dct[-3:])
     assert 1e-9 < trailing / (max(f) - min(f)) <= 1e-6
     interpolant = inverse._Interpolant(nodes, weights, f, trailing)
     for x in [0.05 + 0.0225 * k for k in range(41)]:
@@ -1226,6 +1226,162 @@ def test_proxy_path_work_counts(port_calls, monkeypatch):
         assert set(orders[:len(reference_known)]) == reference_known.keys()
     assert slopes == []
     assert port_calls["_psi"] == []
+
+
+# ------------------------------------------------ the monotone certificate
+
+class _CountedRows(tuple):
+    """Barycentric rows that count the rows read, by index or by iteration."""
+
+    def __getitem__(self, i):
+        self.read += 1
+        return tuple.__getitem__(self, i)
+
+    def __iter__(self):
+        for row in tuple.__iter__(self):
+            self.read += 1
+            yield row
+
+
+@pytest.fixture
+def rows_read(monkeypatch):
+    """(rows read, bisected) per `_proxy_brackets` call that reads p, from
+    here on; `bisected` is whether `_bisected_signs` ran."""
+    inverse = fracorder.inverse
+    calls, bisections = [], []
+    real_proxy, real_bisected = inverse._proxy_brackets, inverse._bisected_signs
+
+    def counted_proxy(terms, t1, d, mode_tol, proxy, known):
+        rows = _CountedRows(proxy[3])
+        rows.read, before = 0, len(bisections)
+        found = real_proxy(terms, t1, d, mode_tol, proxy[:3] + (rows,) + proxy[4:], known)
+        if found is not None:
+            calls.append((rows.read, len(bisections) > before))
+        return found
+
+    monkeypatch.setattr(inverse, "_proxy_brackets", counted_proxy)
+    monkeypatch.setattr(inverse, "_bisected_signs",
+                        lambda *args: bisections.append(1) or real_bisected(*args))
+    return calls
+
+
+def _non_monotone_at_t1_one():
+    """F follows 1/Gamma(1 + alpha) at t1 = 1 and meets d twice."""
+    problem = make_problem(0.2, PI, [(1, 1.0)], 1.0)
+    return problem, Measurement(PI / 2, 1.0, evaluate_solution(problem, 0.8, PI / 2, 1.0))
+
+
+def test_certified_path_reads_few_rows(mixed_sign, climbing, rows_read):
+    # where p' is certified one-signed, p is read at the two ends and at the
+    # orders a bisection over 99 visits; where it changes sign, or cannot
+    # be certified, at all 99 scan orders.  Every same-sign seeded case is
+    # certified; of the opposed-sign ones, two are not monotone and one
+    # rises too unevenly for the global coefficient test
+    certified = 0
+    for k, (problem, measurement) in enumerate(_seeded_inversions(5, 24)):
+        rows_read.clear()
+        invert_order(problem, measurement)
+        assert len(rows_read) == 1
+        read, bisected = rows_read[0]
+        assert bisected or k % 2
+        assert read <= 12 if bisected else read == 99
+        certified += bisected
+    assert certified == 21
+    for (problem, measurement), config in [(mixed_sign, InverseConfig()),
+                                           (_two_close_roots()[1:], InverseConfig()),
+                                           (climbing, CLIMBING_CONFIG),
+                                           (_non_monotone_at_t1_one(), InverseConfig())]:
+        rows_read.clear()
+        invert_order(problem, measurement, config)
+        assert rows_read == [(99, False)]
+
+
+@pytest.mark.parametrize("size", [17, 33])
+@pytest.mark.parametrize("setup", ["single_mode", "two_mode", "mixed_sign"])
+def test_coefficient_rows_rebuild_the_interpolant(setup, size, request):
+    # the DCT-I rows give the interpolant's Chebyshev coefficients in the
+    # reflected variable y = (mid - alpha) / half: their sum rebuilds f at
+    # the nodes, y_k = cos(k pi / m), and p at 41 orders; the last three
+    # rows are those that gave the trailing coefficients alone, bit for bit
+    inverse = fracorder.inverse
+    config = InverseConfig()
+    terms, t1, d, mode_tol = inverse._inverse_inputs(*request.getfixturevalue(setup), config, "")
+    lo, hi = config.alpha_lo, config.alpha_hi
+    _, nodes, weights, _, dct = inverse._proxy_rows(lo, hi, config.scan_points, size)
+    m = size - 1
+    assert len(dct) == size and all(len(row) == size for row in dct)
+    ends = [0.5] + [1.0] * (m - 1) + [0.5]
+    assert dct[-3:] == tuple(tuple(2.0 / m * (0.5 if j == m else 1.0) * end
+                                   * math.cos(math.pi * (j * k % (2 * m)) / m)
+                                   for k, end in enumerate(ends))
+                             for j in range(m - 2, m + 1))
+    f = [inverse._solution(terms, alpha, t1, mode_tol) - d for alpha in nodes]
+    coefficients = [sum(map(operator.mul, row, f)) for row in dct]
+    spread = max(f) - min(f)
+    for k, value in enumerate(f):
+        rebuilt = sum(c * math.cos(math.pi * j * k / m) for j, c in enumerate(coefficients))
+        assert abs(rebuilt - value) <= 1e-14 * spread
+    interpolant = inverse._Interpolant(nodes, weights, f, 0.0)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    for alpha in [0.05 + 0.0225 * k for k in range(41)]:
+        theta = math.acos((mid - alpha) / half)
+        rebuilt = sum(c * math.cos(j * theta) for j, c in enumerate(coefficients))
+        assert abs(rebuilt - interpolant.value(alpha)) <= 1e-14 * spread
+
+
+@pytest.mark.parametrize("size", [17, 33])
+def test_slope_floor_bounds_the_interpolant_slope(single_mode, two_mode, size):
+    # on inputs the certificate covers, |p'| is at least the certified
+    # floor at 401 orders from alpha_lo to alpha_hi, nodes included
+    inverse = fracorder.inverse
+    config = InverseConfig()
+    lo, hi = config.alpha_lo, config.alpha_hi
+    _, nodes, weights, _, dct = inverse._proxy_rows(lo, hi, config.scan_points, size)
+    orders = [lo + (hi - lo) * k / 400 for k in range(401)]
+    certified = 0
+    for problem, measurement in [single_mode, two_mode] + _seeded_inversions(5, 24):
+        terms, t1, d, mode_tol = inverse._inverse_inputs(problem, measurement, config, "")
+        f = [inverse._solution(terms, alpha, t1, mode_tol) - d for alpha in nodes]
+        coefficients = [sum(map(operator.mul, row, f)) for row in dct]
+        floor = inverse._slope_floor(coefficients, f, hi - lo)
+        if floor <= 0.0:
+            continue
+        certified += 1
+        interpolant = inverse._Interpolant(nodes, weights, f, 0.0)
+        assert min(abs(interpolant.slope(alpha)) for alpha in orders) >= floor
+    assert certified == 23
+    # on a straight line the bound is |p'| itself, less the round-off
+    line = [0.3 - 0.7 * alpha for alpha in nodes]
+    floor = inverse._slope_floor([sum(map(operator.mul, row, line)) for row in dct], line, hi - lo)
+    interpolant = inverse._Interpolant(nodes, weights, line, 0.0)
+    assert 0.7 * (1.0 - 1e-8) < floor <= min(abs(interpolant.slope(alpha)) for alpha in orders)
+
+
+def test_a_wide_margin_takes_the_full_read(rows_read):
+    # at f_rel_tol 1e-3 the margin is wide: where p' keeps one sign, its
+    # steps still fall short of 4 margins and several scan orders lie
+    # within one, so p is read at every scan order and F evaluated at each
+    # of those, as the reference loops do
+    inverse = fracorder.inverse
+    config = InverseConfig(f_rel_tol=1e-3)
+    lo, hi = config.alpha_lo, config.alpha_hi
+    proxy = inverse._proxy_rows(lo, hi, config.scan_points, 17)
+    one_signed = 0
+    for problem, measurement in _seeded_inversions(5, 24):
+        inputs = inverse._inverse_inputs(problem, measurement, config, "")
+        known, reference_known = {}, {}
+        found = inverse._proxy_brackets(*inputs, proxy, known)
+        expected = _reference_proxy_brackets(*inputs, proxy, reference_known)
+        if expected is None:
+            assert found is None
+            continue
+        assert repr(found[:2]) == repr(expected[:2])
+        assert known.keys() == reference_known.keys()
+        f = found[2].f
+        coefficients = [sum(map(operator.mul, row, f)) for row in proxy[4]]
+        one_signed += inverse._slope_floor(coefficients, f, hi - lo) > 0.0
+    assert one_signed >= 6
+    assert rows_read and all(read == (99, False) for read in rows_read)
 
 
 # -------------------------------------------------------- InverseConfig
