@@ -5,9 +5,9 @@ The forward problem (subdiffusion on an interval, Dirichlet walls, finite
 sine-mode initial data) is evaluated through Mittag-Leffler time factors;
 the inverse problem reduces to the scalar equation F(alpha) = d, which the
 paper's sign hypothesis does not make monotone, and is solved by bracketing
-on a Chebyshev interpolant of F (or a uniform scan) and a safeguarded Newton
-iteration that starts at the interpolant's root and steps with its slope
-where root_tol lies above F's round-off.
+on a Chebyshev interpolant of F cut into certified monotone pieces and a
+safeguarded Newton iteration that starts at the interpolant's root and
+steps with its slope where root_tol lies above F's round-off.
 """
 
 from .errors import AccuracyError, ConfigError, DomainError, NoRootError

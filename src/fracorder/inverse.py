@@ -6,27 +6,24 @@ the forward solution at the measurement point as a function of the order.
 Each public function checks its inputs once, builds the per-mode terms at x0
 once and evaluates F and its analytic derivative in alpha through the
 forward kernel.  A uniform scan over the orders finds the sign-change
-brackets and reports whether the sampled curve is monotone (a verdict on
-the samples, not a proof).  `invert_order` reads the same brackets and
-verdict from a Chebyshev interpolant of F through 17 nodes, or through 33
-where the 17-node one has not decayed, evaluating F only at the scan
-orders whose sign the interpolant cannot certify, and splits a scan cell
-that hides two roots.  Where the interpolant's Chebyshev coefficients
-certify its slope one-signed, it is read only at the scan's ends and at
-the orders a bisection for its one sign change visits; elsewhere at every
-scan order.  A bracketed, safeguarded Newton iteration refines
-each bracket to a root, starting from F at its left end: it bisects
-instead when a Newton step leaves the bracket, stops shrinking or would
-overrun the iteration budget set by root_tol, and ends when a step falls
-below root_tol/2 or the bracket narrows to root_tol.  Where the
-interpolant found the brackets, the iteration first finds its root on the
-interpolant, then starts on F from there with the interpolant's slope, so
-that one evaluation of F usually ends it; the reported F' is the
-interpolant's slope at the root where a bound on its error is at most 1e-6
-of it.  Where the scan ran, or where a step of root_tol moves F by less
-than its round-off, the iteration starts at each bracket's midpoint and
-takes its Newton steps from the analytic F'.  The report takes the
-analytic F' there and wherever the bound fails.
+cells and reports whether the sampled curve is monotone (a verdict on the
+samples, not a proof).  `invert_order` instead evaluates F at 17 Chebyshev
+nodes, or at 33 where the 17-node interpolant has not decayed, and cuts the
+interval into pieces on which the interpolant's Chebyshev coefficients
+certify it monotone or with one extremum; its brackets lie between
+neighbouring nodes, piece ends and extrema, and its verdict is that the
+interpolant is certified monotone.  A bracketed, safeguarded Newton
+iteration refines each bracket to a root: it bisects instead when a Newton
+step leaves the bracket, stops shrinking or would overrun the iteration
+budget set by root_tol, and ends when a step falls below root_tol/2 or the
+bracket narrows to root_tol.  It first finds the interpolant's root, then
+starts on F from there with the interpolant's slope, so that one evaluation
+of F usually ends it; the reported F' is the interpolant's slope at the root
+where a bound on its error is at most 1e-6 of it.  Where a step of root_tol
+moves F by less than its round-off, the iteration starts at each bracket's
+midpoint and takes its Newton steps from the analytic F', and the report
+takes the analytic F' there and wherever the bound fails.  Every float sum
+is rounded once (math.fsum), so a report has the same bits on every Python.
 """
 
 import bisect
@@ -34,7 +31,7 @@ import functools
 import math
 import operator
 from collections import namedtuple
-from itertools import chain, compress, islice, repeat
+from itertools import chain, cycle, islice
 
 from .errors import AccuracyError, DomainError, NoRootError, _shown
 from .forward import _mode_terms, _mode_tol, _order, _slope, _solution
@@ -51,17 +48,15 @@ DERIVATIVE_FLOOR = 1e-14
 # than this holds at least 9 of them and its midpoint lies strictly inside.
 ROOT_TOL_MIN = 1e-15
 
-# Node counts of the Chebyshev proxy of F that finds the brackets of a scan
-# of more than 33 orders.  F is analytic in the order, and at 17 nodes the
-# interpolant's last coefficients are at round-off on the bundled configs;
-# where they have not decayed, F is evaluated at the 16 nodes that 33 adds,
-# as the 17 nodes are the 33's even-indexed ones, bit for bit.
+# Node counts of the Chebyshev proxy of F.  F is analytic in the order, and
+# at 17 nodes the interpolant's last coefficients are at round-off on the
+# bundled configs; where they have not decayed, F is evaluated at the 16
+# nodes that 33 adds, as the 17 nodes are the 33's even-indexed ones, bit
+# for bit.
 _PROXY_NODES = (17, 33)
 
-# The golden-section search for an extremum of the proxy inside two scan
-# cells narrows them to 0.618**24 = 1e-5 of their width.
-_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
-_GOLDEN_STEPS = 24
+# Pieces of the order interval are halved at most this many times.
+_MAX_DEPTH = 12
 
 # The report takes the interpolant's slope at alpha_hat for F' where a
 # bound on their difference is at most this share of it.
@@ -82,25 +77,23 @@ class InverseConfig(namedtuple("InverseConfig", "alpha_lo alpha_hi root_tol scan
                                defaults=(1e-3, 1.0 - 1e-3, 1e-10, 99, 1e-10))):
     """Knobs of the order search; defaults match the documented contract.
 
-    The scan takes `scan_points` >= 9 orders from `alpha_lo` to `alpha_hi` in
-    (0, 1); every construction, `_make` and `_replace` included, checks them.
-    They set the cells in which `invert_order` brackets roots; past 33
-    orders it evaluates F at 17 Chebyshev nodes, at 16 more where their
-    interpolant has not decayed, and at the scan orders the interpolant
-    cannot certify, not at every scan order; where the interpolant's
-    coefficients certify it monotone, it is read at the two ends and at
-    about log2(scan_points) orders of a bisection.  `f_rel_tol` is the
-    relative accuracy asked of F(alpha); each mode's Mittag-Leffler factor
-    is asked for `f_rel_tol / n_modes`.  A request below the power series'
-    round-off floor, `6*EPS*sum|term|` relative to the factor, at any
-    evaluated order raises `AccuracyError`.  The
-    floor grows with |z| = D lambda_n t1**alpha, so it is highest at
-    `alpha_hi`: the bundled two-mode config is refused at 2e-11 and accepted
-    at 3e-11.  `root_tol` ends the refinement of a bracket once a Newton step
-    is below root_tol/2 or the bracket is at most root_tol wide, within
-    3*ceil(log2(cell / root_tol)) iterations for a scan cell of width `cell`,
-    one more where the search starts at the interpolant's root (rounded
-    midpoints can add one); it may not go below ROOT_TOL_MIN = 1e-15.
+    `scan_points` >= 9 orders from `alpha_lo` to `alpha_hi` in (0, 1) shape
+    `scan_bracket` and the CLI's `curve` alone; every construction, `_make`
+    and `_replace` included, checks them.  `invert_order` evaluates F at 17
+    Chebyshev nodes on [alpha_lo, alpha_hi], at 16 more where their
+    interpolant has not decayed, and at the few other break points where
+    the interpolant cannot certify the sign.  `f_rel_tol` is the relative
+    accuracy asked of F(alpha); each mode's Mittag-Leffler factor is asked
+    for `f_rel_tol / n_modes`.  A request below the power series' round-off
+    floor, `6*EPS*sum|term|` relative to the factor, at any evaluated order
+    raises `AccuracyError`.  The floor grows with |z| = D lambda_n
+    t1**alpha, so it is highest at `alpha_hi`: the bundled two-mode config
+    is refused at 2e-11 and accepted at 3e-11.  `root_tol` ends the
+    refinement of a bracket once a Newton step is below root_tol/2 or the
+    bracket is at most root_tol wide, within 3*ceil(log2(width / root_tol))
+    iterations for a bracket `width` wide, one more where the search starts
+    at the interpolant's root (rounded midpoints can add one); it may not go
+    below ROOT_TOL_MIN = 1e-15.
     """
 
     __slots__ = ()
@@ -142,15 +135,16 @@ class InversionReport(namedtuple("InversionReport", "alpha_hat residual derivati
                                  "monotone uniqueness_hypothesis sensitivity trace roots iterations")):
     """Outcome of `invert_order`; `alpha_hat` is the first of `roots`.
 
-    `residual` is F(alpha_hat) - d, `monotone` the scan's verdict and
-    `uniqueness_hypothesis` the paper's sign hypothesis, amplitude *
+    `residual` is F(alpha_hat) - d.  `monotone` is "verified" where the
+    Chebyshev proxy of F is certified monotone from its slope's coefficients
+    on pieces of the interval, else "violated".  `uniqueness_hypothesis` is the paper's sign hypothesis, amplitude *
     sin(n*pi*x0/length) > 0 for every mode.  That hypothesis does not make F
     monotone: at t1 = 1, 1/Gamma(1 + alpha) peaks near alpha = 0.46 and F can
     meet d twice.  `trace` holds the steps (k, alpha, F - d) on F that
     refined `alpha_hat` and `iterations` their count over all roots; the
-    search on the interpolant that precedes them, where the interpolant
-    found the brackets, evaluates no F and is in neither.
-    `derivative_at_root` is F'(alpha_hat) and `sensitivity` |1/F'|.  Where
+    search on the interpolant that precedes them evaluates no F and is in
+    neither.  `derivative_at_root` is F'(alpha_hat) and `sensitivity`
+    |1/F'|.  Where
     the interpolant's root started the search for `alpha_hat`, F' is the
     interpolant's slope there, when a bound on its distance from F' is at
     most 1e-6 of it; otherwise it is the analytic series, and both fields
@@ -241,49 +235,37 @@ def _inverse_inputs(problem, measurement, config, name):
     return terms, t1, float(measurement.value), mode_tol
 
 
-def _scan_orders(lo, hi, n):
-    """numpy.linspace(lo, hi, n) to the bit, as a tuple of floats."""
-    step = (hi - lo) / (n - 1)
-    return tuple([i * step + lo for i in range(n - 1)] + [hi])  # linspace's arithmetic
-
-
 def _scan(terms, t1, d, mode_tol, config):
     """`scan_bracket` on checked inputs."""
     lo, hi, n = float(config.alpha_lo), float(config.alpha_hi), config.scan_points
-    alphas = _scan_orders(lo, hi, n)
+    step = (hi - lo) / (n - 1)
+    alphas = tuple([i * step + lo for i in range(n - 1)] + [hi])  # numpy.linspace's arithmetic
     values = tuple([_solution(terms, alpha, t1, mode_tol) - d for alpha in alphas])
     diffs = [b - a for a, b in zip(values, values[1:])]
     monotone = all(diff > 0.0 for diff in diffs) or all(diff < 0.0 for diff in diffs)
-    # an exact zero is its own bracket, else a cell whose ends differ in sign;
-    # signs are compared, as a product of two values below ~1e-162 underflows
-    cells = zip(alphas, alphas[1:] + (hi,), values, values[1:] + (0.0,))
-    brackets = tuple((a, a) if fa == 0.0 else (a, b) for a, b, fa, fb in cells
-                     if fa == 0.0 or fb != 0.0 and (fa < 0.0) != (fb < 0.0))
+    brackets = tuple((a, b) for a, b, _ in _sign_changes(alphas, values))
     return ScanResult(alphas, values, monotone, brackets)
 
 
-def _barycentric_row(x, nodes, weights):
-    """The weights whose dot product with the values at `nodes` is their
-    interpolant at x (Berrut & Trefethen, SIAM Review 46 (2004) 501)."""
-    if x in nodes:
-        return tuple(float(node == x) for node in nodes)
-    quotients = [weight / (x - node) for weight, node in zip(weights, nodes)]
-    total = sum(quotients)
-    return tuple(q / total for q in quotients)
+def _sign_changes(points, values):
+    """[(a, b, v)] for the neighbours a < b of the ascending `points` whose
+    `values` v and w of F - d differ in sign, and (a, a, 0.0) at an exact
+    zero; signs are compared, as a product of two values below ~1e-162
+    underflows."""
+    cells = zip(points, points[1:] + points[-1:], values, list(values[1:]) + [0.0])
+    return [(a, a, v) if v == 0.0 else (a, b, v) for a, b, v, w in cells
+            if v == 0.0 or w != 0.0 and (v < 0.0) != (w < 0.0)]
 
 
 @functools.lru_cache(maxsize=8)
-def _proxy_rows(lo, hi, n, size):
-    """(orders, nodes, weights, rows, dct) of the `size`-node proxy for the
-    n-order scan on [lo, hi], or None where its nodes are not distinct.
-
-    The nodes are the Chebyshev points of the second kind on [lo, hi] in
-    ascending order, both ends exact; `rows` holds one barycentric row per
-    scan order, and `dct` the DCT-I rows, rows 0 and m = size - 1 halved,
-    that give all m + 1 Chebyshev coefficients of the interpolant from the
-    node values.  Node k lies at mid - half * cos(k pi / m), so the rows
-    take cos(pi j k / m) with no (-1)**j: the coefficients are the
-    interpolant's in the reflected variable y = (mid - alpha) / half.
+def _proxy_rows(lo, hi, size):
+    """(nodes, weights, dct) of the `size`-node Chebyshev proxy of F on
+    [lo, hi], or DomainError naming the interval where the nodes, the
+    Chebyshev points of the second kind in ascending order with both ends
+    exact, are not distinct.  `dct` holds the DCT-I rows, rows 0 and m =
+    size - 1 halved, that give the interpolant's m + 1 Chebyshev coefficients
+    in x = (alpha - mid) / half from the node values: node k lies at x =
+    -cos(k pi / m), so row j takes (-1)**j cos(pi j k / m).
     """
     m = size - 1
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -293,16 +275,52 @@ def _proxy_rows(lo, hi, n, size):
     nodes = tuple([lo] + [mid + half * math.sin(math.pi * (2 * k - m) / (2 * m))
                           for k in range(1, m)] + [hi])
     if any(a >= b for a, b in zip(nodes, nodes[1:])):
-        return None
+        raise DomainError(f"invert_order: [{lo!r}, {hi!r}] is too narrow for {size} "
+                          f"distinct Chebyshev nodes")
     ends = [0.5] + [1.0] * (m - 1) + [0.5]
     weights = tuple((-1.0) ** k * end for k, end in enumerate(ends))
-    orders = _scan_orders(lo, hi, n)
-    rows = tuple(_barycentric_row(alpha, nodes, weights) for alpha in orders)
-    dct = tuple(tuple(2.0 / m * (0.5 if j in (0, m) else 1.0) * end
+    dct = tuple(tuple((-1.0) ** j * 2.0 / m * (0.5 if j in (0, m) else 1.0) * end
                       * math.cos(math.pi * (j * k % (2 * m)) / m)
                       for k, end in enumerate(ends))
                 for j in range(m + 1))
-    return orders, nodes, weights, rows, dct
+    return nodes, weights, dct
+
+
+@functools.lru_cache(maxsize=2)
+def _halving_maps(size):
+    """(left, right): the rows that take the Chebyshev coefficients of a
+    polynomial of degree m = size - 1 on [-1, 1] to those of its
+    restriction to [-1, 0] and to [0, 1], each rescaled to [-1, 1].
+
+    Column k of `left` holds the coefficients of T_k((s - 1) / 2) in T_j(s),
+    exact: times 2**k they are integers below 2**(k+2), from 2**(k+1) T_{k+1}
+    = (2 s - 2) 2**k T_k - 4 * 2**(k-1) T_{k-1} and 2 s T_j = T_{j+1} +
+    T_{|j-1|}.  `right` has the signs (-1)**(j + k), as T_k(-x) = (-1)**k T_k.
+    """
+    m = size - 1
+    columns = [[1] + [0] * m, [-1, 1] + [0] * (m - 1)]
+    for _ in range(1, m):
+        last, before = columns[-1], columns[-2]
+        doubled = [0] * (m + 2)  # 2 s times the last column
+        for j, entry in enumerate(last):
+            doubled[j + 1] += entry
+            doubled[abs(j - 1)] += entry
+        columns.append([a - 2 * b - 4 * c for a, b, c in zip(doubled, last, before)])
+    left = tuple(tuple(columns[k][j] / 2 ** k for k in range(size)) for j in range(size))
+    right = tuple(tuple(entry if (j + k) % 2 == 0 else -entry for k, entry in enumerate(row))
+                  for j, row in enumerate(left))
+    return left, right
+
+
+def _dot(row, values):
+    """sum(row * values), rounded once."""
+    return math.fsum(map(operator.mul, row, values))
+
+
+def _chebyshev_sum(coefficients, s):
+    """sum_k coefficients[k] T_k(s) for s in [-1, 1]."""
+    theta = math.acos(s)
+    return _dot(coefficients, map(math.cos, map(theta.__mul__, range(len(coefficients)))))
 
 
 class _Interpolant:
@@ -314,11 +332,11 @@ class _Interpolant:
     `value` and `slope` read one set of differences x - x_k, quotients
     q_k = w_k / (x - x_k) and their sum, kept for the last x asked, so a
     value and a slope at one x cost one pass.  p(x) is sum_k (q_k / sum q)
-    f_k, the rows of `_barycentric_row`, and p'(x) is sum_k q_k (p(x) - f_k)
-    / (x - x_k) / sum q, with p(x) - f_j at the nearest node x_j summed from
-    the differences f_k - f_j: a p(x) rounded near f_j, divided by a tiny
-    x - x_j, would swamp the sum.  At a node x_j, p' is row j of the
-    differentiation matrix, sum_{k != j} (w_k / w_j) (f_k - f_j) / (x_j - x_k).
+    f_k, and p'(x) is sum_k q_k (p(x) - f_k) / (x - x_k) / sum q, with
+    p(x) - f_j at the nearest node x_j summed from the differences f_k -
+    f_j: a p(x) rounded near f_j, divided by a tiny x - x_j, would swamp
+    the sum.  At a node x_j, p' is row j of the differentiation matrix,
+    sum_{k != j} (w_k / w_j) (f_k - f_j) / (x_j - x_k).
     """
 
     __slots__ = ("nodes", "weights", "f", "trailing",
@@ -348,18 +366,15 @@ class _Interpolant:
         self._j = j
         self._diffs = list(map(x.__sub__, nodes))
         self._quotients = list(map(operator.truediv, self.weights, self._diffs))
-        self._total = sum(self._quotients)
+        self._total = math.fsum(self._quotients)
 
     def value(self, x):
         """p(x)."""
         if x != self._x:
             self._take(x)
         if self._p is None:
-            if self._diffs is None:
-                row = map(float, map(x.__eq__, self.nodes))
-            else:
-                row = map(self._total.__rtruediv__, self._quotients)
-            self._p = sum(map(operator.mul, row, self.f))
+            self._p = (self.f[self._j] if self._diffs is None
+                       else _dot(map(self._total.__rtruediv__, self._quotients), self.f))
         return self._p
 
     def slope(self, x):
@@ -371,14 +386,14 @@ class _Interpolant:
             fj = f[j]
             if self._diffs is None:
                 weights = self.weights
-                self._dp = sum(weight / weights[j] * (value - fj) / (x - node)
-                               for k, (node, weight, value)
-                               in enumerate(zip(self.nodes, weights, f)) if k != j)
+                self._dp = math.fsum(weight / weights[j] * (value - fj) / (x - node)
+                                     for k, (node, weight, value)
+                                     in enumerate(zip(self.nodes, weights, f)) if k != j)
             else:
                 quotients, total = self._quotients, self._total
-                above = sum(map(operator.mul, quotients, map(fj.__rsub__, f))) / total  # p(x) - f_j
+                above = _dot(quotients, map(fj.__rsub__, f)) / total  # p(x) - f_j
                 terms = map(operator.mul, quotients, map(above.__add__, map(fj.__sub__, f)))
-                self._dp = sum(map(operator.truediv, terms, self._diffs)) / total
+                self._dp = math.fsum(map(operator.truediv, terms, self._diffs)) / total
         return self._dp
 
     def slope_error(self, x, node_error):
@@ -391,7 +406,7 @@ class _Interpolant:
         error F - p is the sum over k > m = n - 1 of c_k (T_k - T_a(k)), each
         dropped Chebyshev coefficient c_k times T_k less the alias a(k) <= m
         it folds onto, where |T_k'| <= k**2 on [-1, 1], stretched by 2 / (hi
-        - lo) on [lo, hi].  Under the geometric decay that `_proxy_brackets`'
+        - lo) on [lo, hi].  Under the geometric decay that `_brackets`'
         margin assumes, c_{m+j} <= trailing * r**-j with r >= (1e6)**(1/m),
         so that derivative is at most m**2 * 2 / (hi - lo) * trailing times
         sum_j r**-j ((1 + j/m)**2 + 1), under 1.7 at 17 nodes and under 4.1
@@ -403,261 +418,173 @@ class _Interpolant:
         if diffs is None:
             return math.inf
         quotients, total = self._quotients, self._total
-        r = sum(map(operator.truediv, quotients, diffs)) / total
-        lebesgue = sum(abs(q / total * (r - 1.0 / diff)) for q, diff in zip(quotients, diffs))
+        r = math.fsum(map(operator.truediv, quotients, diffs)) / total
+        lebesgue = math.fsum(abs(q / total * (r - 1.0 / diff))
+                             for q, diff in zip(quotients, diffs))
         m = len(self.nodes) - 1
         return (lebesgue * node_error
                 + 4.1 * m * m * 2.0 / (self.nodes[-1] - self.nodes[0]) * self.trailing)
 
 
+def _scale(terms):
+    """sum |a_n sin(n pi x0 / L)|, F's size at every order."""
+    return math.fsum(abs(amplitude * basis) for amplitude, basis, _ in terms)
+
+
 def _brackets(terms, t1, d, mode_tol, config):
-    """([(lo, hi, F(lo) - d)], monotone, interpolant) for the sign-change
-    cells and the verdict of `_scan`, read from a Chebyshev proxy of F where
-    it can be; `interpolant` is the proxy's `_Interpolant` of F - d, with
-    its trailing coefficient, or None where `_scan` ran.
+    """([(lo, hi, v)], monotone, interpolant): the sign-change brackets of
+    F - d on [alpha_lo, alpha_hi], lo == hi for an exact zero, v of the sign
+    of F(lo) - d; whether the Chebyshev proxy p of F - d is certified
+    monotone; and p as an `_Interpolant`.
 
-    Past _PROXY_NODES[-1] scan orders, F is evaluated at the 17 proxy
-    nodes, and at the 16 more of 33 only where the 17-node interpolant's
-    trailing coefficients have not decayed.  The interpolant p stands in
-    for F - d at each scan order: |p| above the margin fixes the sign of
-    F - d there, and a step of p above twice the margin fixes the sign of
-    the scan's step.  F is evaluated exactly at the other orders and at each
-    bracket's left end, and a cell that hides two roots is split
-    (`_hidden_pairs`).  Where the Chebyshev coefficients of p certify that
-    each scan step of p exceeds 4 times the margin with one sign, p is read
-    only at the two ends and at the orders a bisection for its sign change
-    visits: the brackets, the verdict and the orders evaluated are those of
-    the read at every scan order.  Trailing coefficients that have not
-    decayed at 33 nodes, or an order that F refuses on this path, hand the
-    search to `_scan`, so every refusal is the scan's.
+    F runs at 17 Chebyshev nodes, the ends first, and at the 16 more of 33
+    where the 17-node tail, the largest of the last three coefficients,
+    exceeds 1e-6 of F's spread over the nodes; at 33 a tail within F's node
+    error counts as decayed too (Chebfun's plateau rule: Aurentz &
+    Trefethen, ACM TOMS 43 (2017) 33), and one above both is refused.
+    Between neighbouring break points, the nodes and the ends and extrema of
+    `_leaves`, p is monotone where `_leaves` certifies it, so a bracket is a
+    pair of them where F - d changes sign: it is exact at the nodes, and
+    elsewhere p stands for it where |p| exceeds the margin, else F runs.
     """
-    lo, hi, n = float(config.alpha_lo), float(config.alpha_hi), config.scan_points
+    lo, hi = float(config.alpha_lo), float(config.alpha_hi)
+    scale = _scale(terms)
+    node_error = mode_tol * scale + 64.0 * _EPS * (scale + abs(d))
     known = {}  # F - d at each order evaluated, shared by both node counts
-    for size in _PROXY_NODES:
-        proxy = _proxy_rows(lo, hi, n, size) if n > _PROXY_NODES[-1] else None
-        if proxy is None:
-            break
-        try:
-            found = _proxy_brackets(terms, t1, d, mode_tol, proxy, known)
-        except (AccuracyError, DomainError):
-            break
-        if found is not None:
-            return found
-    scan = _scan(terms, t1, d, mode_tol, config)
-    scanned = dict(zip(scan.alphas, scan.values))
-    return [(a, b, scanned[a]) for a, b in scan.brackets], scan.monotone, None
-
-
-def _proxy_brackets(terms, t1, d, mode_tol, proxy, known):
-    """`_brackets` from the rows of `_proxy_rows`, or None where the
-    trailing coefficients have not decayed; `known` maps each order already
-    evaluated to F - d and takes the orders evaluated here.
-
-    Where the interpolant's coefficients certify that each scan step of p
-    exceeds 4 times the margin with one sign (`_slope_floor`), p is read at
-    the two ends and at the orders a bisection for its sign change visits
-    (`_bisected_signs`), and the verdict is monotone; elsewhere p is read
-    at every scan order (`_scanned_signs`).  Both give the same brackets,
-    verdict and exactly evaluated orders where the certificate holds.
-    """
-    orders, nodes, weights, rows, dct = proxy
 
     def exact(alpha):
         if alpha not in known:
             known[alpha] = _solution(terms, alpha, t1, mode_tol) - d
         return known[alpha]
 
-    # the ends first, then ascending: most refusals happen at an end, the
-    # round-off floor peaking at alpha_hi, and hand over after 2 evaluations
-    for alpha in (nodes[0], nodes[-1]) + nodes[1:-1]:
-        exact(alpha)
-    f = [known[alpha] for alpha in nodes]
+    for size in _PROXY_NODES:
+        nodes, weights, dct = _proxy_rows(lo, hi, size)
+        # the ends first, then ascending: most refusals happen at an end,
+        # the round-off floor peaking at alpha_hi
+        for alpha in (nodes[0], nodes[-1]) + nodes[1:-1]:
+            exact(alpha)
+        f = [known[alpha] for alpha in nodes]
+        coefficients = [_dot(row, f) for row in dct]
+        trailing = max(map(abs, coefficients[-3:]))
+        spread = max(f) - min(f)
+        if trailing <= 1e-6 * spread:
+            break
+    if trailing > max(1e-6 * spread, node_error):
+        raise AccuracyError(f"invert_order: the Chebyshev tail {trailing:.3g} of F at {size} "
+                            f"nodes on [{lo:g}, {hi:g}] exceeds both 1e-6 of its spread "
+                            f"{spread:.3g} and its node error {node_error:.3g}")
 
     # The interpolant misses F by at most twice the sum of the coefficients
     # it drops.  With the last three below 1e-6 of F's spread over the
     # nodes, geometric decay falls by at least (1e6)**(1/16) > 2.37 a step
     # at 17 nodes and (1e6)**(1/32) > 1.53 at 33, so that bound is under 1.5
-    # times the largest of the three at 17 nodes and under 3.8 at 33;
-    # otherwise the next node count, or the scan, runs.  F's certified error
-    # at each node (mode_tol per unit of sum |a_n sin_n|) reaches the
-    # interpolant times its Lebesgue constant, below 2.8 at 17 nodes and 3.2
-    # at 33, and the exact F at a scan order once more; 8 times the sum
-    # covers all three with the sums' round-off.
-    coefficients = [sum(map(operator.mul, row, f)) for row in dct]
-    trailing = max(map(abs, coefficients[-3:]))
-    if trailing > 1e-6 * (max(f) - min(f)):
-        return None
-    scale = sum(abs(amplitude * basis) for amplitude, basis, _ in terms)
-    margin = 8.0 * (trailing + mode_tol * scale + 64.0 * _EPS * (scale + abs(d)))
+    # times the largest of the three at 17 nodes and under 3.8 at 33; a
+    # tail on the plateau is itself round-off.  The node error reaches the
+    # interpolant times its Lebesgue constant, below 2.8 at 17 nodes and
+    # 3.2 at 33, and the exact F at a break point once more; 8 times the
+    # sum covers all three with the sums' round-off.
+    margin = 8.0 * (trailing + node_error)
     interpolant = _Interpolant(nodes, weights, f, trailing)
+    leaves = _leaves(coefficients, f, lo, hi)
 
-    # A scan step of p is at least the smallest one times the floor of |p'|
-    # (mean value theorem); the 1e-9 covers the rounding of the step and
-    # of the floor's scaling.  Above 4 margins, every computed step clears
-    # twice the margin with one sign, the margin's round-off term taking
-    # the rows' own rounding of p, so the full read would find the steps
-    # of one sign, no step to check on F and no hidden pair
-    floor = _slope_floor(coefficients, f, orders[-1] - orders[0])
-    if (floor > 0.0 and (1.0 - 1e-9) * floor
-            * min(map(operator.sub, islice(orders, 1, None), orders)) > 4.0 * margin):
-        signs, monotone, splits = _bisected_signs(orders, rows, f, margin, exact), True, {}
-    else:
-        signs, monotone, splits = _scanned_signs(orders, rows, f, margin, interpolant.value,
-                                                 exact)
-    # an exact zero is its own bracket, else a cell whose ends differ in
-    # sign: sign * (sign + next sign) vanishes for both, the last order's
-    # next sign taken as 0
-    nexts = chain(islice(signs, 1, None), (0,))
-    ends = map(operator.mul, signs, map(operator.add, signs, nexts))
-    cells = compress(range(len(signs)), map(operator.not_, ends))
-    brackets = []
-    for i in sorted(chain(cells, splits)):
-        a = orders[i]
-        if i in splits:
-            x = splits[i]
-            brackets += [(a, x, exact(a)), (x, orders[i + 1], known[x])]
-        else:
-            brackets.append((a, a if signs[i] == 0 else orders[i + 1], exact(a)))
+    def sign_carrier(alpha):
+        if alpha in known:
+            return known[alpha]
+        value = interpolant.value(alpha)
+        return value if abs(value) > margin else exact(alpha)
+
+    points = sorted(set(nodes).union(*((a, b) if x is None else (a, x, b)
+                                       for a, b, _, x in leaves)))
+    brackets = _sign_changes(points, list(map(sign_carrier, points)))
+    monotone = (all(slope > 0.0 for _, _, slope, _ in leaves)
+                or all(slope < 0.0 for _, _, slope, _ in leaves))
     return brackets, monotone, interpolant
 
 
-def _slope_floor(coefficients, f, width):
-    """A lower bound on |p'| over the proxy's interval, `width` wide, from
-    the Chebyshev coefficients c_0..c_m of p that the DCT-I rows of
-    `_proxy_rows` give from the node values `f`; positive only where p'
-    keeps one sign there (Boyd, SIAM J. Numer. Anal. 40 (2002) 1666;
-    Battles & Trefethen, SIAM J. Sci. Comput. 25 (2004) 1743).
+def _leaves(coefficients, f, lo, hi):
+    """[(a, b, slope, x)]: ascending pieces of [lo, hi] that cut the
+    interpolant p, with the Chebyshev `coefficients` c_j of `_proxy_rows`
+    from the node values `f`, into monotone runs (Boyd, SIAM J. Numer. Anal.
+    40 (2002) 1666; Battles & Trefethen, SIAM J. Sci. Comput. 25 (2004)
+    1743).
 
-    In the reflected variable y, p' = sum_k d_k T_k, with d_{k-1} = d_{k+1}
-    + 2k c_k from d_m = d_{m+1} = 0 and d_0 then halved; as |T_k| <= 1,
-    |p'| >= |d_0| - sum_{k>=1} |d_k| on [-1, 1], and |dp/dalpha| is that
-    times 2 / width.
+    In a piece's own variable s in [-1, 1], p' = sum_k d_k T_k with d_k =
+    (2 - [k = 0]) sum_{j > k, j - k odd} j c_j, and p'' = sum_k e_k T_k with
+    e_k = (1 - [k = 0] / 2) sum_{j > k, j - k even} j (j**2 - k**2) c_j.
+    Where |d_0| - sum_{k>=1} |d_k|, less its round-off allowance, is
+    positive, p' is one-signed and `slope` is that bound on dp/dalpha,
+    signed as p'.  Else, where the same test holds for p'', p' is monotone
+    (`_one_extremum`).  A piece that passes neither test is halved, unless
+    p' is within its allowance of 0, where no half could pass either, or
+    the piece lies _MAX_DEPTH halvings deep: a leaf with slope 0, no x.
     """
     m = len(coefficients) - 1
-    derivative = [0.0] * (m + 2)
-    for k in range(m, 0, -1):
-        derivative[k - 1] = derivative[k + 1] + 2 * k * coefficients[k]
-    # Round-off, in units of EPS max|f|.  A row entry misses its exact value
-    # by at most 10 EPS 2/m and weighs at most 2/m, so each c_j misses p's
-    # by at most m + 23 (the dot product's m + 1 roundings of terms summing
-    # to at most 2 max|f|), and that moves p' by sum_j j**2 |dc_j|, below
-    # (m + 23) (m + 1)**3 / 3.  As |c_j| <= 2 max|f|, the recurrence's
-    # chains of m/2 + 1 roundings add at most (m + 1)**2 m (m + 2) / 2 over
-    # all d_k, and the sum of the m terms |d_k| at most m**3 (m + 1).  The
-    # three stay under 3 (m + 1)**4 for m >= 16; 4 (m + 1)**4 is allowed.
-    allowance = 4.0 * (m + 1) ** 4 * _EPS * max(map(abs, f))
-    lower = 0.5 * abs(derivative[0]) - sum(map(abs, islice(derivative, 1, m))) - allowance
-    return lower * 2.0 / width
-
-
-def _bisected_signs(orders, rows, f, margin, exact):
-    """The bracket pass's signs over the scan orders where each step of p,
-    the dot product of a row of `rows` with `f`, clears twice the margin
-    with one sign, from p at the two ends and at the orders a bisection for
-    its sign change visits.
-
-    p is then strictly monotone over the scan orders, so every order before
-    its sign change lies more than the margin on the side p leaves, every
-    order after it more than the margin on the side p climbs to, and at most
-    one order lies within the margin: one of the pair that borders the
-    change, which the bisection has read.  F - d is taken exactly there
-    alone, as the full read takes it.
-    """
-    n = len(orders)
-    p = {i: sum(map(operator.mul, rows[i], f)) for i in (0, n - 1)}
-    side = 1 if p[n - 1] > p[0] else -1
-    # side * p <= 0 up to `below` and > 0 from `first`, the sign change,
-    # with -1 and n standing for the orders beyond the ends
-    below, first = -1, n
-    while first - below > 1:
-        i = (below + first) // 2
-        if i not in p:
-            p[i] = sum(map(operator.mul, rows[i], f))
-        if side * p[i] > 0.0:
-            first = i
-        else:
-            below = i
-    signs = [-side] * first + [side] * (n - first)
-    for i in (below, first):
-        if i in p:
-            value = p[i] if abs(p[i]) > margin else exact(orders[i])
-            signs[i] = (value > 0.0) - (value < 0.0)
-    return signs
-
-
-def _scanned_signs(orders, rows, f, margin, proxy_at, exact):
-    """(signs, monotone, splits) of the bracket pass from p at every scan
-    order: the signs of F - d, the verdict on the scan's steps and the
-    `_hidden_pairs` splits."""
-    p = [sum(map(operator.mul, row, f)) for row in rows]
-
-    # The bookkeeping over the scan orders runs as passes of map, compress,
-    # max and min; a Python loop visits only the orders they single out.
-    # F - d itself fixes the sign where |p| is within the margin
-    zeros = repeat(0.0)
-    signs = list(map(operator.sub, map(operator.gt, p, zeros), map(operator.lt, p, zeros)))
-    for i in compress(range(len(p)), map(operator.le, map(abs, p), repeat(margin))):
-        value = exact(orders[i])
-        signs[i] = (value > 0.0) - (value < 0.0)
-
-    # and the sign of a step within twice the margin, until the steps have
-    # taken both signs; there is no such step where all clear it on one side
-    twice = 2.0 * margin
-    steps = list(map(operator.sub, islice(p, 1, None), p))
-    top, bottom = max(steps), min(steps)
-    rising, falling = top > twice, bottom < -twice
-    if bottom <= twice and top >= -twice:
-        for i in compress(range(len(steps)), map(operator.le, map(abs, steps), repeat(twice))):
-            if rising and falling:
-                break
-            step = exact(orders[i + 1]) - exact(orders[i])
-            rising |= not step < 0.0  # an exact zero step is neither
-            falling |= not step > 0.0
-
-    splits = (_hidden_pairs(orders, steps, signs, margin, proxy_at, exact)
-              if bottom < 0.0 < top else {})
-    return signs, not (rising and falling), splits
-
-
-def _hidden_pairs(orders, steps, signs, margin, proxy_at, exact):
-    """{i: x} for the scan cells [orders[i], orders[i + 1]] whose ends share a
-    sign while F - d takes the other sign at x inside: two roots in one cell.
-
-    Such a pair sits at an extremum of the proxy that turns towards zero
-    between three scan orders of one sign.  A golden-section search finds
-    the extremum; where the proxy there lies beyond the margin on the other
-    side, F is evaluated exactly at it, and the cell is split when F - d
-    agrees.
-    """
-    # the steps turn only where one falls and the next does not, or the reverse
-    falls = list(map(operator.lt, steps, repeat(0.0)))
-    splits = {}
-    for j in compress(range(1, len(orders) - 1), map(operator.ne, falls, islice(falls, 1, None))):
-        side = signs[j]
-        if (side == 0 or signs[j - 1] != side or signs[j + 1] != side
-                or not side * steps[j - 1] < 0.0 < side * steps[j]):
+    # Round-off.  S bounds |p - q| over a piece, q the polynomial of its
+    # computed coefficients.  At the root, a DCT-I entry misses its value by
+    # at most 8 EPS 2/m (the angle's two roundings, cos and the product)
+    # and the dot product, rounded once, adds EPS/2 of each term and of the
+    # sum, so each c_j misses by under 20 EPS max|f| and S_0 = 32 (m + 1)
+    # EPS max|f| is allowed.  The halving maps are exact and their columns
+    # sum to under 3.4 at 17 nodes and 4.5 at 33, so a half's dot products
+    # add at most 5 EPS sum|c_j| to the S it inherits (a restriction keeps
+    # the sup).  By Markov's inequality |(p - q)'| <= m**2 S and |(p - q)''|
+    # <= m**4 S.  Each d_k, from products rounded once and one sum,
+    # misses its value by EPS/2 of sum_j |D_kj| |c_j| and of |d_k|, where
+    # sum_k |D_kj| <= j**2; each e_k likewise, where sum_k |E_kj| <= j**4 / 3.
+    # With the final sum's rounding, the bounds on |p'| and |p''| take the
+    # allowances m**2 (S + 2 EPS sum|c_j|) and m**4 (S + 2 EPS sum|c_j|).
+    pieces = [(lo, hi, coefficients, 32.0 * (m + 1) * _EPS * max(map(abs, f)), 0)]
+    leaves = []
+    while pieces:
+        a, b, c, slack, depth = pieces.pop()
+        size = math.fsum(map(abs, c))
+        floor = slack + 2.0 * _EPS * size
+        weighted = list(map(operator.mul, range(m + 1), c))  # j c_j
+        d = [math.fsum(islice(weighted, k + 1, None, 2)) * (2.0 if k else 1.0) for k in range(m)]
+        lower = _lower_bound(d, m * m * floor)
+        if lower > 0.0:
+            leaves.append((a, b, math.copysign(lower * 2.0 / (b - a), d[0]), None))
             continue
-        x, g = _golden_min(lambda x: side * proxy_at(x), orders[j - 1], orders[j + 1])
-        if g < -margin and x != orders[j] and side * exact(x) < 0.0:
-            splits[j - 1 if x < orders[j] else j] = x
-    return splits
+        if math.fsum(map(abs, d)) > m * m * floor:
+            e = [math.fsum(j * (j * j - k * k) * c[j] for j in range(k + 2, m + 1, 2))
+                 * (0.5 if k == 0 else 1.0) for k in range(m - 1)]
+            if _lower_bound(e, m ** 4 * floor) > 0.0:
+                leaves.append((a, b) + _one_extremum(d, e, a, b, m * m * floor))
+                continue
+            if depth < _MAX_DEPTH:
+                middle = 0.5 * (a + b)
+                halves = _halving_maps(m + 1)
+                slack += 5.0 * _EPS * size
+                pieces.append((middle, b, [_dot(row, c) for row in halves[1]], slack, depth + 1))
+                pieces.append((a, middle, [_dot(row, c) for row in halves[0]], slack, depth + 1))
+                continue
+        leaves.append((a, b, 0.0, None))
+    return leaves
 
 
-def _golden_min(g, a, b):
-    """(x, g(x)) at the smallest value of g that a golden-section search of
-    _GOLDEN_STEPS steps on [a, b] finds."""
-    c, e = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    gc, ge = g(c), g(e)
-    for _ in range(_GOLDEN_STEPS):
-        if gc < ge:
-            b, e, ge = e, c, gc
-            c = b - _GOLDEN * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, e, ge
-            e = a + _GOLDEN * (b - a)
-            ge = g(e)
-    return (c, gc) if gc < ge else (e, ge)
+def _lower_bound(coefficients, allowance):
+    """|c_0| - sum_{k>=1} |c_k| - allowance, rounded once: as |T_k| <= 1,
+    a lower bound on |sum_k c_k T_k| over [-1, 1], less `allowance`."""
+    return math.fsum(chain((abs(coefficients[0]), -allowance),
+                           map(operator.neg, map(abs, coefficients[1:]))))
+
+
+def _one_extremum(d, e, a, b, allowance):
+    """(slope, x) of `_leaves` on a piece [a, b] where p'' = sum_k e_k
+    T_k(s) is one-signed, s the piece's own variable, so p' = sum_k d_k
+    T_k(s) is monotone and lies between its values at the two ends, each
+    within `allowance`."""
+    left, right = _dot(d, cycle((1.0, -1.0))), math.fsum(d)  # p' at s = -1 and 1
+    if (left > 0.0) == (right > 0.0):
+        lower = min(abs(left), abs(right)) - allowance
+        return (math.copysign(lower * 2.0 / (b - a), left) if lower > 0.0 else 0.0), None
+    if left == 0.0 or right == 0.0:
+        return 0.0, None
+    # a break point 1e-12 of the piece from the extremum moves p there by
+    # p'' times 1e-24 of its square, far below the margin
+    s = _refine_root(functools.partial(_chebyshev_sum, d), functools.partial(_chebyshev_sum, e),
+                     -1.0, 1.0, left, 1e-12)[0]
+    return 0.0, min(max(0.5 * (a + b) + 0.5 * (b - a) * s, a), b)
 
 
 def _refine_root(f, fprime, lo, hi, f_lo, root_tol, start=None):
@@ -753,36 +680,29 @@ def invert_order(problem, measurement, config=InverseConfig()):
     def fp(a):
         return _slope(terms, a, t1, mode_tol)
 
+    # the interpolant's own root starts each search on F, and its slope
+    # takes each Newton step: F runs about once per root.  Where a step of
+    # root_tol moves F by no more than its round-off (as in _brackets'
+    # margin), noise-size Newton steps would stall such a start, so the
+    # search starts at the midpoint and steps with the analytic F'
+    p, p_slope = interpolant.value, interpolant.slope
+    scale = _scale(terms)
+    rounding = 64.0 * _EPS * (scale + abs(d))
+    refined, started = [], []
+    for lo, hi, f_lo in brackets:
+        start = _refine_root(p, p_slope, lo, hi, f_lo, config.root_tol)[0]
+        started.append(config.root_tol * abs(p_slope(start)) > rounding)
+        refined.append(_refine_root(f, p_slope, lo, hi, f_lo, config.root_tol, start)
+                       if started[-1] else _refine_root(f, fp, lo, hi, f_lo, config.root_tol))
     slope = None
-    if interpolant is None:
-        refined = [_refine_root(f, fp, lo, hi, f_lo, config.root_tol)
-                   for lo, hi, f_lo in brackets]
-    else:
-        # the interpolant's own root starts each search on F, and its slope
-        # takes each Newton step: F runs about once per root.  Where a step
-        # of root_tol moves F by no more than its round-off allowance (as in
-        # _proxy_brackets' margin), a start near the root gains nothing and
-        # noise-size Newton steps stall it, so the search runs as where the
-        # scan ran
-        p, p_slope = interpolant.value, interpolant.slope
-        scale = sum(abs(amplitude * basis) for amplitude, basis, _ in terms)
-        rounding = 64.0 * _EPS * (scale + abs(d))
-        refined, started = [], []
-        for lo, hi, f_lo in brackets:
-            start = _refine_root(p, p_slope, lo, hi, f_lo, config.root_tol)[0]
-            started.append(config.root_tol * abs(p_slope(start)) > rounding)
-            if started[-1]:
-                refined.append(_refine_root(f, p_slope, lo, hi, f_lo, config.root_tol, start))
-            else:
-                refined.append(_refine_root(f, fp, lo, hi, f_lo, config.root_tol))
-        if started[0]:
-            # the report reads F' from the interpolant too where a bound on
-            # their difference, from the node error of _proxy_brackets'
-            # margin, certifies it
-            slope = p_slope(refined[0][0])
-            if (interpolant.slope_error(refined[0][0], mode_tol * scale + rounding)
-                    > _SLOPE_REL_TOL * abs(slope)):
-                slope = None
+    if started[0]:
+        # the report reads F' from the interpolant too where a bound on
+        # their difference, from the node error of _brackets' margin,
+        # certifies it
+        slope = p_slope(refined[0][0])
+        if (interpolant.slope_error(refined[0][0], mode_tol * scale + rounding)
+                > _SLOPE_REL_TOL * abs(slope)):
+            slope = None
     alpha_hat = refined[0][0]
     if slope is None:
         try:

@@ -59,10 +59,10 @@ _S_ASYM_ONLY = 30.0
 # blocks, so its memory stays fixed however many orders are evaluated.  512
 # Gamma blocks hold those of the default 99-order scan and of an inversion's
 # 17 or 33 proxy nodes between calls.  Neither reads psi: it serves F' at
-# the iterates of refinements that run as the scan path's, at a reported
-# root whose slope the proxy cannot certify and in residual_derivative, at
-# orders no later inversion reads again; an inversion on the proxy's path
-# whose slope it certifies builds no psi block.
+# the iterates of refinements below F's round-off, at a reported root whose
+# slope the proxy cannot certify and in residual_derivative, at orders no
+# later inversion reads again; an inversion whose slope the proxy certifies
+# builds no psi block.
 _BLOCK = 32
 _BLOCKS_KEPT = 512
 _PSI_BLOCKS_KEPT = 128

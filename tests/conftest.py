@@ -1,9 +1,10 @@
 import math
+import random
 
 import pytest
 
 import fracorder.special
-from fracorder import Measurement, make_problem
+from fracorder import Measurement, evaluate_solution, make_problem
 
 PI = math.pi
 
@@ -55,3 +56,49 @@ def port_calls(monkeypatch):
     special._gamma_block.cache_clear()
     special._psi_block.cache_clear()
     return log
+
+
+def _seeded_inversions(seed, count):
+    """Benchmark-like inversions: 1-3 modes of one sign at x0 or two opposed
+    ones, the largest rate at most min(0.5, 4/t1), d taken at a drawn order."""
+    rng = random.Random(seed)
+    drawn = []
+    for k in range(count):
+        t1 = rng.uniform(2.0, 10.0)
+        indices = sorted(rng.sample(range(1, 6), 2 if k % 2 else rng.randint(1, 3)))
+        diffusivity = rng.uniform(0.25, 1.0) * min(0.5, 4.0 / t1) / indices[-1] ** 2
+        x0 = rng.uniform(0.2, PI - 0.2)
+        signs = (1.0, -1.0) if k % 2 else (1.0,) * len(indices)
+        problem = make_problem(diffusivity, PI, [(n, s * math.copysign(rng.uniform(0.2, 2.0),
+                                                                        math.sin(n * x0)))
+                                                 for n, s in zip(indices, signs)], t1)
+        d = evaluate_solution(problem, rng.uniform(0.1, 0.9), x0, t1)
+        drawn.append((problem, Measurement(x0, t1, d)))
+    return drawn
+
+
+@pytest.fixture
+def seeded_inversions():
+    """24 benchmark-like inversions from seed 5; the odd ones have opposed modes."""
+    return _seeded_inversions(5, 24)
+
+
+@pytest.fixture
+def two_close_roots():
+    """(alpha, problem, measurement) where F - d has two simple roots 0.0037
+    apart inside the default scan cell [0.40835, 0.41853], whose ends are
+    both negative, and peaks at +2.6e-7 between them."""
+    alpha, x0, t1 = 0.41597965601616194, 1.7674655632682383, 4.8793236812777065
+    problem = make_problem(0.01616371352710967, PI,
+                           [(3, -1.474059766702691), (5, -1.4133489825594436)], t1)
+    return alpha, problem, Measurement(x0, t1, evaluate_solution(problem, alpha, x0, t1))
+
+
+@pytest.fixture
+def hidden_minimum():
+    """A curve with one root near 0.7093 whose F' changes sign between the
+    orders 0.001 and 0.01, inside the default scan's first cell."""
+    problem = make_problem(0.00013432089690639873, PI,
+                           [(1, 1.2424920750717803), (3, 1.0297557915380928),
+                            (6, -0.7645922742103965)], 0.5650091706912178)
+    return problem, Measurement(1.9824725923026818, 0.5650091706912178, 1.2736126934170147)

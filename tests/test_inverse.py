@@ -1,5 +1,5 @@
+import functools
 import math
-import operator
 import random
 import re
 
@@ -661,8 +661,9 @@ def test_alpha_hat_within_search_interval(single_mode):
 def test_invert_with_underflowed_rate(monkeypatch):
     # D*(pi/length)**2 underflows to 0.0: the factor is identically 1, so
     # F(alpha) = d at every order and F' = 0, not a refusal that names
-    # ml_alpha_derivative's c, which the caller never passed; alpha_hat is
-    # alpha_lo, a node, where the report takes the analytic F'
+    # ml_alpha_derivative's c, which the caller never passed; each of the 17
+    # nodes is an exact zero, and alpha_hat is alpha_lo, where the report
+    # takes the analytic F'
     slopes = []
     real = fracorder.inverse._slope
     monkeypatch.setattr(fracorder.inverse, "_slope",
@@ -673,7 +674,7 @@ def test_invert_with_underflowed_rate(monkeypatch):
     assert slopes == [report.alpha_hat]
     assert report.residual == 0.0 and report.derivative_at_root == 0.0
     assert report.sensitivity == math.inf
-    assert len(report.roots) == InverseConfig().scan_points
+    assert len(report.roots) == 17 and report.monotone == "violated"
     assert residual_derivative(problem, measurement, 0.5) == 0.0
 
 
@@ -743,76 +744,42 @@ def _report_or_refusal(fn, *args):
         return type(exc), str(exc)
 
 
-def _cells_of_the_bracket_search(problem, measurement, config):
-    """`invert_order`'s (cells with F - d at each left end, verdict)."""
-    inverse = fracorder.inverse
-    inputs = inverse._inverse_inputs(problem, measurement, config, "invert_order")
-    return inverse._brackets(*inputs, config)[:2]
+def _node_error(terms, d, mode_tol):
+    """F's certified error at an order, with the sums' round-off."""
+    scale = fracorder.inverse._scale(terms)
+    return mode_tol * scale + 64.0 * fracorder.inverse._EPS * (scale + abs(d))
 
 
-def _cells_of_the_full_scan(problem, measurement, config):
-    scan = scan_bracket(problem, measurement, config)
-    scanned = dict(zip(scan.alphas, scan.values))
-    return [(a, b, scanned[a]) for a, b in scan.brackets], scan.monotone
+def _assert_as_full_scan(problem, measurement, config):
+    """The report agrees with the full scan's, whose refinement starts at
+    the scan cells' midpoints and takes F' at each iterate.
 
-
-def _assert_as_full_scan(problem, measurement, config, scans):
-    """Brackets, verdict and every refusal are the full scan's, byte for
-    byte; where `_scan` runs, which appends to `scans`, the whole report is.
-
-    On the proxy path the report agrees with the full scan's, whose
-    refinement starts at the cell midpoints and takes F' at each iterate:
-    each root lies in its cell and within root_tol of the full scan's, and
-    the residual is at most the full scan's or 1e-14 of sum |a_n sin_n|.
+    Both refuse with one error type, or both find the same number of roots,
+    each within root_tol of the full scan's or, where F's noise limits it,
+    with |F - d| within the node error; the residual is at most the full
+    scan's or 1e-14 of sum |a_n sin_n|.  An interval too narrow for 17
+    distinct nodes is refused as a DomainError.
     """
-    cells = _report_or_refusal(_cells_of_the_bracket_search, problem, measurement, config)
-    assert repr(cells) == repr(_report_or_refusal(_cells_of_the_full_scan, problem,
-                                                  measurement, config))
-    expected = _report_or_refusal(_full_scan_inversion, problem, measurement, config)
-    scans.clear()
     report = _report_or_refusal(invert_order, problem, measurement, config)
-    if scans or not isinstance(expected, InversionReport):
-        assert repr(report) == repr(expected)
+    if config.alpha_hi - config.alpha_lo < 1e-15:
+        assert report[0] is DomainError and "too narrow" in report[1]
+        return
+    expected = _report_or_refusal(_full_scan_inversion, problem, measurement, config)
+    if not isinstance(expected, InversionReport):
+        assert report[0] is expected[0]
         return
     assert isinstance(report, InversionReport)
-    assert len(report.roots) == len(expected.roots) == len(cells[0])
-    for root, reference, (lo, hi, _) in zip(report.roots, expected.roots, cells[0]):
-        assert lo <= root <= hi
-        assert abs(root - reference) <= config.root_tol
+    assert len(report.roots) == len(expected.roots)
+    inverse = fracorder.inverse
+    terms, t1, d, mode_tol = inverse._inverse_inputs(problem, measurement, config, "")
+    for root, reference in zip(report.roots, expected.roots):
+        if abs(root - reference) > config.root_tol:
+            assert abs(inverse._solution(terms, root, t1, mode_tol) - d) <= _node_error(
+                terms, d, mode_tol)
     assert report.monotone == expected.monotone
     assert report.uniqueness_hypothesis == expected.uniqueness_hypothesis
-    scale = sum(abs(amplitude * basis) for amplitude, basis, _ in
-                fracorder.forward._mode_terms(problem, measurement.position))
+    scale = inverse._scale(terms)
     assert abs(report.residual) <= max(abs(expected.residual), 1e-14 * scale)
-
-
-@pytest.fixture
-def scans(monkeypatch):
-    """The scan_points of each `_scan` run, from here on."""
-    runs = []
-    real = fracorder.inverse._scan
-    monkeypatch.setattr(fracorder.inverse, "_scan",
-                        lambda *args: runs.append(args[-1].scan_points) or real(*args))
-    return runs
-
-
-def _seeded_inversions(seed, count):
-    """Benchmark-like inversions: 1-3 modes of one sign at x0 or two opposed
-    ones, the largest rate at most min(0.5, 4/t1), d taken at a drawn order."""
-    rng = random.Random(seed)
-    drawn = []
-    for k in range(count):
-        t1 = rng.uniform(2.0, 10.0)
-        indices = sorted(rng.sample(range(1, 6), 2 if k % 2 else rng.randint(1, 3)))
-        diffusivity = rng.uniform(0.25, 1.0) * min(0.5, 4.0 / t1) / indices[-1] ** 2
-        x0 = rng.uniform(0.2, PI - 0.2)
-        signs = (1.0, -1.0) if k % 2 else (1.0,) * len(indices)
-        problem = make_problem(diffusivity, PI, [(n, s * math.copysign(rng.uniform(0.2, 2.0),
-                                                                        math.sin(n * x0)))
-                                                 for n, s in zip(indices, signs)], t1)
-        d = evaluate_solution(problem, rng.uniform(0.1, 0.9), x0, t1)
-        drawn.append((problem, Measurement(x0, t1, d)))
-    return drawn
 
 
 CLIMBING_CONFIG = InverseConfig(alpha_lo=0.05, f_rel_tol=1e-6)
@@ -829,20 +796,27 @@ def climbing():
     return problem, Measurement(x0, t1, evaluate_solution(problem, 0.3, x0, t1))
 
 
+def _flat():
+    """F = E_alpha(-1e-12) at t1 = 1 varies by about 1e-12 over the orders,
+    below its node error of 1e-10, with a minimum near alpha = 0.46."""
+    problem = make_problem(1e-12, PI, [(1, 1.0)], 1.0)
+    return problem, Measurement(PI / 2, 1.0, evaluate_solution(problem, 0.5, PI / 2, 1.0))
+
+
 @pytest.mark.parametrize("config", [
     InverseConfig(), InverseConfig(f_rel_tol=1e-3), InverseConfig(scan_points=33),
     InverseConfig(scan_points=34, root_tol=1e-15),
     InverseConfig(alpha_lo=0.05, alpha_hi=0.95, scan_points=400, f_rel_tol=1e-12),
     InverseConfig(alpha_lo=0.3, alpha_hi=0.7, scan_points=57, root_tol=1e-6, f_rel_tol=1e-7),
-    InverseConfig(alpha_lo=0.5, alpha_hi=0.5 + 4e-16),  # too narrow for 33 distinct nodes
+    InverseConfig(alpha_lo=0.5, alpha_hi=0.5 + 4e-16),  # too narrow for 17 distinct nodes
     CLIMBING_CONFIG])
-def test_report_matches_full_scan(single_mode, two_mode, mixed_sign, climbing, config, scans):
-    # the brackets, the verdict and every refusal are the full scan's, and
-    # so is every report bit where the scan runs: at f_rel_tol 1e-3 the
-    # margin is wide and most scan orders take F itself; a flat curve, whose
-    # trailing coefficients are round-off, takes the scan; a d taken at the
-    # default scan's 49th order, which is no node, makes F - d exactly 0
-    # there; and a curve whose 17-node tail has not decayed climbs to 33
+def test_report_matches_full_scan(single_mode, two_mode, mixed_sign, climbing, seeded_inversions,
+                                  config):
+    # the roots, the verdict and the refusals agree with the full scan's:
+    # at f_rel_tol 1e-3 the margin is wide and F decides the sign at most
+    # break points; the flat curve's roots are noise-limited; a d taken at
+    # the default scan's 49th order, which is no node, makes F - d exactly
+    # 0 there; and a curve whose 17-node tail has not decayed climbs to 33
     # nodes where its f_rel_tol allows
     problem, measurement = two_mode
     on_order = float(np.linspace(1e-3, 1.0 - 1e-3, 99)[48])
@@ -850,24 +824,23 @@ def test_report_matches_full_scan(single_mode, two_mode, mixed_sign, climbing, c
                (problem, measurement._replace(value=evaluate_solution(
                    problem, on_order, measurement.position, measurement.time))),
                (make_problem(0.2, PI, [(1, 1.0)], 1.0), Measurement(PI / 2, 1.0, 0.8)),
-               (make_problem(1e-12, PI, [(1, 1.0)], 1.0), Measurement(PI / 2, 1.0, 1.0 - 1e-13)),
+               _flat(),
                (make_problem(0.1, PI, [(1, 1e-200)], 10.0), Measurement(1.0, 5.0, 5e-201)),
                climbing]
-    for problem, measurement in special + _seeded_inversions(5, 24):
-        _assert_as_full_scan(problem, measurement, config, scans)
+    for problem, measurement in special + seeded_inversions:
+        _assert_as_full_scan(problem, measurement, config)
 
 
 def test_inversion_evaluates_a_third_of_the_scan(two_mode, monkeypatch):
     # F at the proxy's 17 nodes, alpha_lo and alpha_hi first and the others
-    # ascending, at the few scan orders the proxy cannot certify, among them
-    # the bracket's left end, then at the refinement's iterates and
-    # alpha_hat; the full scan takes 99 + 4
+    # ascending, then at the refinement's iterates and alpha_hat: the
+    # bracket's left end is a node; the full scan takes 99 + 4
     orders = []
     real = fracorder.inverse._solution
     monkeypatch.setattr(fracorder.inverse, "_solution",
                         lambda *args: orders.append(args[1]) or real(*args))
     report = invert_order(*two_mode)
-    assert len(orders) <= 17 + 3 + report.iterations + 1
+    assert len(orders) == 17 + report.iterations + 1
     config = InverseConfig()
     assert orders[:2] == [config.alpha_lo, config.alpha_hi]
     inner = orders[2:17]
@@ -879,31 +852,81 @@ def test_inversion_evaluates_a_third_of_the_scan(two_mode, monkeypatch):
 def test_proxy_nodes_nest(lo, hi):
     # the 17 nodes are the 33 nodes of even index, bit for bit, so a climb
     # from 17 to 33 evaluates only the 16 new ones
-    nodes = {size: fracorder.inverse._proxy_rows(lo, hi, 99, size)[1] for size in (17, 33)}
+    nodes = {size: fracorder.inverse._proxy_rows(lo, hi, size)[0] for size in (17, 33)}
     assert len(nodes[17]) == 17 and len(nodes[33]) == 33
     assert nodes[17] == nodes[33][::2]
 
 
 def test_proxy_climbs_to_33_nodes(climbing, monkeypatch):
     # the 17-node tail fails the decay test, the 33-node one passes: F is
-    # evaluated at the 16 new nodes only, at no order twice, no scan runs,
-    # and the brackets and the roots are the full scan's
+    # evaluated at the 16 new nodes only, at no order twice, and the roots
+    # are the full scan's
     inverse = fracorder.inverse
     orders, sizes = [], []
-    real, real_proxy, real_scan = inverse._solution, inverse._proxy_brackets, inverse._scan
+    real, real_rows = inverse._solution, inverse._proxy_rows
     monkeypatch.setattr(inverse, "_solution", lambda *args: orders.append(args[1]) or real(*args))
-    monkeypatch.setattr(inverse, "_proxy_brackets",
-                        lambda *args: sizes.append(len(args[4][1])) or real_proxy(*args))
-    monkeypatch.setattr(inverse, "_scan", lambda *args: pytest.fail("the scan ran"))
+    monkeypatch.setattr(inverse, "_proxy_rows",
+                        lambda lo, hi, size: sizes.append(size) or real_rows(lo, hi, size))
     report = invert_order(*climbing, CLIMBING_CONFIG)
     assert sizes == [17, 33]
     assert len(orders) == len(set(orders))
-    nodes = inverse._proxy_rows(0.05, 0.999, 99, 33)[1]
+    nodes = real_rows(0.05, 0.999, 33)[0]
     assert orders[:33] == [nodes[0], nodes[-1]] + list(nodes[2:-1:2]) + list(nodes[1::2])
     assert abs(report.alpha_hat - 0.3) <= 1e-8
-    scans = []
-    monkeypatch.setattr(inverse, "_scan", lambda *args: scans.append(1) or real_scan(*args))
-    _assert_as_full_scan(*climbing, CLIMBING_CONFIG, scans)
+    _assert_as_full_scan(*climbing, CLIMBING_CONFIG)
+
+
+def test_flat_curve_accepted_at_33_nodes(monkeypatch):
+    # the 33-node tail stays above 1e-6 of F's spread, 1e-12, and within the
+    # node error: the plateau counts as decayed.  d = F(0.5), and 0.5 is a
+    # node, so that root is exact; the other is noise-limited
+    inverse = fracorder.inverse
+    sizes = []
+    real_rows = inverse._proxy_rows
+    monkeypatch.setattr(inverse, "_proxy_rows",
+                        lambda lo, hi, size: sizes.append(size) or real_rows(lo, hi, size))
+    problem, measurement = _flat()
+    report = invert_order(problem, measurement)
+    assert sizes == [17, 33]
+    assert report.monotone == "violated"
+    assert len(report.roots) == 2 and report.roots[1] == 0.5
+    terms, t1, d, mode_tol = inverse._inverse_inputs(problem, measurement, InverseConfig(), "")
+    assert abs(inverse._solution(terms, report.roots[0], t1, mode_tol) - d) <= _node_error(
+        terms, d, mode_tol)
+
+
+def test_undecayed_tail_refused(single_mode, monkeypatch):
+    # a wiggle of 1e-4 in F, far above its node error, keeps the 33-node
+    # tail from decaying
+    real = fracorder.inverse._solution
+    monkeypatch.setattr(fracorder.inverse, "_solution", lambda terms, alpha, *rest:
+                        real(terms, alpha, *rest) + 1e-4 * math.sin(400.0 * alpha))
+    with pytest.raises(AccuracyError, match=r"^invert_order: the Chebyshev tail \S+ of F at 33 "
+                                            r"nodes on \[0.001, 0.999\] exceeds both 1e-6 of its "
+                                            r"spread \S+ and its node error \S+$"):
+        invert_order(*single_mode)
+
+
+def test_narrow_interval_refused(single_mode):
+    # 4e-16 holds 2 doubles: the nodes are not distinct
+    with pytest.raises(DomainError, match=r"^invert_order: \[0.5, 0.5000000000000004\] is too "
+                                          r"narrow for 17 distinct Chebyshev nodes$"):
+        invert_order(*single_mode, InverseConfig(alpha_lo=0.5, alpha_hi=0.5 + 4e-16))
+
+
+def test_invert_order_never_scans(single_mode, two_mode, mixed_sign, climbing, monkeypatch):
+    # whatever scan_points, on a climbing or flat curve, and when F refuses
+    # or no root lies in range, the bracket search reads the proxy alone
+    monkeypatch.setattr(fracorder.inverse, "_scan", lambda *args: pytest.fail("the scan ran"))
+    for scan_points in (9, 33, 99, 400):
+        for problem, measurement in (single_mode, two_mode, mixed_sign):
+            invert_order(problem, measurement, InverseConfig(scan_points=scan_points))
+    invert_order(*climbing, CLIMBING_CONFIG)
+    invert_order(*_flat())
+    with pytest.raises(AccuracyError):
+        invert_order(make_problem(1.0, PI, [(1, 1.0)], 20.0), Measurement(PI / 2, 10.0, 0.1))
+    with pytest.raises(NoRootError):
+        invert_order(single_mode[0], single_mode[1]._replace(value=10.0))
 
 
 @pytest.mark.parametrize("sizes", [(17, 33), (33,)], ids=["17 nodes", "33 nodes"])
@@ -928,88 +951,93 @@ def test_proxy_slope_matches_analytic_slope(setup, sizes, request, monkeypatch):
 @pytest.mark.parametrize("scan_points", [99, 33])
 def test_slope_evaluated_once_per_inversion(single_mode, two_mode, mixed_sign, scan_points,
                                             monkeypatch):
-    # past 33 scan orders the Newton steps take the interpolant's slope, and
-    # so does the report, where its bound certifies it: F' does not run; the
-    # scan's refinement takes F' at its iterates, as the full scan's does
+    # whatever scan_points, the Newton steps take the interpolant's slope,
+    # and so does the report, where its bound certifies it: F' does not run
     slopes = []
     real = fracorder.inverse._slope
     monkeypatch.setattr(fracorder.inverse, "_slope",
                         lambda *args: slopes.append(args[1]) or real(*args))
     config = InverseConfig(scan_points=scan_points)
     for problem, measurement in (single_mode, two_mode, mixed_sign):
-        slopes.clear()
-        report = invert_order(problem, measurement, config)
-        if scan_points > 33:
-            assert slopes == []
-            continue
-        on_scan = list(slopes)
-        slopes.clear()
-        _full_scan_inversion(problem, measurement, config)
-        assert on_scan == slopes and len(on_scan) > 1
+        invert_order(problem, measurement, config)
+    assert slopes == []
 
 
-def test_refinement_within_rounding_level_runs_as_the_scan(single_mode, two_mode, mixed_sign):
+def _searches(monkeypatch):
+    """(on, lo, hi, start, fprime, iterations) of each `_refine_root` run
+    from here on; `on` is "p" for a search on the interpolant, "p'" for one
+    for an extremum of it and "F" for one on F."""
+    inverse = fracorder.inverse
+    searches = []
+    real = inverse._refine_root
+
+    def recording(f, fprime, lo, hi, f_lo, tol, start=None):
+        out = real(f, fprime, lo, hi, f_lo, tol, start)
+        on = ("p" if isinstance(getattr(f, "__self__", None), inverse._Interpolant)
+              else "p'" if isinstance(f, functools.partial) else "F")
+        searches.append((on, lo, hi, start, fprime, out[2]))
+        return out
+
+    monkeypatch.setattr(inverse, "_refine_root", recording)
+    return searches
+
+
+@pytest.mark.parametrize("setup", ["single_mode", "two_mode", "mixed_sign"])
+@pytest.mark.parametrize("root_tol", [1e-10, 1e-15])
+@pytest.mark.parametrize("scan_points", [9, 99])
+def test_refinement_within_iteration_bound(setup, root_tol, scan_points, request, monkeypatch):
+    # the budget of bisections still needed bounds the search on F by
+    # root_tol and the bracket's width; a search on the interpolant comes
+    # first and hands its root to the search on F as the first iterate,
+    # unless root_tol is within F's rounding level
+    problem, measurement = request.getfixturevalue(setup)
+    searches = _searches(monkeypatch)
+    invert_order(problem, measurement,
+                 InverseConfig(root_tol=root_tol, scan_points=scan_points))
+    on_f = [search[1:] for search in searches if search[0] == "F"]
+    assert len(on_f) == (2 if setup == "mixed_sign" else 1)
+    assert sum(search[0] == "p" for search in searches) == len(on_f)
+    assert all(start is None for _, _, start, _, _ in on_f) == (root_tol < 1e-14)
+    for lo, hi, start, _, iterations in on_f:
+        assert lo < hi
+        assert start is None or lo <= start <= hi
+        assert 1 <= iterations <= 3 * math.ceil(math.log2((hi - lo) / root_tol))
+
+
+def test_refinement_within_rounding_level_runs_as_the_scan(single_mode, two_mode, mixed_sign,
+                                                           monkeypatch):
     # at root_tol 1e-15 a step of root_tol moves F by less than its
-    # round-off, so each root is refined from its cell's midpoint with F',
-    # as the full scan's is, and the report is the full scan's bit for bit
+    # round-off, so each root is refined on F from its bracket's midpoint
+    # with the analytic F', as the full scan's is, and agrees with its root
     config = InverseConfig(root_tol=1e-15)
+    searches = _searches(monkeypatch)
     for problem, measurement in (single_mode, two_mode, mixed_sign):
-        assert (repr(invert_order(problem, measurement, config))
-                == repr(_full_scan_inversion(problem, measurement, config)))
+        _assert_as_full_scan(problem, measurement, config)
+    on_f = [search[1:] for search in searches if search[0] == "F"]
+    assert len(on_f) == 2 * 4  # the full scan's and invert_order's, each root
+    for _, _, start, fprime, _ in on_f:
+        assert start is None
+        assert not isinstance(getattr(fprime, "__self__", None), fracorder.inverse._Interpolant)
 
 
-def test_refusal_at_an_end_node_hands_over_at_once(two_mode, monkeypatch):
+def test_refusal_at_an_end_node_ends_at_once(two_mode, monkeypatch):
     # at f_rel_tol 2e-11 the round-off floor is missed at alpha_hi, the
-    # second order evaluated, so the scan starts after at most 2 orders and
-    # its refusal text stands
-    orders, started = [], []
-    real, real_scan = fracorder.inverse._solution, fracorder.inverse._scan
+    # second order evaluated, and the refusal names that node
+    orders = []
+    real = fracorder.inverse._solution
     monkeypatch.setattr(fracorder.inverse, "_solution",
                         lambda *args: orders.append(args[1]) or real(*args))
-    monkeypatch.setattr(fracorder.inverse, "_scan",
-                        lambda *args: started.append(len(orders)) or real_scan(*args))
     with pytest.raises(AccuracyError) as refused:
         invert_order(*two_mode, InverseConfig(f_rel_tol=2e-11))
-    assert started and started[0] <= 2
+    assert orders == [1e-3, 1.0 - 1e-3]
     assert str(refused.value) == ("mittag_leffler: achievable relative accuracy "
                                   "~1.1e-11 at alpha=0.999, z=-4.48965 misses rel_tol=1e-11")
 
 
-def test_bracket_search_hands_over_to_the_scan(two_mode, scans):
-    # a scan of at most 33 orders, a refusal at a node and trailing
-    # coefficients above 1e-6 of F's spread each run the full scan, whose
-    # refusal text stands
-    invert_order(*two_mode)
-    invert_order(*two_mode, InverseConfig(scan_points=40))
-    assert scans == []
-    invert_order(*two_mode, InverseConfig(scan_points=33))
-    assert scans == [33]
-    flat = make_problem(1e-12, PI, [(1, 1.0)], 1.0)
-    invert_order(flat, Measurement(PI / 2, 1.0, evaluate_solution(flat, 0.5, PI / 2, 1.0)))
-    assert scans == [33, 99]
-    refusing = (make_problem(1.0, PI, [(1, 1.0)], 20.0), Measurement(PI / 2, 10.0, 0.1))
-    with pytest.raises(AccuracyError) as inverted:
-        invert_order(*refusing)
-    assert scans == [33, 99, 99]
-    with pytest.raises(AccuracyError) as scanned:
-        scan_bracket(*refusing)
-    assert str(inverted.value) == str(scanned.value)
-
-
-def _two_close_roots():
-    """(alpha, problem, measurement) where F - d has two simple roots 0.0037
-    apart inside the scan cell [0.40835, 0.41853], whose ends are both
-    negative, and peaks at +2.6e-7 between them."""
-    alpha, x0, t1 = 0.41597965601616194, 1.7674655632682383, 4.8793236812777065
-    problem = make_problem(0.01616371352710967, PI,
-                           [(3, -1.474059766702691), (5, -1.4133489825594436)], t1)
-    return alpha, problem, Measurement(x0, t1, evaluate_solution(problem, alpha, x0, t1))
-
-
-def test_two_roots_inside_one_scan_cell():
-    # the uniform scan sees no sign change, the proxy's extremum inside the
-    # cell does, and F confirms its sign
-    alpha, problem, measurement = _two_close_roots()
+def test_two_roots_inside_one_scan_cell(two_close_roots):
+    # the uniform scan sees no sign change; the proxy's extremum between
+    # two nodes of one sign does, and p there lies beyond the margin
+    alpha, problem, measurement = two_close_roots
     assert scan_bracket(problem, measurement).brackets == ()
     report = invert_order(problem, measurement)
     assert not report.unique
@@ -1018,88 +1046,80 @@ def test_two_roots_inside_one_scan_cell():
     assert abs(report.roots[1] - alpha) <= 1e-7
 
 
+@pytest.mark.parametrize("config, tol", [
+    (InverseConfig(f_rel_tol=1e-3), 2e-3), (InverseConfig(scan_points=33), 1e-9),
+    (InverseConfig(alpha_lo=0.05, f_rel_tol=1e-6), 1e-5)])
+def test_two_close_roots_found_at_every_config(two_close_roots, config, tol):
+    # where the margin is wide, F decides the sign at the extremum; the
+    # scan's number of orders plays no part, nor does the interval's end
+    _, problem, measurement = two_close_roots
+    roots = invert_order(problem, measurement, config).roots
+    assert len(roots) == 2
+    for root, reference in zip(roots, invert_order(problem, measurement).roots):
+        assert abs(root - reference) <= tol
+
+
+def test_hidden_minimum_is_violated(hidden_minimum):
+    # F' changes sign between the orders 0.001 and 0.01, where no scan order
+    # lies inside; the proxy's coefficients see the minimum, and the root
+    # keeps its bits
+    problem, measurement = hidden_minimum
+    assert residual_derivative(problem, measurement, 0.001) < 0.0
+    assert residual_derivative(problem, measurement, 0.01) > 0.0
+    report = invert_order(problem, measurement)
+    assert report.monotone == "violated"
+    assert report.roots == (0.7093381822742502,)
+
+
+@pytest.mark.parametrize("slopes, verdict", [
+    ((1.0, 2.0), "verified"), ((-1.0, -2.0), "verified"), ((1.0, -2.0), "violated"),
+    ((1.0, 0.0), "violated")])
+def test_verdict_needs_one_certified_sign_on_every_leaf(single_mode, slopes, verdict,
+                                                        monkeypatch):
+    # two leaves, each with p' certified one-signed, or not where 0
+    monkeypatch.setattr(fracorder.inverse, "_leaves", lambda coefficients, f, lo, hi: [
+        (lo, 0.5, slopes[0], None), (0.5, hi, slopes[1], None)])
+    assert invert_order(*single_mode).monotone == verdict
+
+
+def test_uneven_monotone_curve_verified_from_two_leaves(seeded_inversions, monkeypatch):
+    # case 19 rises too unevenly for the coefficient test on the whole
+    # interval, |d_0| < sum |d_k|, and passes it on each half
+    inverse = fracorder.inverse
+    leaves = []
+    real = inverse._leaves
+    monkeypatch.setattr(inverse, "_leaves", lambda *args: leaves.append(real(*args)) or leaves[-1])
+    report = invert_order(*seeded_inversions[19])
+    assert report.monotone == "verified"
+    assert [(a, b) for a, b, _, _ in leaves[0]] == [(1e-3, 0.5), (0.5, 1.0 - 1e-3)]
+    assert all(slope > 0.0 for _, _, slope, _ in leaves[0])
+
+
 # ----------------------------------------------- the interpolant's reference
 #
-# The proxy's arithmetic as the straightforward loops wrote it: the
-# interpolant's value and slope each from their own pass, and the signs,
-# steps, hidden pairs and brackets over the scan orders one order at a time.
-# The fused evaluator and the bookkeeping passes must give their bits.
+# The interpolant's arithmetic as the straightforward loops wrote it, its
+# value and slope each from their own pass; the fused evaluator must give
+# their bits.
 
 def _reference_value(nodes, weights, f, x):
-    row = fracorder.inverse._barycentric_row(x, nodes, weights)
-    return sum(map(operator.mul, row, f))
+    if x in nodes:
+        return f[nodes.index(x)]
+    quotients = [weight / (x - node) for weight, node in zip(weights, nodes)]
+    total = math.fsum(quotients)
+    return math.fsum(q / total * value for q, value in zip(quotients, f))
 
 
 def _reference_slope(nodes, weights, f, x):
     j = min(range(len(nodes)), key=lambda k: abs(x - nodes[k]))
     if x == nodes[j]:
-        return sum(weight / weights[j] * (value - f[j]) / (x - node)
-                   for k, (node, weight, value) in enumerate(zip(nodes, weights, f)) if k != j)
+        return math.fsum(weight / weights[j] * (value - f[j]) / (x - node)
+                         for k, (node, weight, value) in enumerate(zip(nodes, weights, f))
+                         if k != j)
     quotients = [weight / (x - node) for weight, node in zip(weights, nodes)]
-    total = sum(quotients)
-    above = sum(q * (value - f[j]) for q, value in zip(quotients, f)) / total
-    return sum(q * (f[j] - value + above) / (x - node)
-               for q, value, node in zip(quotients, f, nodes)) / total
-
-
-def _reference_proxy_brackets(terms, t1, d, mode_tol, proxy, known):
-    """`_proxy_brackets` as four loops over the scan orders; the
-    interpolant is returned as (nodes, weights, f)."""
-    inverse = fracorder.inverse
-    orders, nodes, weights, rows, dct = proxy
-
-    def exact(alpha):
-        if alpha not in known:
-            known[alpha] = inverse._solution(terms, alpha, t1, mode_tol) - d
-        return known[alpha]
-
-    for alpha in (nodes[0], nodes[-1]) + nodes[1:-1]:
-        exact(alpha)
-    f = [known[alpha] for alpha in nodes]
-    trailing = max(abs(sum(map(operator.mul, row, f))) for row in dct[-3:])
-    if trailing > 1e-6 * (max(f) - min(f)):
-        return None
-    scale = sum(abs(amplitude * basis) for amplitude, basis, _ in terms)
-    margin = 8.0 * (trailing + mode_tol * scale + 64.0 * inverse._EPS * (scale + abs(d)))
-    p = [sum(map(operator.mul, row, f)) for row in rows]
-
-    signs = []
-    for alpha, value in zip(orders, p):
-        if abs(value) <= margin:
-            value = exact(alpha)
-        signs.append((value > 0.0) - (value < 0.0))
-
-    steps = [b - a for a, b in zip(p, p[1:])]
-    rising = any(step > 2.0 * margin for step in steps)
-    falling = any(step < -2.0 * margin for step in steps)
-    for a, b, step in zip(orders, orders[1:], steps):
-        if rising and falling:
-            break
-        if abs(step) <= 2.0 * margin:
-            step = exact(b) - exact(a)
-            rising |= not step < 0.0
-            falling |= not step > 0.0
-
-    splits = {}
-    for j in range(1, len(orders) - 1):
-        side = signs[j]
-        if (side == 0 or signs[j - 1] != side or signs[j + 1] != side
-                or not side * steps[j - 1] < 0.0 < side * steps[j]):
-            continue
-        x, g = inverse._golden_min(lambda x: side * _reference_value(nodes, weights, f, x),
-                                   orders[j - 1], orders[j + 1])
-        if g < -margin and x != orders[j] and side * exact(x) < 0.0:
-            splits[j - 1 if x < orders[j] else j] = x
-    brackets = []
-    for i, (a, sign) in enumerate(zip(orders, signs)):
-        if i in splits:
-            x = splits[i]
-            brackets += [(a, x, exact(a)), (x, orders[i + 1], known[x])]
-        elif sign == 0:
-            brackets.append((a, a, exact(a)))
-        elif i + 1 < len(orders) and signs[i + 1] == -sign:
-            brackets.append((a, orders[i + 1], exact(a)))
-    return brackets, not (rising and falling), (nodes, weights, f)
+    total = math.fsum(quotients)
+    above = math.fsum(q * (value - f[j]) for q, value in zip(quotients, f)) / total
+    return math.fsum(q * (f[j] - value + above) / (x - node)
+                     for q, value, node in zip(quotients, f, nodes)) / total
 
 
 def _underflowed_rate():
@@ -1117,8 +1137,7 @@ def test_fused_evaluator_matches_the_reference_bits(setup, size, request):
                             else request.getfixturevalue(setup))
     config = InverseConfig()
     terms, t1, d, mode_tol = inverse._inverse_inputs(problem, measurement, config, "")
-    _, nodes, weights, _, _ = inverse._proxy_rows(config.alpha_lo, config.alpha_hi,
-                                                  config.scan_points, size)
+    nodes, weights, _ = inverse._proxy_rows(config.alpha_lo, config.alpha_hi, size)
     f = [inverse._solution(terms, alpha, t1, mode_tol) - d for alpha in nodes]
     interpolant = inverse._Interpolant(nodes, weights, f, 0.0)
     rng = random.Random(size)
@@ -1136,34 +1155,6 @@ def test_fused_evaluator_matches_the_reference_bits(setup, size, request):
                                                           interpolant.slope(x)))
 
 
-def _proxy_brackets_cases(single_mode, two_mode, mixed_sign):
-    return ([single_mode, two_mode, mixed_sign, _two_close_roots()[1:], _underflowed_rate()]
-            + _seeded_inversions(5, 24))
-
-
-@pytest.mark.parametrize("size", [17, 33])
-def test_proxy_brackets_match_the_reference_loops(single_mode, two_mode, mixed_sign, climbing,
-                                                  size):
-    # brackets, verdict, interpolant and the set of orders F is evaluated
-    # at, or the refusal, are the reference's, at 17 nodes and at 33
-    inverse = fracorder.inverse
-    for problem, measurement, config in (
-            [(*case, InverseConfig()) for case in
-             _proxy_brackets_cases(single_mode, two_mode, mixed_sign)]
-            + [(*climbing, CLIMBING_CONFIG)]):
-        inputs = inverse._inverse_inputs(problem, measurement, config, "")
-        proxy = inverse._proxy_rows(config.alpha_lo, config.alpha_hi, config.scan_points, size)
-        known, reference_known = {}, {}
-        found = _report_or_refusal(inverse._proxy_brackets, *inputs, proxy, known)
-        expected = _report_or_refusal(_reference_proxy_brackets, *inputs, proxy,
-                                      reference_known)
-        if isinstance(expected, tuple) and len(expected) == 3:
-            interpolant = found[2]
-            found = found[:2] + ((interpolant.nodes, interpolant.weights, interpolant.f),)
-        assert repr(found) == repr(expected)
-        assert known.keys() == reference_known.keys()
-
-
 @pytest.mark.parametrize("setup, config", [
     ("single_mode", InverseConfig()), ("two_mode", InverseConfig()),
     ("mixed_sign", InverseConfig()), ("climbing", CLIMBING_CONFIG)])
@@ -1174,8 +1165,7 @@ def test_slope_error_bounds_the_distance_to_the_analytic_slope(setup, config, re
     terms, t1, d, mode_tol = inverse._inverse_inputs(*request.getfixturevalue(setup), config, "")
     interpolant = inverse._brackets(terms, t1, d, mode_tol, config)[2]
     assert len(interpolant.nodes) == (33 if setup == "climbing" else 17)
-    scale = sum(abs(amplitude * basis) for amplitude, basis, _ in terms)
-    node_error = mode_tol * scale + 64.0 * inverse._EPS * (scale + abs(d))
+    node_error = _node_error(terms, d, mode_tol)
     checked = 0
     for alpha in [0.05 + 0.0225 * k for k in range(41)]:
         try:
@@ -1194,9 +1184,9 @@ def test_slope_error_tail_term_bounds_the_interpolation_error(size, c):
     # lie between 1e-9 and 1e-6 of its spread: with no node error, the
     # trailing-coefficient term alone bounds |p' - g'|
     inverse = fracorder.inverse
-    _, nodes, weights, _, dct = inverse._proxy_rows(1e-3, 1.0 - 1e-3, 99, size)
+    nodes, weights, dct = inverse._proxy_rows(1e-3, 1.0 - 1e-3, size)
     f = [1.0 / (1.0 + c * (x - 0.3) ** 2) for x in nodes]
-    trailing = max(abs(sum(map(operator.mul, row, f))) for row in dct[-3:])
+    trailing = max(abs(inverse._dot(row, f)) for row in dct[-3:])
     assert 1e-9 < trailing / (max(f) - min(f)) <= 1e-6
     interpolant = inverse._Interpolant(nodes, weights, f, trailing)
     for x in [0.05 + 0.0225 * k for k in range(41)]:
@@ -1204,10 +1194,73 @@ def test_slope_error_tail_term_bounds_the_interpolation_error(size, c):
         assert abs(interpolant.slope(x) - slope) <= interpolant.slope_error(x, 0.0)
 
 
-def test_proxy_path_work_counts(port_calls, monkeypatch):
-    # on the proxy path the report's slope comes from the interpolant: no
-    # analytic F', so no psi block, and F at the orders the bracket search
-    # evaluates, at each iterate and at alpha_hat, as before
+def _reference_brackets(terms, t1, d, mode_tol, config):
+    """`_brackets`' brackets and the orders where F runs, as plain loops over
+    the break points, with `_leaves`' own pieces."""
+    inverse = fracorder.inverse
+    lo, hi = config.alpha_lo, config.alpha_hi
+    known = {}
+
+    def exact(alpha):
+        if alpha not in known:
+            known[alpha] = inverse._solution(terms, alpha, t1, mode_tol) - d
+        return known[alpha]
+
+    for size in inverse._PROXY_NODES:
+        nodes, weights, dct = inverse._proxy_rows(lo, hi, size)
+        for alpha in (nodes[0], nodes[-1]) + nodes[1:-1]:
+            exact(alpha)
+        f = [known[alpha] for alpha in nodes]
+        coefficients = [inverse._dot(row, f) for row in dct]
+        trailing = max(abs(c) for c in coefficients[-3:])
+        if trailing <= 1e-6 * (max(f) - min(f)):
+            break
+    margin = 8.0 * (trailing + _node_error(terms, d, mode_tol))
+    interpolant = inverse._Interpolant(nodes, weights, f, trailing)
+    points = set(nodes)
+    for a, b, _, x in inverse._leaves(coefficients, f, lo, hi):
+        points.update((a, b) if x is None else (a, x, b))
+    points = sorted(points)
+    values = []
+    for alpha in points:
+        value = known[alpha] if alpha in known else interpolant.value(alpha)
+        values.append(value if alpha in known or abs(value) > margin else exact(alpha))
+    brackets = []
+    for i, (a, value) in enumerate(zip(points, values)):
+        if value == 0.0:
+            brackets.append((a, a, value))
+        elif i + 1 < len(points) and values[i + 1] != 0.0 and (value < 0.0) != (values[i + 1] < 0.0):
+            brackets.append((a, points[i + 1], value))
+    return brackets, set(known)
+
+
+@pytest.mark.parametrize("size", [17, 33])
+def test_proxy_brackets_match_the_reference_loops(single_mode, two_mode, mixed_sign, climbing,
+                                                  two_close_roots, seeded_inversions, size,
+                                                  monkeypatch):
+    # brackets and the set of orders F is evaluated at are the reference's,
+    # from 17 nodes and from 33
+    inverse = fracorder.inverse
+    monkeypatch.setattr(inverse, "_PROXY_NODES", (17, 33) if size == 17 else (33,))
+    orders = []
+    real = inverse._solution
+    monkeypatch.setattr(inverse, "_solution", lambda *args: orders.append(args[1]) or real(*args))
+    cases = [(*case, InverseConfig()) for case in
+             [single_mode, two_mode, mixed_sign, two_close_roots[1:], _underflowed_rate()]
+             + seeded_inversions]
+    cases += [(*climbing, CLIMBING_CONFIG), (*two_close_roots[1:], InverseConfig(f_rel_tol=1e-3))]
+    for problem, measurement, config in cases:
+        inputs = inverse._inverse_inputs(problem, measurement, config, "")
+        orders.clear()
+        found = inverse._brackets(*inputs, config)[0], set(orders)
+        assert len(orders) == len(found[1])
+        assert found == _reference_brackets(*inputs, config)
+
+
+def test_proxy_path_work_counts(port_calls, seeded_inversions, monkeypatch):
+    # the report's slope comes from the interpolant: no analytic F', so no
+    # psi block; F runs at the 17 nodes, where each bracket's left end
+    # lies, then at each iterate and at alpha_hat
     inverse = fracorder.inverse
     orders, slopes = [], []
     real_solution, real_slope = inverse._solution, inverse._slope
@@ -1215,173 +1268,97 @@ def test_proxy_path_work_counts(port_calls, monkeypatch):
                         lambda *args: orders.append(args[1]) or real_solution(*args))
     monkeypatch.setattr(inverse, "_slope", lambda *args: slopes.append(args[1]) or real_slope(*args))
     config = InverseConfig()
-    for problem, measurement in _seeded_inversions(5, 24):
-        inputs = inverse._inverse_inputs(problem, measurement, config, "")
-        reference_known = {}
-        proxy = inverse._proxy_rows(config.alpha_lo, config.alpha_hi, config.scan_points, 17)
-        assert _reference_proxy_brackets(*inputs, proxy, reference_known) is not None
+    nodes = inverse._proxy_rows(config.alpha_lo, config.alpha_hi, 17)[0]
+    for problem, measurement in seeded_inversions:
         orders.clear()
         report = invert_order(problem, measurement, config)
-        assert len(orders) == len(reference_known) + report.iterations + 1
-        assert set(orders[:len(reference_known)]) == reference_known.keys()
+        assert len(orders) == 17 + report.iterations + 1
+        assert orders[:17] == [nodes[0], nodes[-1]] + list(nodes[1:-1])
     assert slopes == []
     assert port_calls["_psi"] == []
 
 
 # ------------------------------------------------ the monotone certificate
 
-class _CountedRows(tuple):
-    """Barycentric rows that count the rows read, by index or by iteration."""
-
-    def __getitem__(self, i):
-        self.read += 1
-        return tuple.__getitem__(self, i)
-
-    def __iter__(self):
-        for row in tuple.__iter__(self):
-            self.read += 1
-            yield row
-
-
-@pytest.fixture
-def rows_read(monkeypatch):
-    """(rows read, bisected) per `_proxy_brackets` call that reads p, from
-    here on; `bisected` is whether `_bisected_signs` ran."""
-    inverse = fracorder.inverse
-    calls, bisections = [], []
-    real_proxy, real_bisected = inverse._proxy_brackets, inverse._bisected_signs
-
-    def counted_proxy(terms, t1, d, mode_tol, proxy, known):
-        rows = _CountedRows(proxy[3])
-        rows.read, before = 0, len(bisections)
-        found = real_proxy(terms, t1, d, mode_tol, proxy[:3] + (rows,) + proxy[4:], known)
-        if found is not None:
-            calls.append((rows.read, len(bisections) > before))
-        return found
-
-    monkeypatch.setattr(inverse, "_proxy_brackets", counted_proxy)
-    monkeypatch.setattr(inverse, "_bisected_signs",
-                        lambda *args: bisections.append(1) or real_bisected(*args))
-    return calls
-
-
-def _non_monotone_at_t1_one():
-    """F follows 1/Gamma(1 + alpha) at t1 = 1 and meets d twice."""
-    problem = make_problem(0.2, PI, [(1, 1.0)], 1.0)
-    return problem, Measurement(PI / 2, 1.0, evaluate_solution(problem, 0.8, PI / 2, 1.0))
-
-
-def test_certified_path_reads_few_rows(mixed_sign, climbing, rows_read):
-    # where p' is certified one-signed, p is read at the two ends and at the
-    # orders a bisection over 99 visits; where it changes sign, or cannot
-    # be certified, at all 99 scan orders.  Every same-sign seeded case is
-    # certified; of the opposed-sign ones, two are not monotone and one
-    # rises too unevenly for the global coefficient test
-    certified = 0
-    for k, (problem, measurement) in enumerate(_seeded_inversions(5, 24)):
-        rows_read.clear()
-        invert_order(problem, measurement)
-        assert len(rows_read) == 1
-        read, bisected = rows_read[0]
-        assert bisected or k % 2
-        assert read <= 12 if bisected else read == 99
-        certified += bisected
-    assert certified == 21
-    for (problem, measurement), config in [(mixed_sign, InverseConfig()),
-                                           (_two_close_roots()[1:], InverseConfig()),
-                                           (climbing, CLIMBING_CONFIG),
-                                           (_non_monotone_at_t1_one(), InverseConfig())]:
-        rows_read.clear()
-        invert_order(problem, measurement, config)
-        assert rows_read == [(99, False)]
-
-
 @pytest.mark.parametrize("size", [17, 33])
 @pytest.mark.parametrize("setup", ["single_mode", "two_mode", "mixed_sign"])
 def test_coefficient_rows_rebuild_the_interpolant(setup, size, request):
     # the DCT-I rows give the interpolant's Chebyshev coefficients in the
-    # reflected variable y = (mid - alpha) / half: their sum rebuilds f at
-    # the nodes, y_k = cos(k pi / m), and p at 41 orders; the last three
-    # rows are those that gave the trailing coefficients alone, bit for bit
+    # variable x = (alpha - mid) / half: their sum rebuilds f at the nodes,
+    # x_k = -cos(k pi / m), and p at 41 orders; each row is the one in the
+    # reflected variable -x times the exact sign (-1)**j
     inverse = fracorder.inverse
     config = InverseConfig()
     terms, t1, d, mode_tol = inverse._inverse_inputs(*request.getfixturevalue(setup), config, "")
     lo, hi = config.alpha_lo, config.alpha_hi
-    _, nodes, weights, _, dct = inverse._proxy_rows(lo, hi, config.scan_points, size)
+    nodes, weights, dct = inverse._proxy_rows(lo, hi, size)
     m = size - 1
     assert len(dct) == size and all(len(row) == size for row in dct)
     ends = [0.5] + [1.0] * (m - 1) + [0.5]
-    assert dct[-3:] == tuple(tuple(2.0 / m * (0.5 if j == m else 1.0) * end
-                                   * math.cos(math.pi * (j * k % (2 * m)) / m)
-                                   for k, end in enumerate(ends))
-                             for j in range(m - 2, m + 1))
+    assert dct == tuple(tuple((-1) ** j * (2.0 / m * (0.5 if j in (0, m) else 1.0) * end
+                                           * math.cos(math.pi * (j * k % (2 * m)) / m))
+                              for k, end in enumerate(ends))
+                        for j in range(m + 1))
     f = [inverse._solution(terms, alpha, t1, mode_tol) - d for alpha in nodes]
-    coefficients = [sum(map(operator.mul, row, f)) for row in dct]
+    coefficients = [inverse._dot(row, f) for row in dct]
     spread = max(f) - min(f)
     for k, value in enumerate(f):
-        rebuilt = sum(c * math.cos(math.pi * j * k / m) for j, c in enumerate(coefficients))
+        rebuilt = sum(c * (-1) ** j * math.cos(math.pi * j * k / m)
+                      for j, c in enumerate(coefficients))
         assert abs(rebuilt - value) <= 1e-14 * spread
     interpolant = inverse._Interpolant(nodes, weights, f, 0.0)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     for alpha in [0.05 + 0.0225 * k for k in range(41)]:
-        theta = math.acos((mid - alpha) / half)
+        theta = math.acos((alpha - mid) / half)
         rebuilt = sum(c * math.cos(j * theta) for j, c in enumerate(coefficients))
         assert abs(rebuilt - interpolant.value(alpha)) <= 1e-14 * spread
 
 
 @pytest.mark.parametrize("size", [17, 33])
-def test_slope_floor_bounds_the_interpolant_slope(single_mode, two_mode, size):
-    # on inputs the certificate covers, |p'| is at least the certified
-    # floor at 401 orders from alpha_lo to alpha_hi, nodes included
+def test_halving_maps_restrict_the_polynomial(size):
+    # the coefficients a half's map gives rebuild the polynomial at 41
+    # points of that half, and the entries are dyadic rationals, exact
+    inverse = fracorder.inverse
+    m = size - 1
+    rng = random.Random(size)
+    coefficients = [rng.uniform(-1.0, 1.0) / (j + 1) for j in range(size)]
+    left, right = inverse._halving_maps(size)
+    for rows, shift in ((left, -1.0), (right, 1.0)):
+        assert all(entry * 2.0 ** m == int(entry * 2.0 ** m) for row in rows for entry in row)
+        half = [inverse._dot(row, coefficients) for row in rows]
+        for s in [-1.0 + k / 20 for k in range(41)]:
+            x = 0.5 * (s + shift)
+            assert abs(inverse._chebyshev_sum(half, s)
+                       - inverse._chebyshev_sum(coefficients, x)) <= 1e-14
+
+
+@pytest.mark.parametrize("size", [17, 33])
+def test_slope_floor_bounds_the_interpolant_slope(single_mode, two_mode, mixed_sign,
+                                                  seeded_inversions, size):
+    # on every leaf certified one-signed, p' has the sign of the leaf's
+    # slope and |p'| is at least it at 401 orders of the leaf, ends included
     inverse = fracorder.inverse
     config = InverseConfig()
     lo, hi = config.alpha_lo, config.alpha_hi
-    _, nodes, weights, _, dct = inverse._proxy_rows(lo, hi, config.scan_points, size)
-    orders = [lo + (hi - lo) * k / 400 for k in range(401)]
+    nodes, weights, dct = inverse._proxy_rows(lo, hi, size)
     certified = 0
-    for problem, measurement in [single_mode, two_mode] + _seeded_inversions(5, 24):
+    for problem, measurement in [single_mode, two_mode, mixed_sign] + seeded_inversions:
         terms, t1, d, mode_tol = inverse._inverse_inputs(problem, measurement, config, "")
         f = [inverse._solution(terms, alpha, t1, mode_tol) - d for alpha in nodes]
-        coefficients = [sum(map(operator.mul, row, f)) for row in dct]
-        floor = inverse._slope_floor(coefficients, f, hi - lo)
-        if floor <= 0.0:
-            continue
-        certified += 1
         interpolant = inverse._Interpolant(nodes, weights, f, 0.0)
-        assert min(abs(interpolant.slope(alpha)) for alpha in orders) >= floor
-    assert certified == 23
+        for a, b, slope, _ in inverse._leaves([inverse._dot(row, f) for row in dct], f, lo, hi):
+            if slope == 0.0:
+                continue
+            certified += 1
+            orders = [a + (b - a) * k / 400 for k in range(401)]
+            assert min(interpolant.slope(x) / slope for x in orders) >= 1.0
+    assert certified == 25
     # on a straight line the bound is |p'| itself, less the round-off
     line = [0.3 - 0.7 * alpha for alpha in nodes]
-    floor = inverse._slope_floor([sum(map(operator.mul, row, line)) for row in dct], line, hi - lo)
+    (_, _, slope, _), = inverse._leaves([inverse._dot(row, line) for row in dct], line, lo, hi)
     interpolant = inverse._Interpolant(nodes, weights, line, 0.0)
-    assert 0.7 * (1.0 - 1e-8) < floor <= min(abs(interpolant.slope(alpha)) for alpha in orders)
-
-
-def test_a_wide_margin_takes_the_full_read(rows_read):
-    # at f_rel_tol 1e-3 the margin is wide: where p' keeps one sign, its
-    # steps still fall short of 4 margins and several scan orders lie
-    # within one, so p is read at every scan order and F evaluated at each
-    # of those, as the reference loops do
-    inverse = fracorder.inverse
-    config = InverseConfig(f_rel_tol=1e-3)
-    lo, hi = config.alpha_lo, config.alpha_hi
-    proxy = inverse._proxy_rows(lo, hi, config.scan_points, 17)
-    one_signed = 0
-    for problem, measurement in _seeded_inversions(5, 24):
-        inputs = inverse._inverse_inputs(problem, measurement, config, "")
-        known, reference_known = {}, {}
-        found = inverse._proxy_brackets(*inputs, proxy, known)
-        expected = _reference_proxy_brackets(*inputs, proxy, reference_known)
-        if expected is None:
-            assert found is None
-            continue
-        assert repr(found[:2]) == repr(expected[:2])
-        assert known.keys() == reference_known.keys()
-        f = found[2].f
-        coefficients = [sum(map(operator.mul, row, f)) for row in proxy[4]]
-        one_signed += inverse._slope_floor(coefficients, f, hi - lo) > 0.0
-    assert one_signed >= 6
-    assert rows_read and all(read == (99, False) for read in rows_read)
+    assert -0.7 * (1.0 - 1e-8) > slope
+    assert min(interpolant.slope(lo + (hi - lo) * k / 400) / slope for k in range(401)) >= 1.0
 
 
 # -------------------------------------------------------- InverseConfig
@@ -1424,12 +1401,13 @@ def test_inverse_config_root_tol_floor():
 
 
 @pytest.mark.parametrize("f_rel_tol,message", [
-    (1e-13, "~5.5e-14 at alpha=0.459265, z=-1.29562 misses rel_tol=5e-14"),
+    (1e-13, "~1.0e-11 at alpha=0.999, z=-4.48965 misses rel_tol=5e-14"),
     (2e-11, "~1.1e-11 at alpha=0.999, z=-4.48965 misses rel_tol=1e-11"),
 ])
 def test_f_rel_tol_below_round_off_floor_refused(two_mode, f_rel_tol, message):
     # each of the two modes is asked for f_rel_tol / 2, below the power
-    # series' round-off floor 6*EPS*sum|term| / |E| at some scanned order
+    # series' round-off floor 6*EPS*sum|term| / |E| at alpha_hi, the
+    # second node evaluated
     with pytest.raises(AccuracyError) as exc_info:
         invert_order(*two_mode, InverseConfig(f_rel_tol=f_rel_tol))
     assert str(exc_info.value) == "mittag_leffler: achievable relative accuracy " + message
