@@ -17,13 +17,13 @@ iteration refines each bracket to a root: it bisects instead when a Newton
 step leaves the bracket, stops shrinking or would overrun the iteration
 budget set by root_tol, and ends when a step falls below root_tol/2 or the
 bracket narrows to root_tol.  It first finds the interpolant's root, then
-starts on F from there with the interpolant's slope, so that one evaluation
-of F usually ends it; the reported F' is the interpolant's slope at the root
-where a bound on its error is at most 1e-6 of it.  Where a step of root_tol
-moves F by less than its round-off, the iteration starts at each bracket's
-midpoint and takes its Newton steps from the analytic F', and the report
-takes the analytic F' there and wherever the bound fails.  Every float sum
-is rounded once (math.fsum), so a report has the same bits on every Python.
+starts on F from there, so that one evaluation of F usually ends it; where
+a step of root_tol moves F by less than its round-off, it starts at the
+bracket's midpoint instead.  Every Newton step takes the interpolant's
+slope.  The reported F' is the interpolant's slope at the root where a
+bound on its error is at most 1e-6 of it, else the analytic F'.  Every
+float sum is rounded once (math.fsum), so a report has the same bits on
+every Python.
 """
 
 import bisect
@@ -93,7 +93,9 @@ class InverseConfig(namedtuple("InverseConfig", "alpha_lo alpha_hi root_tol scan
     bracket is at most root_tol wide, within 3*ceil(log2(width / root_tol))
     iterations for a bracket `width` wide, one more where the search starts
     at the interpolant's root (rounded midpoints can add one); it may not go
-    below ROOT_TOL_MIN = 1e-15.
+    below ROOT_TOL_MIN = 1e-15.  Where a step of `root_tol` moves F by no
+    more than its round-off, the search starts at the bracket's midpoint
+    instead; either way its Newton steps take the interpolant's slope.
     """
 
     __slots__ = ()
@@ -137,18 +139,18 @@ class InversionReport(namedtuple("InversionReport", "alpha_hat residual derivati
 
     `residual` is F(alpha_hat) - d.  `monotone` is "verified" where the
     Chebyshev proxy of F is certified monotone from its slope's coefficients
-    on pieces of the interval, else "violated".  `uniqueness_hypothesis` is the paper's sign hypothesis, amplitude *
-    sin(n*pi*x0/length) > 0 for every mode.  That hypothesis does not make F
-    monotone: at t1 = 1, 1/Gamma(1 + alpha) peaks near alpha = 0.46 and F can
-    meet d twice.  `trace` holds the steps (k, alpha, F - d) on F that
-    refined `alpha_hat` and `iterations` their count over all roots; the
-    search on the interpolant that precedes them evaluates no F and is in
-    neither.  `derivative_at_root` is F'(alpha_hat) and `sensitivity`
-    |1/F'|.  Where
-    the interpolant's root started the search for `alpha_hat`, F' is the
-    interpolant's slope there, when a bound on its distance from F' is at
-    most 1e-6 of it; otherwise it is the analytic series, and both fields
-    are nan when that cannot be certified (AccuracyError).  The root stands.
+    on pieces of the interval, else "violated".  `uniqueness_hypothesis` is
+    the paper's sign hypothesis, amplitude * sin(n*pi*x0/length) > 0 for
+    every mode.  That hypothesis does not make F monotone: at t1 = 1,
+    1/Gamma(1 + alpha) peaks near alpha = 0.46 and F can meet d twice.
+    `trace` holds the steps (k, alpha, F - d) on F that refined `alpha_hat`
+    and `iterations` their count over all roots; the search on the
+    interpolant that precedes them evaluates no F and is in neither.
+    `derivative_at_root` is F'(alpha_hat) and `sensitivity` |1/F'|.  F' is
+    the interpolant's slope at `alpha_hat` where a bound on its distance
+    from F' is at most 1e-6 of it; otherwise it is the analytic series, and
+    both fields are nan when that cannot be certified (AccuracyError).  The
+    root stands.
     """
 
     __slots__ = ()
@@ -632,11 +634,7 @@ def _refine_root(f, fprime, lo, hi, f_lo, root_tol, start=None):
         if b - a <= root_tol:
             break
         nxt = 0.5 * (a + b)
-        slope = 0.0
-        try:
-            slope = fprime(x)
-        except AccuracyError:
-            pass
+        slope = fprime(x)
         if abs(slope) > DERIVATIVE_FLOOR:
             candidate = x - fx / slope
             newton_step = abs(candidate - x)
@@ -677,36 +675,28 @@ def invert_order(problem, measurement, config=InverseConfig()):
     def f(a):
         return _solution(terms, a, t1, mode_tol) - d
 
-    def fp(a):
-        return _slope(terms, a, t1, mode_tol)
-
     # the interpolant's own root starts each search on F, and its slope
-    # takes each Newton step: F runs about once per root.  Where a step of
+    # takes every Newton step: F runs about once per root.  Where a step of
     # root_tol moves F by no more than its round-off (as in _brackets'
     # margin), noise-size Newton steps would stall such a start, so the
-    # search starts at the midpoint and steps with the analytic F'
+    # search starts at the bracket's midpoint
     p, p_slope = interpolant.value, interpolant.slope
     scale = _scale(terms)
     rounding = 64.0 * _EPS * (scale + abs(d))
-    refined, started = [], []
+    refined = []
     for lo, hi, f_lo in brackets:
         start = _refine_root(p, p_slope, lo, hi, f_lo, config.root_tol)[0]
-        started.append(config.root_tol * abs(p_slope(start)) > rounding)
-        refined.append(_refine_root(f, p_slope, lo, hi, f_lo, config.root_tol, start)
-                       if started[-1] else _refine_root(f, fp, lo, hi, f_lo, config.root_tol))
-    slope = None
-    if started[0]:
-        # the report reads F' from the interpolant too where a bound on
-        # their difference, from the node error of _brackets' margin,
-        # certifies it
-        slope = p_slope(refined[0][0])
-        if (interpolant.slope_error(refined[0][0], mode_tol * scale + rounding)
-                > _SLOPE_REL_TOL * abs(slope)):
-            slope = None
+        if config.root_tol * abs(p_slope(start)) <= rounding:
+            start = None
+        refined.append(_refine_root(f, p_slope, lo, hi, f_lo, config.root_tol, start))
+    # the report reads F' from the interpolant too where a bound on their
+    # difference, from the node error of _brackets' margin, certifies it
     alpha_hat = refined[0][0]
-    if slope is None:
+    slope = p_slope(alpha_hat)
+    if (interpolant.slope_error(alpha_hat, mode_tol * scale + rounding)
+            > _SLOPE_REL_TOL * abs(slope)):
         try:
-            slope = fp(alpha_hat)
+            slope = _slope(terms, alpha_hat, t1, mode_tol)
         except AccuracyError:
             slope = math.nan
     return InversionReport(

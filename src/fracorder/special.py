@@ -14,8 +14,8 @@ stop rule, and certify alike: a value is returned only when its error
 estimate is at most rel_tol times its magnitude.  Both read
 Gamma(alpha*j + 1), and the derivative also psi(alpha*j + 1), from
 per-order blocks of 32 terms kept in a small bounded cache: all modes at
-one order, F and F' at one refinement iterate, every cell of a fixed-order
-grid and the scan's orders share them.  The E_a series is summed only where
+one order, every cell of a fixed-order grid and the scan's orders share
+them.  The E_a series is summed only where
 |z|**(1/a) <= 30, and there every term it reaches stays in the double range,
 so it sums the blocks with no range test; the derivative refuses a term
 past the double range, which no certified value reaches.
@@ -59,10 +59,9 @@ _S_ASYM_ONLY = 30.0
 # blocks, so its memory stays fixed however many orders are evaluated.  512
 # Gamma blocks hold those of the default 99-order scan and of an inversion's
 # 17 or 33 proxy nodes between calls.  Neither reads psi: it serves F' at
-# the iterates of refinements below F's round-off, at a reported root whose
-# slope the proxy cannot certify and in residual_derivative, at orders no
-# later inversion reads again; an inversion whose slope the proxy certifies
-# builds no psi block.
+# a reported root whose slope the proxy cannot certify, in
+# residual_derivative and in selfcheck, at orders no later inversion reads
+# again; an inversion whose slope the proxy certifies builds no psi block.
 _BLOCK = 32
 _BLOCKS_KEPT = 512
 _PSI_BLOCKS_KEPT = 128

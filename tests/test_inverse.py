@@ -462,38 +462,6 @@ def test_refinement_from_a_start_keeps_the_better_end():
     assert alpha == trace[1][1] and abs(alpha - root) <= 1e-16
 
 
-@pytest.mark.parametrize("setup", ["single_mode", "two_mode", "mixed_sign"])
-@pytest.mark.parametrize("root_tol", [1e-10, 1e-15])
-@pytest.mark.parametrize("scan_points", [9, 99])
-def test_refinement_within_iteration_bound(setup, root_tol, scan_points, request, monkeypatch):
-    # the budget of bisections still needed bounds the search on F by
-    # root_tol; past 33 scan orders a search on the interpolant comes first
-    # and hands its root to the search on F as the first iterate, unless
-    # root_tol is within F's rounding level
-    inverse = fracorder.inverse
-    problem, measurement = request.getfixturevalue(setup)
-    refined = []
-    real = inverse._refine_root
-
-    def recording(f, fprime, lo, hi, f_lo, tol, start=None):
-        out = real(f, fprime, lo, hi, f_lo, tol, start)
-        on_p = isinstance(getattr(f, "__self__", None), inverse._Interpolant)
-        refined.append((on_p, lo, hi, start, out[2]))
-        return out
-
-    monkeypatch.setattr(inverse, "_refine_root", recording)
-    invert_order(problem, measurement,
-                 InverseConfig(root_tol=root_tol, scan_points=scan_points))
-    on_f = [search[1:] for search in refined if not search[0]]
-    assert len(on_f) == (2 if setup == "mixed_sign" else 1)
-    assert len(refined) == len(on_f) * (2 if scan_points > 33 else 1)
-    assert all(start is None for _, _, start, _ in on_f) == (scan_points <= 33 or root_tol < 1e-14)
-    for lo, hi, start, iterations in on_f:
-        assert lo < hi
-        assert start is None or lo <= start <= hi
-        assert 1 <= iterations <= 3 * math.ceil(math.log2((hi - lo) / root_tol))
-
-
 def test_invert_reports_multiple_roots(mixed_sign):
     problem, measurement = mixed_sign
     report = invert_order(problem, measurement)
@@ -721,8 +689,15 @@ def _full_scan_inversion(problem, measurement, config=InverseConfig()):
     def fp(alpha):
         return residual_derivative(problem, measurement, alpha, config.f_rel_tol)
 
+    def step_slope(alpha):
+        # a refused F' leaves the iterate to bisection
+        try:
+            return fp(alpha)
+        except AccuracyError:
+            return 0.0
+
     scanned = dict(zip(scan.alphas, scan.values))
-    refined = [fracorder.inverse._refine_root(f, fp, lo, hi, scanned[lo], config.root_tol)
+    refined = [fracorder.inverse._refine_root(f, step_slope, lo, hi, scanned[lo], config.root_tol)
                for lo, hi in scan.brackets]
     alpha_hat = refined[0][0]
     try:
@@ -948,16 +923,18 @@ def test_proxy_slope_matches_analytic_slope(setup, sizes, request, monkeypatch):
         assert abs(interpolant.slope(alpha) - exact) <= 1e-8 * abs(exact)
 
 
-@pytest.mark.parametrize("scan_points", [99, 33])
-def test_slope_evaluated_once_per_inversion(single_mode, two_mode, mixed_sign, scan_points,
+@pytest.mark.parametrize("config", [InverseConfig(), InverseConfig(scan_points=33),
+                                    InverseConfig(root_tol=1e-15)],
+                         ids=["99", "33", "root_tol=1e-15"])
+def test_slope_evaluated_once_per_inversion(single_mode, two_mode, mixed_sign, config,
                                             monkeypatch):
-    # whatever scan_points, the Newton steps take the interpolant's slope,
-    # and so does the report, where its bound certifies it: F' does not run
+    # whatever scan_points or root_tol, the Newton steps take the
+    # interpolant's slope, and so does the report, where its bound certifies
+    # it: F' does not run
     slopes = []
     real = fracorder.inverse._slope
     monkeypatch.setattr(fracorder.inverse, "_slope",
                         lambda *args: slopes.append(args[1]) or real(*args))
-    config = InverseConfig(scan_points=scan_points)
     for problem, measurement in (single_mode, two_mode, mixed_sign):
         invert_order(problem, measurement, config)
     assert slopes == []
@@ -1004,20 +981,23 @@ def test_refinement_within_iteration_bound(setup, root_tol, scan_points, request
         assert 1 <= iterations <= 3 * math.ceil(math.log2((hi - lo) / root_tol))
 
 
-def test_refinement_within_rounding_level_runs_as_the_scan(single_mode, two_mode, mixed_sign,
-                                                           monkeypatch):
+def test_refinement_within_rounding_level_starts_at_midpoint_with_proxy_slope(
+        single_mode, two_mode, mixed_sign, monkeypatch):
     # at root_tol 1e-15 a step of root_tol moves F by less than its
-    # round-off, so each root is refined on F from its bracket's midpoint
-    # with the analytic F', as the full scan's is, and agrees with its root
+    # round-off, so each root is refined on F from its bracket's midpoint,
+    # as the full scan's is, with the interpolant's slope taking the Newton
+    # steps, and agrees with the full scan's root
     config = InverseConfig(root_tol=1e-15)
     searches = _searches(monkeypatch)
     for problem, measurement in (single_mode, two_mode, mixed_sign):
         _assert_as_full_scan(problem, measurement, config)
     on_f = [search[1:] for search in searches if search[0] == "F"]
-    assert len(on_f) == 2 * 4  # the full scan's and invert_order's, each root
-    for _, _, start, fprime, _ in on_f:
-        assert start is None
-        assert not isinstance(getattr(fprime, "__self__", None), fracorder.inverse._Interpolant)
+    assert all(start is None for _, _, start, _, _ in on_f)
+    # each setup's searches in invert_order, one per root, come before the
+    # full scan's, which step with the analytic F'
+    on_proxy_slope = [isinstance(getattr(fprime, "__self__", None), fracorder.inverse._Interpolant)
+                      for _, _, _, fprime, _ in on_f]
+    assert on_proxy_slope == [True, False] * 2 + [True, True, False, False]
 
 
 def test_refusal_at_an_end_node_ends_at_once(two_mode, monkeypatch):
