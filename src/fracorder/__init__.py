@@ -6,8 +6,8 @@ sine-mode initial data) is evaluated through Mittag-Leffler time factors;
 the inverse problem reduces to the scalar equation F(alpha) = d, which the
 paper's sign hypothesis does not make monotone, and is solved by bracketing
 on a Chebyshev interpolant of F cut into certified monotone pieces and a
-safeguarded Newton iteration that steps with the interpolant's slope and
-starts at its root where root_tol lies above F's round-off.
+safeguarded Newton iteration that starts at the interpolant's root and
+steps with its slope.
 """
 
 from .errors import AccuracyError, ConfigError, DomainError, NoRootError

@@ -17,6 +17,7 @@ error (also an unreadable points file or an unwritable output path),
 
 import argparse
 import json
+import math
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -105,9 +106,17 @@ def parse_config(data):
                     raise ConfigError(f"bad entry {_shown(entry)} under 'extra': "
                                       f"expected [time, value]")
                 try:
-                    rows.append((float(entry[0]), float(entry[1])))
+                    t, v = float(entry[0]), float(entry[1])
                 except OverflowError:
                     raise ConfigError("an entry under 'extra' lies past the double range") from None
+                # refused as the primary measurement is, before any inversion runs
+                if not 0.0 < t <= problem.time_horizon:
+                    raise ConfigError(f"bad entry {_shown(entry)} under 'extra': time {t!r} "
+                                      f"not inside (0, {problem.time_horizon}]")
+                if not math.isfinite(v):
+                    raise ConfigError(f"bad entry {_shown(entry)} under 'extra': value {v!r} "
+                                      f"is not finite")
+                rows.append((t, v))
             extra = tuple(rows)
 
     inverse_section = data.get("inverse", {})

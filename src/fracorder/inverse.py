@@ -17,13 +17,12 @@ iteration refines each bracket to a root: it bisects instead when a Newton
 step leaves the bracket, stops shrinking or would overrun the iteration
 budget set by root_tol, and ends when a step falls below root_tol/2 or the
 bracket narrows to root_tol.  It first finds the interpolant's root, then
-starts on F from there, so that one evaluation of F usually ends it; where
-a step of root_tol moves F by less than its round-off, it starts at the
-bracket's midpoint instead.  Every Newton step takes the interpolant's
-slope.  The reported F' is the interpolant's slope at the root where a
-bound on its error is at most 1e-6 of it, else the analytic F'.  Every
-float sum is rounded once (math.fsum), so a report has the same bits on
-every Python.
+starts on F from there at every root_tol, so that one evaluation of F
+usually ends it; F runs at most once per order.  Every Newton step takes
+the interpolant's slope.  The reported F' is the interpolant's slope at
+the root where a bound on its error is at most 1e-6 of it, else the
+analytic F'.  Every float sum is rounded once (math.fsum), so a report has
+the same bits on every Python.
 """
 
 import bisect
@@ -91,11 +90,9 @@ class InverseConfig(namedtuple("InverseConfig", "alpha_lo alpha_hi root_tol scan
     is refused at 2e-11 and accepted at 3e-11.  `root_tol` ends the
     refinement of a bracket once a Newton step is below root_tol/2 or the
     bracket is at most root_tol wide, within 3*ceil(log2(width / root_tol))
-    iterations for a bracket `width` wide, one more where the search starts
-    at the interpolant's root (rounded midpoints can add one); it may not go
-    below ROOT_TOL_MIN = 1e-15.  Where a step of `root_tol` moves F by no
-    more than its round-off, the search starts at the bracket's midpoint
-    instead; either way its Newton steps take the interpolant's slope.
+    + 1 iterations for a bracket `width` wide, as the search starts at the
+    interpolant's root (rounded midpoints can add one); it may not go below
+    ROOT_TOL_MIN = 1e-15.  The Newton steps take the interpolant's slope.
     """
 
     __slots__ = ()
@@ -434,10 +431,12 @@ def _scale(terms):
 
 
 def _brackets(terms, t1, d, mode_tol, config):
-    """([(lo, hi, v)], monotone, interpolant): the sign-change brackets of
-    F - d on [alpha_lo, alpha_hi], lo == hi for an exact zero, v of the sign
-    of F(lo) - d; whether the Chebyshev proxy p of F - d is certified
-    monotone; and p as an `_Interpolant`.
+    """([(lo, hi, v)], monotone, interpolant, node_error, exact): the
+    sign-change brackets of F - d on [alpha_lo, alpha_hi], lo == hi for an
+    exact zero, v of the sign of F(lo) - d; whether the Chebyshev proxy p of
+    F - d is certified monotone; p as an `_Interpolant`; F's certified error
+    at an order, with the sums' round-off; and F - d as a function that
+    runs F at most once per order.
 
     F runs at 17 Chebyshev nodes, the ends first, and at the 16 more of 33
     where the 17-node tail, the largest of the last three coefficients,
@@ -500,7 +499,7 @@ def _brackets(terms, t1, d, mode_tol, config):
     brackets = _sign_changes(points, list(map(sign_carrier, points)))
     monotone = (all(slope > 0.0 for _, _, slope, _ in leaves)
                 or all(slope < 0.0 for _, _, slope, _ in leaves))
-    return brackets, monotone, interpolant
+    return brackets, monotone, interpolant, node_error, exact
 
 
 def _leaves(coefficients, f, lo, hi):
@@ -667,34 +666,22 @@ def invert_order(problem, measurement, config=InverseConfig()):
     Multiple brackets are all refined and reported, with `unique` False.
     """
     terms, t1, d, mode_tol = _inverse_inputs(problem, measurement, config, "invert_order")
-    brackets, monotone, interpolant = _brackets(terms, t1, d, mode_tol, config)
+    brackets, monotone, interpolant, node_error, f = _brackets(terms, t1, d, mode_tol, config)
     if not brackets:
         raise NoRootError(f"no root in range: F(alpha)-d has no sign change on "
                           f"[{config.alpha_lo:g}, {config.alpha_hi:g}]")
-
-    def f(a):
-        return _solution(terms, a, t1, mode_tol) - d
-
     # the interpolant's own root starts each search on F, and its slope
-    # takes every Newton step: F runs about once per root.  Where a step of
-    # root_tol moves F by no more than its round-off (as in _brackets'
-    # margin), noise-size Newton steps would stall such a start, so the
-    # search starts at the bracket's midpoint
+    # takes every Newton step: F runs about once per root
     p, p_slope = interpolant.value, interpolant.slope
-    scale = _scale(terms)
-    rounding = 64.0 * _EPS * (scale + abs(d))
     refined = []
     for lo, hi, f_lo in brackets:
         start = _refine_root(p, p_slope, lo, hi, f_lo, config.root_tol)[0]
-        if config.root_tol * abs(p_slope(start)) <= rounding:
-            start = None
         refined.append(_refine_root(f, p_slope, lo, hi, f_lo, config.root_tol, start))
     # the report reads F' from the interpolant too where a bound on their
-    # difference, from the node error of _brackets' margin, certifies it
+    # difference, from F's node error, certifies it
     alpha_hat = refined[0][0]
     slope = p_slope(alpha_hat)
-    if (interpolant.slope_error(alpha_hat, mode_tol * scale + rounding)
-            > _SLOPE_REL_TOL * abs(slope)):
+    if interpolant.slope_error(alpha_hat, node_error) > _SLOPE_REL_TOL * abs(slope):
         try:
             slope = _slope(terms, alpha_hat, t1, mode_tol)
         except AccuracyError:

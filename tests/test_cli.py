@@ -148,6 +148,31 @@ def test_invert_extra_measurements(tmp_path):
     assert "extra_residual t=4 " in text
 
 
+@pytest.mark.parametrize("entry, message", [
+    ([50.0, 0.9], "bad entry [50.0, 0.9] under 'extra': time 50.0 not inside (0, 20.0]"),
+    ([math.nan, 0.9], "bad entry [nan, 0.9] under 'extra': time nan not inside (0, 20.0]"),
+    ([-1.0, 0.9], "bad entry [-1.0, 0.9] under 'extra': time -1.0 not inside (0, 20.0]"),
+    ([0, 0.9], "bad entry [0, 0.9] under 'extra': time 0.0 not inside (0, 20.0]"),
+    ([5.0, math.inf], "bad entry [5.0, inf] under 'extra': value inf is not finite"),
+    ([5.0, math.nan], "bad entry [5.0, nan] under 'extra': value nan is not finite"),
+], ids=["time-past-horizon", "time-nan", "time-negative", "time-zero", "value-inf", "value-nan"])
+def test_extra_entry_refused_before_inversion(tmp_path, capsys, monkeypatch, entry, message):
+    # each extra entry is checked as the primary measurement is: a time in
+    # (0, time_horizon] and a finite value, and the refusal names the entry
+    monkeypatch.setattr("fracorder.cli.invert_order",
+                        lambda *args: pytest.fail("the inversion ran"))
+    data = _load_dict(TWO)
+    data["measurement"]["extra"] = [[4.0, 0.2], entry]
+    assert main(["invert", "--config", _write(tmp_path, data)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_extra_entry_at_the_horizon_accepted():
+    data = _load_dict(TWO)
+    data["measurement"]["extra"] = [[20.0, 0.9]]
+    assert parse_config(data).extra_measurements == ((20.0, 0.9),)
+
+
 # -------------------------------------------------------------- curve
 
 def test_curve_endpoint_rows_and_shape():

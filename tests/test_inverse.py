@@ -941,9 +941,9 @@ def test_slope_evaluated_once_per_inversion(single_mode, two_mode, mixed_sign, c
 
 
 def _searches(monkeypatch):
-    """(on, lo, hi, start, fprime, iterations) of each `_refine_root` run
-    from here on; `on` is "p" for a search on the interpolant, "p'" for one
-    for an extremum of it and "F" for one on F."""
+    """(on, lo, hi, start, fprime, root, iterations) of each `_refine_root`
+    run from here on; `on` is "p" for a search on the interpolant, "p'" for
+    one for an extremum of it and "F" for one on F."""
     inverse = fracorder.inverse
     searches = []
     real = inverse._refine_root
@@ -952,7 +952,7 @@ def _searches(monkeypatch):
         out = real(f, fprime, lo, hi, f_lo, tol, start)
         on = ("p" if isinstance(getattr(f, "__self__", None), inverse._Interpolant)
               else "p'" if isinstance(f, functools.partial) else "F")
-        searches.append((on, lo, hi, start, fprime, out[2]))
+        searches.append((on, lo, hi, start, fprime, out[0], out[2]))
         return out
 
     monkeypatch.setattr(inverse, "_refine_root", recording)
@@ -965,39 +965,42 @@ def _searches(monkeypatch):
 def test_refinement_within_iteration_bound(setup, root_tol, scan_points, request, monkeypatch):
     # the budget of bisections still needed bounds the search on F by
     # root_tol and the bracket's width; a search on the interpolant comes
-    # first and hands its root to the search on F as the first iterate,
-    # unless root_tol is within F's rounding level
+    # first and hands its root to the search on F as the first iterate, at
+    # every root_tol
     problem, measurement = request.getfixturevalue(setup)
     searches = _searches(monkeypatch)
     invert_order(problem, measurement,
                  InverseConfig(root_tol=root_tol, scan_points=scan_points))
+    on_p = [search[1:] for search in searches if search[0] == "p"]
     on_f = [search[1:] for search in searches if search[0] == "F"]
     assert len(on_f) == (2 if setup == "mixed_sign" else 1)
-    assert sum(search[0] == "p" for search in searches) == len(on_f)
-    assert all(start is None for _, _, start, _, _ in on_f) == (root_tol < 1e-14)
-    for lo, hi, start, _, iterations in on_f:
+    assert ([(lo, hi, root) for lo, hi, _, _, root, _ in on_p]
+            == [(lo, hi, start) for lo, hi, start, _, _, _ in on_f])
+    for lo, hi, start, _, _, iterations in on_f:
         assert lo < hi
-        assert start is None or lo <= start <= hi
+        assert lo <= start <= hi
         assert 1 <= iterations <= 3 * math.ceil(math.log2((hi - lo) / root_tol))
 
 
-def test_refinement_within_rounding_level_starts_at_midpoint_with_proxy_slope(
+def test_refinement_within_rounding_level_starts_at_proxy_root_with_proxy_slope(
         single_mode, two_mode, mixed_sign, monkeypatch):
     # at root_tol 1e-15 a step of root_tol moves F by less than its
-    # round-off, so each root is refined on F from its bracket's midpoint,
-    # as the full scan's is, with the interpolant's slope taking the Newton
-    # steps, and agrees with the full scan's root
+    # round-off; each root is still refined on F from the interpolant's
+    # root, with the interpolant's slope taking the Newton steps, and agrees
+    # with the full scan's root
     config = InverseConfig(root_tol=1e-15)
     searches = _searches(monkeypatch)
     for problem, measurement in (single_mode, two_mode, mixed_sign):
         _assert_as_full_scan(problem, measurement, config)
-    on_f = [search[1:] for search in searches if search[0] == "F"]
-    assert all(start is None for _, _, start, _, _ in on_f)
+    proxy_roots = [root for on, _, _, _, _, root, _ in searches if on == "p"]
+    on_f = [(start, isinstance(getattr(fprime, "__self__", None), fracorder.inverse._Interpolant))
+            for on, _, _, start, fprime, _, _ in searches if on == "F"]
     # each setup's searches in invert_order, one per root, come before the
-    # full scan's, which step with the analytic F'
-    on_proxy_slope = [isinstance(getattr(fprime, "__self__", None), fracorder.inverse._Interpolant)
-                      for _, _, _, fprime, _ in on_f]
-    assert on_proxy_slope == [True, False] * 2 + [True, True, False, False]
+    # full scan's, which start at the midpoint and step with the analytic F'
+    assert [on_proxy_slope for _, on_proxy_slope in on_f] == [True, False] * 2 + [True, True,
+                                                                                False, False]
+    assert [start for start, on_proxy_slope in on_f if on_proxy_slope] == proxy_roots
+    assert all(start is None for start, on_proxy_slope in on_f if not on_proxy_slope)
 
 
 def test_refusal_at_an_end_node_ends_at_once(two_mode, monkeypatch):
@@ -1240,7 +1243,7 @@ def test_proxy_brackets_match_the_reference_loops(single_mode, two_mode, mixed_s
 def test_proxy_path_work_counts(port_calls, seeded_inversions, monkeypatch):
     # the report's slope comes from the interpolant: no analytic F', so no
     # psi block; F runs at the 17 nodes, where each bracket's left end
-    # lies, then at each iterate and at alpha_hat
+    # lies, then at the iterates and at alpha_hat, never twice at one order
     inverse = fracorder.inverse
     orders, slopes = [], []
     real_solution, real_slope = inverse._solution, inverse._slope
@@ -1252,8 +1255,10 @@ def test_proxy_path_work_counts(port_calls, seeded_inversions, monkeypatch):
     for problem, measurement in seeded_inversions:
         orders.clear()
         report = invert_order(problem, measurement, config)
-        assert len(orders) == 17 + report.iterations + 1
+        assert len(orders) == len(set(orders))
         assert orders[:17] == [nodes[0], nodes[-1]] + list(nodes[1:-1])
+        iterates = [alpha for _, alpha, _ in report.trace]
+        assert len(orders) == 17 + report.iterations + (report.alpha_hat not in iterates)
     assert slopes == []
     assert port_calls["_psi"] == []
 
