@@ -385,6 +385,17 @@ def test_power_series_stays_in_double_range(rel_tol):
     assert _series_mismatches(args) == []
 
 
+def test_power_series_matches_per_term_reference_on_underflowing_powers():
+    # z**2 underflows to 0.0 and z**3 to -0.0: the third, deciding small
+    # term is a signed zero, whose size the reference takes with abs()
+    zs = (-5e-324, -1e-310, -1e-300, -1e-200)
+    assert all(math.copysign(1.0, z * z * z) == -1.0 and z * z * z == 0.0 for z in zs)
+    args = [(a, z, rel_tol) for z in zs for a in (0.001, 0.05, 0.5, 0.95)
+            for rel_tol in (1e-15, 1e-10, 1e-3)]
+    assert all(_ml_power_series(*a)[2] for a in args)
+    assert _series_mismatches(args) == []
+
+
 def test_power_series_matches_per_term_reference_past_block_range():
     # alpha = 0.001 runs the whole budget of 500 terms, whose last block is sliced
     assert _per_term_power_series(0.001, -1.0, 1e-12)[0][2] is False
