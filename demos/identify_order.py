@@ -7,23 +7,20 @@ equation F(alpha) = d.  The paper's sign hypothesis asks every mode to
 contribute positively at x0; it does not by itself make F monotone, so the
 solver certifies whether a Chebyshev proxy of F is monotone, brackets each
 sign change, and refines the roots with Newton steps kept inside the
-bracket, bisecting where a step cannot be trusted.  A uniform scan shows
-the sampled curve.
+bracket, bisecting where a step cannot be trusted.
 """
 
 import math
 
 from fracorder import (Measurement, evaluate_solution, invert_order, make_problem,
-                       residual_derivative, scan_bracket, sinpi)
+                       residual_derivative, sinpi)
 
 problem = make_problem(0.05, math.pi, [(1, 2.0), (3, 0.5)], time_horizon=20.0)
 measurement = Measurement(position=math.pi / 6, time=10.0, value=1.0112)
 x0, t1 = measurement.position, measurement.time
 
-scan = scan_bracket(problem, measurement)
-print("scan: monotone =", scan.monotone, " brackets =", scan.brackets)
-
 report = invert_order(problem, measurement)
+print("certified: monotone =", report.monotone, " roots =", report.roots)
 # Sign conditions behind uniqueness: amplitude * sin(n*pi*x0/L) > 0 per mode.
 print("\nuniqueness hypothesis holds:", report.uniqueness_hypothesis)
 for n, amplitude in problem.modes:

@@ -10,7 +10,7 @@ class AccuracyError(ArithmeticError):
 
 
 class NoRootError(RuntimeError):
-    """The scanned interval contains no sign change of the target function."""
+    """The searched interval contains no sign change of the target function."""
 
 
 class ConfigError(ValueError):

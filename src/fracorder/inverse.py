@@ -5,24 +5,24 @@ identification into the scalar equation F(alpha) = d on (0, 1), where F is
 the forward solution at the measurement point as a function of the order.
 Each public function checks its inputs once, builds the per-mode terms at x0
 once and evaluates F and its analytic derivative in alpha through the
-forward kernel.  A uniform scan over the orders finds the sign-change
-cells and reports whether the sampled curve is monotone (a verdict on the
-samples, not a proof).  `invert_order` instead evaluates F at 17 Chebyshev
-nodes, or at 33 where the 17-node interpolant has not decayed, and cuts the
-interval into pieces on which the interpolant's Chebyshev coefficients
-certify it monotone or with one extremum; its brackets lie between
-neighbouring nodes, piece ends and extrema, and its verdict is that the
-interpolant is certified monotone.  A bracketed, safeguarded Newton
-iteration refines each bracket to a root: it bisects instead when a Newton
-step leaves the bracket, stops shrinking or would overrun the iteration
-budget set by root_tol, and ends when a step falls below root_tol/2 or the
-bracket narrows to root_tol.  It first finds the interpolant's root, then
-starts on F from there at every root_tol, so that one evaluation of F
-usually ends it; F runs at most once per order.  Every Newton step takes
-the interpolant's slope.  The reported F' is the interpolant's slope at
-the root where a bound on its error is at most 1e-6 of it, else the
-analytic F'.  Every float sum is rounded once (math.fsum), so a report has
-the same bits on every Python.
+forward kernel.  `scan_bracket` samples F - d at uniform orders, the curve
+that `fracorder curve` writes, and judges nothing.  `invert_order`
+evaluates F at 17 Chebyshev nodes, or at 33 where the 17-node interpolant
+has not decayed, and cuts the interval into pieces on which the
+interpolant's Chebyshev coefficients certify it monotone or with one
+extremum; its brackets lie between neighbouring nodes, piece ends and
+extrema, and its verdict, the API's only one, is that the interpolant is
+certified monotone.  A bracketed, safeguarded Newton iteration refines
+each bracket to a root: it bisects instead when a Newton step leaves the
+bracket, stops shrinking or would overrun the iteration budget set by
+root_tol, and ends when a step falls below root_tol/2 or the bracket
+narrows to root_tol.  It first finds the interpolant's root, then starts
+on F from there at every root_tol, so that one evaluation of F usually
+ends it; F runs at most once per order.  Every Newton step takes the
+interpolant's slope.  The reported F' is the interpolant's slope at the
+root where a bound on its error is at most 1e-6 of it, else the analytic
+F'.  Every float sum is rounded once (math.fsum), so a report has the same
+bits on every Python.
 """
 
 import bisect
@@ -122,10 +122,9 @@ class InverseConfig(namedtuple("InverseConfig", "alpha_lo alpha_hi root_tol scan
         return self
 
 
-class ScanResult(namedtuple("ScanResult", "alphas values monotone brackets")):
-    """The scan's orders `alphas`, F(alpha) - d at each in `values`, the
-    `monotone` verdict on those samples and the sign-change cells (lo, hi) in
-    `brackets`, lo == hi for an exact zero; every sequence is a tuple."""
+class ScanResult(namedtuple("ScanResult", "alphas values")):
+    """The scan's orders `alphas` and F(alpha) - d at each in `values`, both
+    tuples."""
 
     __slots__ = ()
 
@@ -214,14 +213,19 @@ def endpoint_values(problem, measurement):
 
 
 def scan_bracket(problem, measurement, config=InverseConfig()):
-    """Uniform residual scan: monotonicity verdict plus sign-change cells.
+    """F(alpha) - d at uniform orders: the curve of `fracorder curve`.
 
     The orders are numpy.linspace(alpha_lo, alpha_hi, scan_points) to the
     bit, and the values equal `residual` at each order to the bit, refusals
-    included.  An empty bracket tuple is a legal outcome meaning no root in
-    range.
+    included.  Whether F is monotone and where its roots lie is
+    `invert_order`'s to certify.
     """
-    return _scan(*_inverse_inputs(problem, measurement, config, "scan_bracket"), config)
+    terms, t1, d, mode_tol = _inverse_inputs(problem, measurement, config, "scan_bracket")
+    lo, hi, n = float(config.alpha_lo), float(config.alpha_hi), config.scan_points
+    step = (hi - lo) / (n - 1)
+    alphas = tuple([i * step + lo for i in range(n - 1)] + [hi])  # numpy.linspace's arithmetic
+    return ScanResult(alphas, tuple([_solution(terms, alpha, t1, mode_tol) - d
+                                     for alpha in alphas]))
 
 
 def _inverse_inputs(problem, measurement, config, name):
@@ -232,18 +236,6 @@ def _inverse_inputs(problem, measurement, config, name):
         raise DomainError(f"{name}: config must be an InverseConfig, got {_shown(config)}")
     mode_tol = _mode_tol(problem, config.f_rel_tol, "InverseConfig: f_rel_tol")
     return terms, t1, float(measurement.value), mode_tol
-
-
-def _scan(terms, t1, d, mode_tol, config):
-    """`scan_bracket` on checked inputs."""
-    lo, hi, n = float(config.alpha_lo), float(config.alpha_hi), config.scan_points
-    step = (hi - lo) / (n - 1)
-    alphas = tuple([i * step + lo for i in range(n - 1)] + [hi])  # numpy.linspace's arithmetic
-    values = tuple([_solution(terms, alpha, t1, mode_tol) - d for alpha in alphas])
-    diffs = [b - a for a, b in zip(values, values[1:])]
-    monotone = all(diff > 0.0 for diff in diffs) or all(diff < 0.0 for diff in diffs)
-    brackets = tuple((a, b) for a, b, _ in _sign_changes(alphas, values))
-    return ScanResult(alphas, values, monotone, brackets)
 
 
 def _sign_changes(points, values):

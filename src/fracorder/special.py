@@ -14,11 +14,11 @@ stop rule, and certify alike: a value is returned only when its error
 estimate is at most rel_tol times its magnitude.  Both read
 Gamma(alpha*j + 1), and the derivative also psi(alpha*j + 1), from
 per-order blocks of 32 terms kept in a small bounded cache: all modes at
-one order, every cell of a fixed-order grid and the scan's orders share
-them.  The E_a series is summed only where
-|z|**(1/a) <= 30, and there every term it reaches stays in the double range,
-so it sums the blocks with no range test; the derivative refuses a term
-past the double range, which no certified value reaches.
+one order and every cell of a fixed-order grid share them.  The E_a
+series is summed only where |z|**(1/a) <= 30, and there every term it
+reaches stays in the double range, so it sums the blocks with no range
+test; the derivative refuses a term past the double range, which no
+certified value reaches.
 
 `mittag_leffler` and `ml_alpha_derivative` check their arguments and hand
 them to the unchecked cores `_mittag_leffler` and `_ml_alpha_derivative`,
@@ -57,9 +57,10 @@ _S_ASYM_ONLY = 30.0
 # Series coefficients Gamma(alpha*j + 1) and psi(alpha*j + 1) come in
 # per-order blocks of _BLOCK terms; each cache keeps its most recently used
 # blocks, so its memory stays fixed however many orders are evaluated.  512
-# Gamma blocks hold those of the default 99-order scan and of an inversion's
-# 17 or 33 proxy nodes between calls.  Neither reads psi: it serves F' at
-# a reported root whose slope the proxy cannot certify, in
+# Gamma blocks hold, between calls, those of an inversion's 17 or 33 proxy
+# nodes and its search orders, of a grid's order and of the curve's orders
+# of `scan_bracket`, 99 by default.  None of these reads psi: it serves F'
+# at a reported root whose slope the proxy cannot certify, in
 # residual_derivative and in selfcheck, at orders no later inversion reads
 # again; an inversion whose slope the proxy certifies builds no psi block.
 _BLOCK = 32

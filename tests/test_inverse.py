@@ -199,21 +199,31 @@ def test_hypothesis_fails_for_mixed_signs(mixed_sign):
 # --------------------------------------------------------- scan_bracket
 
 def test_scan_monotone_with_single_bracket(single_mode, two_mode):
+    # the samples fall; the certified verdict and root come from
+    # invert_order, and the root lies in the one cell where the samples
+    # change sign
     for (problem, measurement), root in ((single_mode, 0.75), (two_mode, 0.5)):
         scan = scan_bracket(problem, measurement)
-        assert scan.monotone
         diffs = np.diff(scan.values)
         assert np.all(diffs < 0.0)
-        assert len(scan.brackets) == 1
-        lo, hi = scan.brackets[0]
-        assert lo <= root <= hi
+        report = invert_order(problem, measurement)
+        assert report.monotone == "verified"
+        assert report.unique
+        assert abs(report.alpha_hat - root) <= 2e-3
+        cells = fracorder.inverse._sign_changes(scan.alphas, scan.values)
+        assert len(cells) == 1
+        lo, hi, _ = cells[0]
+        assert lo <= report.alpha_hat <= hi
 
 
 def test_scan_reports_no_root_for_unattainable_value(single_mode):
     problem, measurement = single_mode
-    scan = scan_bracket(problem, Measurement(measurement.position, measurement.time, 10.0))
-    assert scan.brackets == ()
-    assert scan.monotone
+    unattainable = Measurement(measurement.position, measurement.time, 10.0)
+    scan = scan_bracket(problem, unattainable)
+    assert all(value < 0.0 for value in scan.values)
+    assert np.all(np.diff(scan.values) < 0.0)
+    with pytest.raises(NoRootError):
+        invert_order(problem, unattainable)
 
 
 def test_scan_respects_scan_points(single_mode):
@@ -223,10 +233,15 @@ def test_scan_respects_scan_points(single_mode):
 
 
 def test_scan_finds_two_brackets_for_mixed_signs(mixed_sign):
+    # two certified roots, each in a cell where the samples change sign
     problem, measurement = mixed_sign
     scan = scan_bracket(problem, measurement)
-    assert not scan.monotone
-    assert len(scan.brackets) == 2
+    report = invert_order(problem, measurement)
+    assert report.monotone == "violated"
+    assert len(report.roots) == 2
+    cells = fracorder.inverse._sign_changes(scan.alphas, scan.values)
+    assert len(cells) == 2
+    assert all(lo <= root <= hi for root, (lo, hi, _) in zip(report.roots, cells))
 
 
 def _pointwise_scan(problem, measurement, config):
@@ -244,13 +259,17 @@ def _outcome(fn, *args):
 
 @pytest.mark.parametrize("config", [InverseConfig(), InverseConfig(f_rel_tol=1e-8),
                                     InverseConfig(f_rel_tol=1e-13, scan_points=9)])
-def test_scan_equals_pointwise_residuals(single_mode, two_mode, mixed_sign, config):
+def test_scan_equals_pointwise_residuals(single_mode, two_mode, mixed_sign, hidden_minimum,
+                                         two_close_roots, config):
     # single_mode and two_mode are the bundled configs' problems; at 1e-13
     # the two-mode curve refuses, and the scan must refuse alike.  Amplitudes
-    # that are not powers of two catch a reassociated a*E*s.
+    # that are not powers of two catch a reassociated a*E*s.  On the hidden
+    # minimum and the two close roots the samples miss what invert_order
+    # certifies, a turn of F and a root pair.
     uneven = (make_problem(0.02, PI, [(1, 0.3), (2, -0.7), (4, 1.1)], 12.0),
               Measurement(1.3, 6.0, 0.1))
-    for problem, measurement in (single_mode, two_mode, mixed_sign, uneven):
+    for problem, measurement in (single_mode, two_mode, mixed_sign, hidden_minimum,
+                                 two_close_roots[1:], uneven):
         scanned = _outcome(lambda: [v.hex() for v in
                                     scan_bracket(problem, measurement, config).values])
         assert scanned == _outcome(_pointwise_scan, problem, measurement, config)
@@ -271,14 +290,17 @@ def test_scan_refuses_as_pointwise():
 def test_scan_brackets_residuals_below_product_underflow():
     # with amplitude 1e-200, F - d stays below 1e-162 on the whole scan, so
     # the product of two residuals of opposite sign underflows to -0.0; the
-    # scan compares signs, and finds the bracket of the amplitude-1 problem
+    # sign test of the bracket search compares signs, and finds the scan
+    # cell of the amplitude-1 problem
     brackets = []
     for amplitude in (1e-200, 1.0):
         problem = make_problem(0.1, PI, [(1, amplitude)], 10.0)
         measurement = Measurement(1.0, 5.0, evaluate_solution(problem, 0.503, 1.0, 5.0))
-        brackets.append(scan_bracket(problem, measurement).brackets)
+        scan = scan_bracket(problem, measurement)
+        brackets.append([(lo, hi) for lo, hi, _ in
+                         fracorder.inverse._sign_changes(scan.alphas, scan.values)])
         assert abs(invert_order(problem, measurement).alpha_hat - 0.503) <= 1e-10
-    assert brackets[0] == brackets[1] == ((0.5, 0.5101836734693878),)
+    assert brackets[0] == brackets[1] == [(0.5, 0.5101836734693878)]
 
 
 def test_scan_equals_pointwise_off_the_series_region():
@@ -558,7 +580,7 @@ def test_measurement_sums_frozen_to_the_bit():
 def test_newton_trace_stays_in_bracket(single_mode):
     problem, measurement = single_mode
     scan = scan_bracket(problem, measurement)
-    lo, hi = scan.brackets[0]
+    [(lo, hi, _)] = fracorder.inverse._sign_changes(scan.alphas, scan.values)
     report = invert_order(problem, measurement)
     assert all(lo <= alpha <= hi for _, alpha, _ in report.trace)
 
@@ -610,11 +632,10 @@ def test_residual_bound_at_root(single_mode, two_mode):
 
 
 def test_hypothesis_soundness(single_mode, two_mode):
-    # positive hypothesis + verified monotone scan => exactly one root
+    # positive hypothesis + certified monotone proxy => exactly one root
     for problem, measurement in (single_mode, two_mode):
-        scan = scan_bracket(problem, measurement)
-        assert scan.monotone
         report = invert_order(problem, measurement)
+        assert report.monotone == "verified"
         assert report.uniqueness_hypothesis
         assert len(report.roots) == 1
 
@@ -677,9 +698,15 @@ def test_kernel_work_counts(two_mode, monkeypatch):
 
 def _full_scan_inversion(problem, measurement, config=InverseConfig()):
     """`invert_order`'s report from the full uniform scan: F at every scan
-    order, each bracket refined from the scan's value at its left end."""
+    order, the sampled verdict that the scan's values rise or fall
+    throughout, and each sign-change cell refined from the scan's value at
+    its left end."""
     scan = scan_bracket(problem, measurement, config)
-    if not scan.brackets:
+    diffs = np.diff(scan.values)
+    monotone = bool(np.all(diffs > 0.0) or np.all(diffs < 0.0))
+    brackets = [(lo, hi) for lo, hi, _ in
+                fracorder.inverse._sign_changes(scan.alphas, scan.values)]
+    if not brackets:
         raise NoRootError(f"no root in range: F(alpha)-d has no sign change on "
                           f"[{config.alpha_lo:g}, {config.alpha_hi:g}]")
 
@@ -698,7 +725,7 @@ def _full_scan_inversion(problem, measurement, config=InverseConfig()):
 
     scanned = dict(zip(scan.alphas, scan.values))
     refined = [fracorder.inverse._refine_root(f, step_slope, lo, hi, scanned[lo], config.root_tol)
-               for lo, hi in scan.brackets]
+               for lo, hi in brackets]
     alpha_hat = refined[0][0]
     try:
         slope = fp(alpha_hat)
@@ -706,7 +733,7 @@ def _full_scan_inversion(problem, measurement, config=InverseConfig()):
         slope = math.nan
     terms = fracorder.forward._mode_terms(problem, measurement.position)
     return InversionReport(
-        alpha_hat, f(alpha_hat), slope, "verified" if scan.monotone else "violated",
+        alpha_hat, f(alpha_hat), slope, "verified" if monotone else "violated",
         all(amplitude * basis > 0.0 for amplitude, basis, _ in terms),
         math.inf if abs(slope) < 1e-14 else 1.0 / abs(slope), refined[0][1],
         tuple(root for root, _, _ in refined), sum(used for _, _, used in refined))
@@ -892,7 +919,8 @@ def test_narrow_interval_refused(single_mode):
 def test_invert_order_never_scans(single_mode, two_mode, mixed_sign, climbing, monkeypatch):
     # whatever scan_points, on a climbing or flat curve, and when F refuses
     # or no root lies in range, the bracket search reads the proxy alone
-    monkeypatch.setattr(fracorder.inverse, "_scan", lambda *args: pytest.fail("the scan ran"))
+    monkeypatch.setattr(fracorder.inverse, "scan_bracket",
+                        lambda *args: pytest.fail("the scan ran"))
     for scan_points in (9, 33, 99, 400):
         for problem, measurement in (single_mode, two_mode, mixed_sign):
             invert_order(problem, measurement, InverseConfig(scan_points=scan_points))
@@ -1021,7 +1049,8 @@ def test_two_roots_inside_one_scan_cell(two_close_roots):
     # the uniform scan sees no sign change; the proxy's extremum between
     # two nodes of one sign does, and p there lies beyond the margin
     alpha, problem, measurement = two_close_roots
-    assert scan_bracket(problem, measurement).brackets == ()
+    scan = scan_bracket(problem, measurement)
+    assert fracorder.inverse._sign_changes(scan.alphas, scan.values) == []
     report = invert_order(problem, measurement)
     assert not report.unique
     assert len(report.roots) == 2

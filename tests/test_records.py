@@ -57,9 +57,8 @@ def test_record_reprs_pinned():
     assert repr(measurement) == "Measurement(position=1.0, time=2.0, value=None)"
     assert repr(config) == ("InverseConfig(alpha_lo=0.001, alpha_hi=0.999, root_tol=1e-10, "
                             "scan_points=99, f_rel_tol=1e-10)")
-    assert repr(ScanResult((0.1, 0.9), (1.0, -1.0), True, ((0.1, 0.9),))) == (
-        "ScanResult(alphas=(0.1, 0.9), values=(1.0, -1.0), monotone=True, "
-        "brackets=((0.1, 0.9),))")
+    assert repr(ScanResult((0.1, 0.9), (1.0, -1.0))) == (
+        "ScanResult(alphas=(0.1, 0.9), values=(1.0, -1.0))")
     assert repr(InversionReport(0.5, 0.0, -1.0, "verified", True, 1.0, ((1, 0.5, 0.0),),
                                 (0.5,), 1)) == (
         "InversionReport(alpha_hat=0.5, residual=0.0, derivative_at_root=-1.0, "
@@ -99,6 +98,7 @@ def test_records_are_immutable_named_tuples(single_mode):
     assert measurement._asdict() == {"position": PI / 4, "time": 2.0, "value": 0.25818}
     assert InverseConfig._fields == ("alpha_lo", "alpha_hi", "root_tol", "scan_points",
                                      "f_rel_tol")
+    assert ScanResult._fields == ("alphas", "values")
 
 
 # ------------------------------------------------------------- public names
