@@ -9,16 +9,15 @@ controls both the power-series cancellation (grows like exp(|z|**(1/a)))
 and the tail-expansion accuracy (shrinks like the same exponential).
 
 The two power series, for E_a(z) and for its order derivative, each sum in
-one loop over the cached coefficient blocks, with the same Kahan step and
-stop rule, and certify alike: a value is returned only when its error
-estimate is at most rel_tol times its magnitude.  Both read
-Gamma(alpha*j + 1), and the derivative also psi(alpha*j + 1), from
-per-order blocks of 32 terms kept in a small bounded cache: all modes at
-one order and every cell of a fixed-order grid share them.  The E_a
-series is summed only where |z|**(1/a) <= 30, and there every term it
-reaches stays in the double range, so it sums the blocks with no range
-test; the derivative refuses a term past the double range, which no
-certified value reaches.
+one loop over the cached Gamma blocks, with the same Kahan step and stop
+rule, and certify alike: a value is returned only when its error estimate
+is at most rel_tol times its magnitude.  Both read Gamma(alpha*j + 1) from
+per-order blocks of 32 terms kept in a bounded cache: all modes at one
+order and every cell of a fixed-order grid share them.  The derivative
+computes psi(alpha*j + 1) for each term it sums.  The E_a series is summed
+only where |z|**(1/a) <= 30, and there every term it reaches stays in the
+double range, so it sums the blocks with no range test; the derivative
+refuses a term past the double range, which no certified value reaches.
 
 `mittag_leffler` and `ml_alpha_derivative` check their arguments and hand
 them to the unchecked cores `_mittag_leffler` and `_ml_alpha_derivative`,
@@ -54,18 +53,15 @@ DERIV_MAX_TERMS = 1000
 _S_TAYLOR_ONLY = 14.0
 _S_ASYM_ONLY = 30.0
 
-# Series coefficients Gamma(alpha*j + 1) and psi(alpha*j + 1) come in
-# per-order blocks of _BLOCK terms; each cache keeps its most recently used
-# blocks, so its memory stays fixed however many orders are evaluated.  512
-# Gamma blocks hold, between calls, those of an inversion's 17 or 33 proxy
-# nodes and its search orders, of a grid's order and of the curve's orders
-# of `scan_bracket`, 99 by default.  None of these reads psi: it serves F'
-# at a reported root whose slope the proxy cannot certify, in
-# residual_derivative and in selfcheck, at orders no later inversion reads
-# again; an inversion whose slope the proxy certifies builds no psi block.
+# The series coefficients Gamma(alpha*j + 1) come in per-order blocks of
+# _BLOCK terms; the cache keeps its most recently used blocks, so its memory
+# stays fixed however many orders are evaluated.  Every inversion re-reads
+# the blocks of its 17 or 33 proxy nodes, and a grid those of its order;
+# an inversion's search orders, about 2.3 blocks per `invert` operation,
+# are never read again.  512 blocks hold the nodes' blocks and the curve's
+# orders of `scan_bracket`, 99 by default, between calls.
 _BLOCK = 32
 _BLOCKS_KEPT = 512
-_PSI_BLOCKS_KEPT = 128
 
 
 def _not_real(value):
@@ -247,21 +243,10 @@ def _gammaln(x):
                 + 8.33333333333331927722e-2) / x
 
 
-def _port_block(port, alpha, start):
-    """port(alpha*j + 1) for j = start .. start + _BLOCK - 1."""
-    return tuple([port(alpha * j + 1.0) for j in range(start, start + _BLOCK)])
-
-
 @functools.lru_cache(maxsize=_BLOCKS_KEPT)
 def _gamma_block(alpha, start):
     """Gamma(alpha*j + 1) for j = start .. start + _BLOCK - 1."""
-    return _port_block(_gamma, alpha, start)
-
-
-@functools.lru_cache(maxsize=_PSI_BLOCKS_KEPT)
-def _psi_block(alpha, start):
-    """psi(alpha*j + 1) for j = start .. start + _BLOCK - 1."""
-    return _port_block(_psi, alpha, start)
+    return tuple([_gamma(alpha * j + 1.0) for j in range(start, start + _BLOCK)])
 
 
 def _ml_power_series(alpha, z, rel_tol):
@@ -527,9 +512,12 @@ def _ml_alpha_derivative(alpha, c, t, rel_tol):
     an x = c * t**alpha of 0 (c = 0, or an underflow) gives zero terms and 0.
 
     The loop is `_ml_power_series`'s, over the terms w_j * (ln t - psi_j) with
-    w_j = j * (-x)**j / Gamma(alpha*j + 1) and psi_j = psi(alpha*j + 1), both
-    from the cached blocks, j = 1 .. DERIV_MAX_TERMS; the size
-    |w_j| * (|ln t| + |psi_j|) feeds the stop rule and the round-off estimate.
+    w_j = j * (-x)**j / Gamma(alpha*j + 1), Gamma from the cached blocks, and
+    psi_j = psi(alpha*j + 1), computed for each term summed, j = 1 ..
+    DERIV_MAX_TERMS; the size |w_j| * (|ln t| + |psi_j|) feeds the stop rule
+    and the round-off estimate.  psi is not cached: the inversions take
+    their slopes from the interpolant, so the derivative runs at orders that
+    are seldom evaluated again.
     A term past the double range, or one whose Gamma argument alpha*j + 1
     passes 170, is refused as past the double range.  The sum is still
     running there only when x**(1/alpha) is above about 45, and then its
@@ -553,10 +541,11 @@ def _ml_alpha_derivative(alpha, c, t, rel_tol):
         gammas = _gamma_block(alpha, j + 1)
         if j + _BLOCK > DERIV_MAX_TERMS:  # the budget's last block
             gammas = gammas[:DERIV_MAX_TERMS - j]
-        for gamma_g, psi_g in zip(gammas, _psi_block(alpha, j + 1)):
+        for gamma_g in gammas:
             j += 1
             zpow *= z
             w = j * zpow / gamma_g
+            psi_g = _psi(alpha * j + 1.0)
             size = abs(w) * (abs_ln_t + abs(psi_g))
             if not math.isfinite(size) or alpha * j + 1.0 > 170.0:
                 raise AccuracyError(f"ml_alpha_derivative: series terms exceed the double range "

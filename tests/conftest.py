@@ -35,26 +35,39 @@ def mixed_sign():
 
 @pytest.fixture
 def port_calls(monkeypatch):
-    """Gamma / psi port evaluations fracorder.special makes, from cleared
-    coefficient caches on: one list of arguments per block build, one float
-    per call outside a block build."""
+    """Gamma / psi port evaluations fracorder.special makes, from a cleared
+    Gamma block cache on: one list of `_gamma` arguments per block build
+    through `_gamma_block`, one float per `_psi` call and per `_gamma` call
+    outside a block build."""
     special = fracorder.special
     log = {"_gamma": [], "_psi": []}
     real = {name: getattr(special, name) for name in log}
-    wrappers = {}
-    for name, calls in log.items():
-        wrappers[name] = lambda x, name=name, calls=calls: calls.append(x) or real[name](x)
-        monkeypatch.setattr(special, name, wrappers[name])
-    real_block = special._port_block
+    real_block = special._gamma_block
+    building = []  # the argument list of the block build under way
 
-    def block(port, alpha, start):
-        name = next(name for name, wrapper in wrappers.items() if wrapper is port)
-        log[name].append([alpha * j + 1.0 for j in range(start, start + special._BLOCK)])
-        return real_block(real[name], alpha, start)
+    def gamma(x):
+        (building[-1] if building else log["_gamma"]).append(x)
+        return real["_gamma"](x)
 
-    monkeypatch.setattr(special, "_port_block", block)
-    special._gamma_block.cache_clear()
-    special._psi_block.cache_clear()
+    def psi(x):
+        log["_psi"].append(x)
+        return real["_psi"](x)
+
+    def gamma_block(alpha, start):
+        # the real cache: a hit calls no `_gamma` and logs nothing
+        building.append([])
+        try:
+            return real_block(alpha, start)
+        finally:
+            args = building.pop()
+            if args:
+                log["_gamma"].append(args)
+
+    gamma_block.cache_clear = real_block.cache_clear
+    monkeypatch.setattr(special, "_gamma", gamma)
+    monkeypatch.setattr(special, "_psi", psi)
+    monkeypatch.setattr(special, "_gamma_block", gamma_block)
+    real_block.cache_clear()
     return log
 
 

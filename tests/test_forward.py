@@ -289,9 +289,8 @@ def test_grid_on_walls_evaluates_no_factor(monkeypatch):
     assert not grid.any()
 
 
-def _clear_coefficient_caches():
+def _clear_gamma_blocks():
     fracorder.special._gamma_block.cache_clear()
-    fracorder.special._psi_block.cache_clear()
 
 
 def _value_or_refusal(*args):
@@ -309,7 +308,7 @@ def test_evaluate_solution_same_in_every_cache_state():
              for t in (0.5, 2.5)] + [(refusing, 0.5, 1.0, 5.0)]
     cold = []
     for args in calls:
-        _clear_coefficient_caches()
+        _clear_gamma_blocks()
         cold.append(_value_or_refusal(*args))
     assert "misses rel_tol=1.66667e-11" in cold[-1]
     assert [_value_or_refusal(*args) for args in calls] == cold

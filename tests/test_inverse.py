@@ -1271,7 +1271,7 @@ def test_proxy_brackets_match_the_reference_loops(single_mode, two_mode, mixed_s
 
 def test_proxy_path_work_counts(port_calls, seeded_inversions, monkeypatch):
     # the report's slope comes from the interpolant: no analytic F', so no
-    # psi block; F runs at the 17 nodes, where each bracket's left end
+    # psi call; F runs at the 17 nodes, where each bracket's left end
     # lies, then at the iterates and at alpha_hat, never twice at one order
     inverse = fracorder.inverse
     orders, slopes = [], []

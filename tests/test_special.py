@@ -11,7 +11,7 @@ from scipy.special import erfcx
 import fracorder.special
 from fracorder import (AccuracyError, DomainError, mittag_leffler,
                        ml_alpha_derivative, sinpi)
-from fracorder.special import _BLOCK, _gamma_block, _ml_power_series, _psi_block
+from fracorder.special import _BLOCK, _gamma_block, _ml_power_series, _psi
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -37,14 +37,20 @@ GAMMA_RATIO_075_200 = 0.02322933498174656160199  # Gamma(151) / Gamma(151.75)
 
 # ------------------------------------------------ series coefficients
 #
-# Both power series read Gamma(alpha*j + 1) and psi(alpha*j + 1), j >= 1,
-# from the cached blocks that start at j = 1, 33, 65, ...; these tests check
-# the classical identities on exactly those values.
+# Both power series read Gamma(alpha*j + 1), j >= 1, from the cached blocks
+# that start at j = 1, 33, 65, ..., and the order derivative computes
+# psi(alpha*j + 1) at the same float; these tests check the classical
+# identities on exactly those values.
 
-def _coefficient(alpha, j, block=_gamma_block):
-    """Gamma(alpha*j + 1), or psi with block=_psi_block, as the series reads it."""
+def _coefficient(alpha, j):
+    """Gamma(alpha*j + 1) as the series reads it."""
     start = 1 + (j - 1) // _BLOCK * _BLOCK
-    return block(alpha, start)[j - start]
+    return _gamma_block(alpha, start)[j - start]
+
+
+def _digamma(alpha, j):
+    """psi(alpha*j + 1) as the order derivative computes it."""
+    return _psi(alpha * j + 1.0)
 
 
 def _coefficient_ratio(alpha, j):
@@ -92,8 +98,8 @@ def test_gamma_domain_and_overflow():
 
 def test_digamma_classical_values():
     psi_1_5 = 2.0 - EULER_GAMMA - 2.0 * math.log(2.0)
-    assert abs(_coefficient(0.5, 1, _psi_block) - psi_1_5) <= 1e-12
-    assert abs(_coefficient(0.5, 2, _psi_block) - (1.0 - EULER_GAMMA)) <= 1e-12
+    assert abs(_digamma(0.5, 1) - psi_1_5) <= 1e-12
+    assert abs(_digamma(0.5, 2) - (1.0 - EULER_GAMMA)) <= 1e-12
 
 
 def _digamma_series(x, terms=1_000_000):
@@ -106,12 +112,12 @@ def _digamma_series(x, terms=1_000_000):
 
 @pytest.mark.parametrize("x", [3.25, 10.5, 42.0])
 def test_digamma_matches_literal_series(x):
-    psi = _coefficient(0.25, round((x - 1.0) / 0.25), _psi_block)  # x = 0.25*j + 1
+    psi = _digamma(0.25, round((x - 1.0) / 0.25))  # x = 0.25*j + 1
     assert abs(psi - _digamma_series(x)) <= 1e-11 * max(1.0, abs(psi))
 
 
 def test_digamma_frozen_value():
-    psi = _coefficient(0.5, 19, _psi_block)  # psi(10.5)
+    psi = _digamma(0.5, 19)  # psi(10.5)
     assert abs(psi - DIGAMMA_10_5) <= 1e-13 * DIGAMMA_10_5
 
 
@@ -412,19 +418,18 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _clear_coefficient_caches():
+def _clear_gamma_blocks():
     fracorder.special._gamma_block.cache_clear()
-    fracorder.special._psi_block.cache_clear()
 
 
 def _outcomes_in_every_cache_state(fn, args, interleaved):
     """`_outcome(fn, *a)` for each `a` in `args`, asserting that the cached
-    coefficient blocks change no bit and no refusal: cold (caches cleared
-    before each call), warm in order, and warm in the order `interleaved`,
+    Gamma blocks change no bit and no refusal: cold (cache cleared before
+    each call), warm in order, and warm in the order `interleaved`,
     in which neighbouring calls have different orders."""
     cold = []
     for a in args:
-        _clear_coefficient_caches()
+        _clear_gamma_blocks()
         cold.append(_outcome(fn, *a))
     assert [_outcome(fn, *a) for a in args] == cold
     mixed = {k: _outcome(fn, *args[k]) for k in interleaved}
@@ -641,11 +646,10 @@ def _derivative_terms(alpha, c, t, log_space):
     xpow = 1.0
     j = 0
     while j < special.DERIV_MAX_TERMS:
-        end = special.DERIV_MAX_TERMS - j
-        gammas = _gamma_block(alpha, j + 1)[:end]
-        for gamma_g, psi_g in zip(gammas, _psi_block(alpha, j + 1)[:end]):
+        for gamma_g in _gamma_block(alpha, j + 1)[:special.DERIV_MAX_TERMS - j]:
             j += 1
             g = alpha * j + 1.0
+            psi_g = _psi(g)
             xpow *= x
             if g <= 170.0 and math.isfinite(xpow):
                 w = j * xpow / gamma_g
@@ -748,35 +752,49 @@ def test_ports_return_scipy_bits():
     assert _port_mismatches(fracorder.special._gammaln, scipy.special.gammaln, huge) == (0, [])
 
 
-def test_series_read_gamma_and_psi_blocks_once(port_calls):
-    value = ml_alpha_derivative(0.3, 1.0, 3.0)  # 65-96 terms: three blocks of each
-    for name, args in port_calls.items():
-        assert all(np.ndim(x) == 1 for x in args), name  # no per-term scalar call
-        starts = [x[0] for x in args]
-        assert len(starts) == len(set(starts)) == 3, name
+def test_series_build_gamma_blocks_once_and_psi_per_term(port_calls):
+    # the terms the reference sums; it fills the Gamma cache past the log, so
+    # empty both before the logged call
+    summed = []
+    _sum_terms((summed.append(pair) or pair for pair in _derivative_terms(0.3, 1.0, 3.0, [])),
+               0.0, 0.0, 0.125e-10)
+    assert 65 <= len(summed) <= 96  # three Gamma blocks
+    per_term = [0.3 * j + 1.0 for j in range(1, len(summed) + 1)]
+    _clear_gamma_blocks()
+    for args in port_calls.values():
         args.clear()
-    # warm: the same order reads its blocks again, and E_alpha never pays for psi
+    value = ml_alpha_derivative(0.3, 1.0, 3.0)
+    # whole Gamma blocks, each built once; psi once per term summed, at its argument
+    assert all(np.ndim(x) == 1 for x in port_calls["_gamma"])
+    assert [x[0] for x in port_calls["_gamma"]] == [0.3 * j + 1.0 for j in (1, 33, 65)]
+    assert port_calls["_psi"] == per_term
+    port_calls["_gamma"].clear()
+    port_calls["_psi"].clear()
+    # warm: the same order reads its Gamma blocks again and computes psi again
     assert ml_alpha_derivative(0.3, 1.0, 3.0) == value
+    assert port_calls == {"_gamma": [], "_psi": per_term}
+    port_calls["_psi"].clear()
+    # E_alpha never computes psi
     mittag_leffler(0.3, -3.0 ** 0.3)
     assert port_calls == {"_gamma": [], "_psi": []}
-    _clear_coefficient_caches()
+    _clear_gamma_blocks()
     mittag_leffler(0.3, -3.0 ** 0.3)
     assert [x[0] for x in port_calls["_gamma"]] == [0.3 * j + 1.0 for j in (1, 33, 65)]
     assert port_calls["_psi"] == []
 
 
 def test_concurrent_orders_reproduce_serial_bits():
-    # each thread sweeps its own 120 orders: more blocks than a cache keeps, so
-    # builds, hits and evictions of both caches interleave across threads
+    # each thread sweeps its own 120 orders: more blocks than the cache keeps,
+    # so builds, hits and evictions of Gamma blocks interleave across threads
     orders = np.linspace(0.05, 0.95, 4 * 120).reshape(4, 120).tolist()
 
     def sweep(alphas):
         return [(_outcome(mittag_leffler, a, -0.5), _outcome(mittag_leffler, a, -3.0),
                  _outcome(ml_alpha_derivative, a, 0.4, 2.0)) for a in alphas]
 
-    _clear_coefficient_caches()
+    _clear_gamma_blocks()
     serial = [sweep(alphas) for alphas in orders]
-    _clear_coefficient_caches()
+    _clear_gamma_blocks()
     results = [None] * len(orders)
     barrier = threading.Barrier(len(orders))
 
@@ -796,7 +814,6 @@ def test_concurrent_orders_reproduce_serial_bits():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [[rows] * 3 for rows in serial]
-    # the caches stay bounded whatever the number of orders
-    for block in (fracorder.special._gamma_block, fracorder.special._psi_block):
-        info = block.cache_info()
-        assert info.maxsize is not None and info.currsize == info.maxsize
+    # the cache stays bounded whatever the number of orders
+    info = fracorder.special._gamma_block.cache_info()
+    assert info.maxsize is not None and info.currsize == info.maxsize
